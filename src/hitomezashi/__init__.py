@@ -6,10 +6,9 @@ from .words import (BinaryWord, TurnWord, fibonacci, pell, pell_word,
 from .grid import (ProgramSegment, WordProgram, PatternSpec, StitchGrid,
                    expand_program, build_grid, is_self_dual)
 from .loops import (LatticeCycle, Polyomino, LoopStats, TheoremReport,
-                    components_from_segments, extract_components,
-                    cycle_to_polyomino, loop_stats, check_loop_theorems,
-                    largest_loop, two_color, centred_square_check,
-                    analyze_grid)
+                    extract_components, cycle_to_polyomino, loop_stats,
+                    check_loop_theorems, largest_loop, two_color,
+                    centred_square_check, analyze_grid)
 from .tiles import (trace_turtle, snowflake, snowflake_boundary,
                     snowflake_cycle, snowflake_width_check, persimmon_word,
                     persimmon_spec, verify_conjecture, conjecture_report)
@@ -25,7 +24,7 @@ __all__ = [
     "ProgramSegment", "WordProgram", "PatternSpec", "StitchGrid",
     "expand_program", "build_grid", "is_self_dual",
     "LatticeCycle", "Polyomino", "LoopStats", "TheoremReport",
-    "components_from_segments", "extract_components", "cycle_to_polyomino",
+    "extract_components", "cycle_to_polyomino",
     "loop_stats", "check_loop_theorems", "largest_loop", "two_color",
     "centred_square_check", "analyze_grid",
     "trace_turtle", "snowflake", "snowflake_boundary", "snowflake_cycle",

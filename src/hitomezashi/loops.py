@@ -43,14 +43,11 @@ class LatticeCycle:
 
     def edges(self) -> list[Segment]:
         verts = self.vertices
-        return [(verts[i], verts[(i + 1) % len(verts)])
-                for i in range(len(verts))]
+        return list(zip(verts, verts[1:] + verts[:1]))
 
     def shoelace_area(self) -> int:
-        total = 0
-        verts = self.vertices
-        for (x1, y1), (x2, y2) in self.edges():
-            total += x1 * y2 - x2 * y1
+        total = sum(x1 * y2 - x2 * y1
+                    for (x1, y1), (x2, y2) in self.edges())
         return abs(total) // 2
 
     def normalized(self) -> "LatticeCycle":
@@ -159,68 +156,68 @@ class TheoremReport(NamedTuple):
         return self.area_1_mod_4 and self.perimeter_4_mod_8 and self.box_dimensions_odd
 
 
-def components_from_segments(
-    segments: Iterable[Segment],
-) -> tuple[list[LatticeCycle], list[tuple[Point, ...]]]:
-    """Partition unit segments into simple cycles and open paths.
-
-    Raises ValueError("not a simple pattern") if any vertex has more than
-    two incident segments; grids built here never do, so the check guards
-    segment data imported from elsewhere.
-    """
-    adjacency: dict[Point, list[Point]] = defaultdict(list)
-    for a, b in segments:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for vertex, nbrs in adjacency.items():
-        if len(nbrs) > 2:
-            raise ValueError("not a simple pattern")
-        nbrs.sort()
-
-    visited: set[frozenset[Point]] = set()
-
-    def walk(start: Point) -> list[Point]:
-        trail = [start]
-        current = start
-        while True:
-            step = None
-            for nbr in adjacency[current]:
-                if frozenset((current, nbr)) not in visited:
-                    step = nbr
-                    break
-            if step is None:
-                return trail
-            visited.add(frozenset((current, step)))
-            trail.append(step)
-            current = step
-
-    paths = []
-    for vertex in sorted(adjacency):
-        if len(adjacency[vertex]) == 1 and not any(
-            frozenset((vertex, n)) in visited for n in adjacency[vertex]
-        ):
-            paths.append(tuple(walk(vertex)))
-
-    cycles = []
-    for vertex in sorted(adjacency):
-        for nbr in adjacency[vertex]:
-            if frozenset((vertex, nbr)) not in visited:
-                trail = walk(vertex)
-                assert trail[-1] == vertex
-                cycles.append(LatticeCycle(trail[:-1]).normalized())
-                break
-
-    cycles.sort(key=lambda c: c.vertices)
-    paths.sort()
-    return cycles, paths
-
-
 def extract_components(
     grid: StitchGrid,
 ) -> tuple[list[LatticeCycle], list[tuple[Point, ...]]]:
     """Closed loops and open paths of a grid; every present segment lands in
-    exactly one component."""
-    return components_from_segments(grid.segments())
+    exactly one component.
+
+    A vertex meets at most one horizontal and one vertical stitch, and the
+    phase bit of each line says on which side, so a trace alternates between
+    the two families and reads each step off a parity.  Paths run from their
+    lesser end, in order of that end; cycles start at their least vertex
+    heading up (the normalized() order) and come out sorted.
+    """
+    W, H = grid.width, grid.height
+    rows, cols = grid.row_bits, grid.col_bits
+    h_seen = bytearray(W * (H + 1))  # stitch (x, y)-(x+1, y) at y*W + x
+    v_seen = bytearray((W + 1) * H)  # stitch (x, y)-(x, y+1) at x*H + y
+
+    def walk(x: int, y: int, vertical: bool) -> list[Point]:
+        """Follow unseen stitches from (x, y), marking them seen."""
+        trail = [(x, y)]
+        while True:
+            if vertical:
+                if cols is None:
+                    return trail
+                y2 = y + 1 if (y + cols[x]) & 1 else y - 1
+                i = x * H + (y if y2 > y else y2)
+                if not 0 <= y2 <= H or v_seen[i]:
+                    return trail
+                v_seen[i], y = 1, y2
+            else:
+                if rows is None:
+                    return trail
+                x2 = x + 1 if (x + rows[y]) & 1 else x - 1
+                i = y * W + (x if x2 > x else x2)
+                if not 0 <= x2 <= W or h_seen[i]:
+                    return trail
+                h_seen[i], x = 1, x2
+            trail.append((x, y))
+            vertical = not vertical
+
+    # With both families every interior vertex has degree 2, so paths end
+    # on the window edge; with one family each stitch is a path of its own.
+    both = rows is not None and cols is not None
+    ends = [(x, y) for x in range(W + 1)
+            for y in (range(H + 1) if x in (0, W) or not both else (0, H))
+            if not both or grid.vertex_degree(x, y) == 1]
+    paths = []
+    for x, y in ends:
+        trail = walk(x, y, True)
+        if len(trail) == 1:
+            trail = walk(x, y, False)
+        if len(trail) > 1:
+            paths.append(tuple(trail))
+
+    # Every stitch left unseen lies on a closed loop, whose first vertical
+    # stitch in (x, y) order starts at the loop's least vertex.
+    cycles = []
+    for x in range(W + 1) if both else ():
+        for y in range((cols[x] + 1) & 1, H, 2):
+            if not v_seen[x * H + y]:
+                cycles.append(LatticeCycle(walk(x, y, True)[:-1]))
+    return cycles, paths
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -255,21 +252,28 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
+def _ranked(cycles: list[LatticeCycle], top_only: bool = False,
+            ) -> list[tuple[tuple[int, int], LatticeCycle, Polyomino]]:
+    """(size, cycle, fill) triples by greatest area, then greatest perimeter,
+    then least canonical form; equal keys keep the cycles' order.  Area and
+    perimeter come from the vertices, so ``top_only`` fills and
+    canonicalises only the cycles tied at the top on both."""
+    sized = [((-c.shoelace_area(), -c.perimeter), c) for c in cycles]
+    top = min((size for size, _ in sized), default=None)
+    ranked = [(size, c, cycle_to_polyomino(c)) for size, c in sized
+              if size == top or not top_only]
+    return sorted(ranked, key=lambda item: (item[0], item[2].canonical_form))
+
+
 def largest_loop(
     grid: StitchGrid,
 ) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
     """The closed loop of greatest area (ties: greatest perimeter, then
     least canonical form), or None when the grid has no closed loop."""
-    cycles, _ = extract_components(grid)
-    best = None
-    for cycle in cycles:
-        poly = cycle_to_polyomino(cycle)
-        key = (-poly.area, -cycle.perimeter, poly.canonical_form)
-        if best is None or key < best[0]:
-            best = (key, cycle, poly)
-    if best is None:
+    ranked = _ranked(extract_components(grid)[0], top_only=True)
+    if not ranked:
         return None
-    _, cycle, poly = best
+    _, cycle, poly = ranked[0]
     return cycle, poly, loop_stats(poly, cycle)
 
 
@@ -357,16 +361,9 @@ def analyze_grid(grid: StitchGrid) -> dict:
     """Structured loop report: per-loop stats with theorem checks, the open
     path count, and the two-coloring as a bottom-up cell matrix."""
     cycles, paths = extract_components(grid)
-    ranked = []
-    for cycle in cycles:
-        poly = cycle_to_polyomino(cycle)
-        stats = loop_stats(poly, cycle)
-        ranked.append(((-stats.area, -stats.perimeter, poly.canonical_form),
-                       cycle, poly, stats))
-    ranked.sort(key=lambda item: item[0])
-
     loops_report = []
-    for _, cycle, poly, stats in ranked:
+    for _, cycle, poly in _ranked(cycles):
+        stats = loop_stats(poly, cycle)
         report = check_loop_theorems(stats)
         loops_report.append({
             "perimeter": stats.perimeter,

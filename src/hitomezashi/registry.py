@@ -196,7 +196,8 @@ def table1() -> list[tuple[str, LoopStats]]:
         if use_dual:
             grid = grid.dual()
         best = largest_loop(grid)
-        assert best is not None, f"no closed loop in {key} window"
+        if best is None:
+            raise ValueError(f"no closed loop in {key} window")
         name = entry.display_name
         if use_dual:
             name = f"dual {name}"

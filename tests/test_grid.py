@@ -109,6 +109,15 @@ def test_missing_line_family_has_no_stitches():
     assert grid.segment_count() > 0
 
 
+@given(rows=st.one_of(st.just(""), words_nonempty),
+       cols=st.one_of(st.just(""), words_nonempty),
+       width=st.integers(1, 20), height=st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_segment_count_matches_enumeration(rows, cols, width, height):
+    grid = build_grid(spec(rows, cols, width, height))
+    assert grid.segment_count() == len(list(grid.segments()))
+
+
 def test_zero_phase_line_parity():
     grid = build_grid(spec("0", "0", 4, 4))
     assert not grid.horizontal_present(0, 2)

@@ -6,9 +6,9 @@ import pytest
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                analyze_grid, centred_square_check,
-                               check_loop_theorems, components_from_segments,
-                               cycle_to_polyomino, extract_components,
-                               largest_loop, loop_stats, two_color)
+                               check_loop_theorems, cycle_to_polyomino,
+                               extract_components, largest_loop, loop_stats,
+                               two_color)
 from hitomezashi.registry import lookup
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -63,13 +63,6 @@ def test_single_direction_pattern_has_no_loops():
 def test_empty_grid_has_no_components():
     cycles, paths = extract_components(grid_of("", "", 4, 4))
     assert (cycles, paths) == ([], [])
-
-
-def test_high_degree_vertex_rejected():
-    with pytest.raises(ValueError, match="not a simple pattern"):
-        components_from_segments([
-            ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((-1, 0), (0, 0)),
-        ])
 
 
 @pytest.mark.parametrize("seed", range(16))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hitomezashi import registry
 from hitomezashi.grid import build_grid, is_self_dual
 from hitomezashi.loops import LoopStats, largest_loop
 from hitomezashi.registry import export_catalog, list_all, lookup, table1
@@ -116,3 +117,9 @@ def test_catalog_is_json_serializable():
     by_key = {item["key"]: item for item in parsed}
     assert by_key["kuchizashi"]["expected_stats"] == [4, 1, 1, 1]
     assert by_key["yokogushi"]["cols"] == ""
+
+
+def test_table1_requires_a_closed_loop(monkeypatch):
+    monkeypatch.setattr(registry, "largest_loop", lambda grid: None)
+    with pytest.raises(ValueError, match="no closed loop in kuchizashi"):
+        table1()
