@@ -19,6 +19,15 @@ from .tiles import (conjecture_report, persimmon_spec, persimmon_word,
                     snowflake, snowflake_boundary, snowflake_cycle)
 from .words import BinaryWord, pell
 
+# Highest persimmon/snowflake order accepted (a 3940-cell-wide window); past
+# it the recursive word builders run for minutes, then exhaust the stack.
+MAX_ORDER = 9
+
+
+def _check_order(order: int, flag: str) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"{flag} must be between 1 and {MAX_ORDER}")
+
 
 def _word_arg(text: str) -> BinaryWord:
     try:
@@ -169,6 +178,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_snowflake(args) -> int:
     order = args.order
+    _check_order(order, "--order")
     poly = snowflake(order)
     cycle = snowflake_cycle(order)
     boundary = snowflake_boundary(order)
@@ -200,6 +210,7 @@ def _cmd_snowflake(args) -> int:
 
 
 def _cmd_persimmon(args) -> int:
+    _check_order(args.order, "--order")
     spec = persimmon_spec(args.order, args.periods)
     word = persimmon_word(args.order)
     if args.json:
@@ -225,6 +236,7 @@ def _cmd_persimmon(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
+    _check_order(args.max_order, "--max-order")
     reports = [conjecture_report(order)
                for order in range(1, args.max_order + 1)]
     if args.json:

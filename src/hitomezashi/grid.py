@@ -128,22 +128,31 @@ class PatternSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PatternSpec":
-        def prog(entries: list[dict]) -> WordProgram:
+        """Inverse of to_dict; ValueError for a wrongly typed field."""
+        def count(value, field: str) -> int:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer")
+            return value
+
+        def prog(entries: list[dict], field: str) -> WordProgram:
+            if not (isinstance(entries, list)
+                    and all(isinstance(e, dict) for e in entries)):
+                raise ValueError(f"{field} must be a list of objects")
             segs = []
             for e in entries:
+                if not isinstance(e["word"], str):
+                    raise ValueError("word must be a string")
                 reps = e["repeats"]
-                segs.append(ProgramSegment(
-                    BinaryWord(e["word"]),
-                    None if reps == "fill" else int(reps),
-                ))
+                reps = None if reps == "fill" else count(reps, "repeats")
+                segs.append(ProgramSegment(BinaryWord(e["word"]), reps))
             return WordProgram(tuple(segs))
 
         return cls(
             name=data["name"],
-            row_program=prog(data["rows"]),
-            col_program=prog(data["cols"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
+            row_program=prog(data["rows"], "rows"),
+            col_program=prog(data["cols"], "cols"),
+            width=count(data["width"], "width"),
+            height=count(data["height"], "height"),
         )
 
 

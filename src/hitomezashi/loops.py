@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
@@ -79,7 +80,7 @@ class Polyomino:
         cells = frozenset((int(x), int(y)) for x, y in cells)
         if not cells:
             raise ValueError("a polyomino needs at least one cell")
-        seen = {next(iter(sorted(cells)))}
+        seen = {min(cells)}
         frontier = list(seen)
         while frontier:
             x, y = frontier.pop()
@@ -277,79 +278,28 @@ def largest_loop(
     return cycle, poly, loop_stats(poly, cycle)
 
 
-def _regions(grid: StitchGrid) -> tuple[dict[Point, int], int]:
-    """Label window cells with region ids; cells joined across absent
-    interior segments share a region.  The window edge acts as a wall."""
-    W, H = grid.width, grid.height
-    region_of: dict[Point, int] = {}
-    next_id = 0
-    for start_y in range(H):
-        for start_x in range(W):
-            if (start_x, start_y) in region_of:
-                continue
-            region_of[(start_x, start_y)] = next_id
-            frontier = [(start_x, start_y)]
-            while frontier:
-                x, y = frontier.pop()
-                reachable = []
-                if x + 1 < W and not grid.vertical_present(x + 1, y):
-                    reachable.append((x + 1, y))
-                if x > 0 and not grid.vertical_present(x, y):
-                    reachable.append((x - 1, y))
-                if y + 1 < H and not grid.horizontal_present(x, y + 1):
-                    reachable.append((x, y + 1))
-                if y > 0 and not grid.horizontal_present(x, y):
-                    reachable.append((x, y - 1))
-                for nbr in reachable:
-                    if nbr not in region_of:
-                        region_of[nbr] = next_id
-                        frontier.append(nbr)
-            next_id += 1
-    return region_of, next_id
-
-
 def two_color(grid: StitchGrid) -> dict[Point, int]:
     """Assign 0/1 to every window cell so that distinct regions separated by
-    a present stitch get different colors.
+    a present stitch get different colors; cell (0, 0) gets 0.
 
-    Raises ValueError("not two-colorable") if the region adjacency graph
-    has an odd cycle; word-built grids never produce one.
+    With both families every interior vertex has degree 2, so a cell's color
+    is the parity of the stitches crossed on a path from (0, 0), which is
+    ry[y] ^ cx[x] ^ (x & y & 1) for the prefix parities ry, cx of the phase
+    bits.  With one family the window is one region unless it is one cell
+    wide across the lines, where each stitch cuts the strip.
     """
     W, H = grid.width, grid.height
-    region_of, count = _regions(grid)
+    rows, cols = grid.row_bits, grid.col_bits
+    both = rows is not None and cols is not None
+    ry = _prefix_parity(rows, H) if rows and (both or W == 1) else [0] * H
+    cx = _prefix_parity(cols, W) if cols and (both or H == 1) else [0] * W
+    return {(x, y): ry[y] ^ cx[x] ^ (x & y & both)
+            for y in range(H) for x in range(W)}
 
-    neighbors: dict[int, set[int]] = {r: set() for r in range(count)}
-    for y in range(H):
-        for x in range(1, W):
-            if grid.vertical_present(x, y):
-                a, b = region_of[(x - 1, y)], region_of[(x, y)]
-                if a != b:
-                    neighbors[a].add(b)
-                    neighbors[b].add(a)
-    for x in range(W):
-        for y in range(1, H):
-            if grid.horizontal_present(x, y):
-                a, b = region_of[(x, y - 1)], region_of[(x, y)]
-                if a != b:
-                    neighbors[a].add(b)
-                    neighbors[b].add(a)
 
-    colors: dict[int, int] = {}
-    for seed in range(count):
-        if seed in colors:
-            continue
-        colors[seed] = 0
-        frontier = [seed]
-        while frontier:
-            region = frontier.pop()
-            for nbr in neighbors[region]:
-                if nbr not in colors:
-                    colors[nbr] = 1 - colors[region]
-                    frontier.append(nbr)
-                elif colors[nbr] == colors[region]:
-                    raise ValueError("not two-colorable")
-
-    return {cell: colors[region] for cell, region in region_of.items()}
+def _prefix_parity(bits: Sequence[int], n: int) -> list[int]:
+    """Parity of bits[1..i] for i = 0..n-1."""
+    return list(accumulate(bits[1:n], lambda p, b: (p ^ b) & 1, initial=0))
 
 
 def centred_square_check(areas: Sequence[int]) -> bool:

@@ -75,3 +75,77 @@ def brute_largest_loop(cycles):
         return None
     cycle, poly = ranked[0]
     return cycle, poly, loop_stats(poly, cycle)
+
+
+def _regions(grid):
+    """Label window cells with region ids; cells joined across absent
+    interior segments share a region.  The window edge acts as a wall."""
+    W, H = grid.width, grid.height
+    region_of = {}
+    next_id = 0
+    for start_y in range(H):
+        for start_x in range(W):
+            if (start_x, start_y) in region_of:
+                continue
+            region_of[(start_x, start_y)] = next_id
+            frontier = [(start_x, start_y)]
+            while frontier:
+                x, y = frontier.pop()
+                reachable = []
+                if x + 1 < W and not grid.vertical_present(x + 1, y):
+                    reachable.append((x + 1, y))
+                if x > 0 and not grid.vertical_present(x, y):
+                    reachable.append((x - 1, y))
+                if y + 1 < H and not grid.horizontal_present(x, y + 1):
+                    reachable.append((x, y + 1))
+                if y > 0 and not grid.horizontal_present(x, y):
+                    reachable.append((x, y - 1))
+                for nbr in reachable:
+                    if nbr not in region_of:
+                        region_of[nbr] = next_id
+                        frontier.append(nbr)
+            next_id += 1
+    return region_of, next_id
+
+
+def bfs_two_color(grid):
+    """Two-color the region adjacency graph by BFS, each component from its
+    first region in reading order.
+
+    Raises ValueError("not two-colorable") if the graph has an odd cycle.
+    """
+    W, H = grid.width, grid.height
+    region_of, count = _regions(grid)
+
+    neighbors = {r: set() for r in range(count)}
+    for y in range(H):
+        for x in range(1, W):
+            if grid.vertical_present(x, y):
+                a, b = region_of[(x - 1, y)], region_of[(x, y)]
+                if a != b:
+                    neighbors[a].add(b)
+                    neighbors[b].add(a)
+    for x in range(W):
+        for y in range(1, H):
+            if grid.horizontal_present(x, y):
+                a, b = region_of[(x, y - 1)], region_of[(x, y)]
+                if a != b:
+                    neighbors[a].add(b)
+                    neighbors[b].add(a)
+
+    colors = {}
+    for seed in range(count):
+        if seed in colors:
+            continue
+        colors[seed] = 0
+        frontier = [seed]
+        while frontier:
+            region = frontier.pop()
+            for nbr in neighbors[region]:
+                if nbr not in colors:
+                    colors[nbr] = 1 - colors[region]
+                    frontier.append(nbr)
+                elif colors[nbr] == colors[region]:
+                    raise ValueError("not two-colorable")
+
+    return {cell: colors[region] for cell, region in region_of.items()}

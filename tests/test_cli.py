@@ -199,3 +199,26 @@ def test_empty_encoding_is_domain_error(capsys):
     code, _, err = run(capsys, "self-dual", "--rows", "", "--cols", "")
     assert code == 1
     assert "empty encoding" in err
+
+
+def test_snowflake_order_out_of_range(capsys):
+    # order 1200 used to overflow the recursive word builder
+    code, out, err = run(capsys, "snowflake", "--order", "1200")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --order must be between 1 and 9\n"
+
+
+def test_persimmon_order_out_of_range(capsys):
+    code, out, err = run(capsys, "persimmon", "--order", "10", "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --order must be between 1 and 9\n"
+
+
+def test_verify_conjecture_max_order_out_of_range(capsys):
+    # --max-order 0 used to print nothing and succeed
+    code, out, err = run(capsys, "verify-conjecture", "--max-order", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --max-order must be between 1 and 9\n"

@@ -87,6 +87,25 @@ def test_pattern_spec_serialization_round_trip():
     assert original.to_dict()["rows"][1] == {"word": "10", "repeats": "fill"}
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("width", 12.7, "width must be an integer"),
+    ("height", "9", "height must be an integer"),
+    ("width", True, "width must be an integer"),
+    ("rows", "01:2,10", "rows must be a list of objects"),
+    ("cols", {"word": "1", "repeats": "fill"}, "cols must be a list"),
+    ("cols", ["1"], "cols must be a list of objects"),
+    ("height", None, "height must be an integer"),
+    ("rows", [{"word": 101, "repeats": 2}], "word must be a string"),
+    ("rows", [{"word": "01", "repeats": True}], "repeats must be an integer"),
+    ("rows", [{"word": "01", "repeats": 2.0}], "repeats must be an integer"),
+])
+def test_pattern_spec_from_dict_rejects_wrong_types(field, value, message):
+    data = spec("01:2,10", "1", 6, 9).to_dict()
+    data[field] = value
+    with pytest.raises(ValueError, match=message):
+        PatternSpec.from_dict(data)
+
+
 def test_spec_window_validation():
     with pytest.raises(ValueError):
         spec("1", "1", 0, 4)

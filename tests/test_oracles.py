@@ -1,12 +1,15 @@
-"""The grid-native loop kernel against the slow oracles in oracles.py."""
+"""The grid-native loop kernel and the closed-form two-coloring against the
+slow oracles in oracles.py."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid
-from hitomezashi.loops import analyze_grid, extract_components, largest_loop
+from hitomezashi.loops import (analyze_grid, extract_components, largest_loop,
+                               two_color)
 from hitomezashi.tiles import persimmon_spec
-from oracles import brute_largest_loop, components_from_segments, ranked_loops
+from oracles import (bfs_two_color, brute_largest_loop,
+                     components_from_segments, ranked_loops)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -105,3 +108,26 @@ def test_high_degree_vertex_rejected():
         components_from_segments([
             ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((-1, 0), (0, 0)),
         ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))
+@example(grid_of("1", "", 1, 4))
+@example(grid_of("", "1", 4, 1))
+@example(grid_of("0110", "", 1, 7))
+@example(grid_of("", "0110", 7, 1))
+@example(grid_of("10", "", 2, 5))
+@example(grid_of("0110:1,1", "01:2,10", 1, 1))
+def test_two_color_matches_bfs_oracle(grid):
+    coloring = two_color(grid)
+    assert coloring == bfs_two_color(grid)
+    assert len(coloring) == grid.width * grid.height
+
+
+def test_one_wide_strip_alternates_at_every_stitch():
+    # every row line of "1" is stitched across the single column
+    coloring = two_color(grid_of("1", "", 1, 4))
+    assert [coloring[(0, y)] for y in range(4)] == [0, 1, 0, 1]
+    coloring = two_color(grid_of("", "1", 4, 1))
+    assert [coloring[(x, 0)] for x in range(4)] == [0, 1, 0, 1]
