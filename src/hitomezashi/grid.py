@@ -306,22 +306,27 @@ def is_self_dual(row_word: BinaryWord,
     if not row and not col:
         raise ValueError("empty encoding")
 
-    def rows_ok(dy: int, dx: int) -> bool:
-        return all(
-            1 - row[y] == row[(y + dy) % len(row)] ^ (dx % 2)
-            for y in range(len(row))
-        )
-
-    def cols_ok(dy: int, dx: int) -> bool:
-        return all(
-            1 - col[x] == col[(x + dx) % len(col)] ^ (dy % 2)
-            for x in range(len(col))
-        )
-
-    dy_range = range(2 * len(row)) if row else range(2)
-    dx_range = range(2 * len(col)) if col else range(2)
-    for dy in dy_range:
-        for dx in dx_range:
-            if (not row or rows_ok(dy, dx)) and (not col or cols_ok(dy, dx)):
-                return (dx, dy)
+    # The row condition depends only on dy and the parity of dx, the column
+    # condition only on dx and the parity of dy, so each axis is solved
+    # once per parity.
+    dys = [set(_dual_shifts(row, p)) for p in (0, 1)]  # by dx % 2
+    dxs = [_dual_shifts(col, q) for q in (0, 1)]  # by dy % 2
+    least_dx = [[min((dx for dx in dxs[q] if dx % 2 == p), default=None)
+                 for p in (0, 1)] for q in (0, 1)]
+    for dy in range(2 * len(row)) if row else range(2):
+        fits = [dx for p, dx in enumerate(least_dx[dy % 2])
+                if dx is not None and dy in dys[p]]
+        if fits:
+            return (min(fits), dy)
     return None
+
+
+def _dual_shifts(bits: tuple[int, ...], parity: int) -> list[int]:
+    """Shifts d in 0..2|bits|-1, ascending, with bits[(i + d) % |bits|] ==
+    (1 - bits[i]) ^ parity for every i; both of 0, 1 for no bits."""
+    n = len(bits)
+    if not n:
+        return [0, 1]
+    target = tuple((1 - b) ^ parity for b in bits)
+    found = [d for d in range(n) if bits[d:] + bits[:d] == target]
+    return found + [d + n for d in found]

@@ -2,9 +2,10 @@
 
 Present segments form a graph of maximum degree two, so every connected
 component is either a simple closed loop or an open path.  Closed loops mark
-out polyominoes; this module fills them, measures them, checks the known
-loop congruences (area 1 mod 4, perimeter 4 mod 8, odd bounding box) and
-two-colors the regions a grid cuts the window into.
+out polyominoes; this module fills them, measures them, compares them by
+their cyclic turn words, checks the known loop congruences (area 1 mod 4,
+perimeter 4 mod 8, odd bounding box) and two-colors the regions a grid cuts
+the window into.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ class LatticeCycle:
                     for (x1, y1), (x2, y2) in self.edges())
         return abs(total) // 2
 
+    def turn_word(self) -> str:
+        """One letter per vertex, in traversal order: L for a left
+        (counterclockwise) quarter turn, R for a right one, S for a straight
+        step.  Traced hitomezashi loops turn at every vertex."""
+        verts = self.vertices
+        letters = []
+        for (x0, y0), (x1, y1), (x2, y2) in zip(verts[-1:] + verts[:-1],
+                                                verts, verts[1:] + verts[:1]):
+            cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
+            letters.append("L" if cross > 0 else "R" if cross < 0 else "S")
+        return "".join(letters)
+
     def normalized(self) -> "LatticeCycle":
         """Rotate/orient so the smallest vertex comes first, then its
         smaller neighbour; gives a deterministic representative."""
@@ -70,6 +83,24 @@ class LatticeCycle:
 
     def __repr__(self) -> str:
         return f"LatticeCycle({list(self.vertices)!r})"
+
+
+_SWAP_TURNS = str.maketrans("LR", "RL")
+
+
+def congruent_words(a: str, b: str) -> bool:
+    """Do two cyclic turn words bound congruent cycles?
+
+    A rotated or translated cycle keeps its word up to a cyclic shift, a
+    reflected one swaps L and R, and the reverse traversal reverses the word
+    and swaps L and R; so b must occur in a + a as itself, swapped, reversed
+    or both.
+    """
+    if len(a) != len(b):
+        return False
+    doubled = a + a
+    swapped = b.translate(_SWAP_TURNS)
+    return any(word in doubled for word in (b, swapped, b[::-1], swapped[::-1]))
 
 
 class Polyomino:
@@ -253,28 +284,36 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-def _ranked(cycles: list[LatticeCycle], top_only: bool = False,
-            ) -> list[tuple[tuple[int, int], LatticeCycle, Polyomino]]:
-    """(size, cycle, fill) triples by greatest area, then greatest perimeter,
-    then least canonical form; equal keys keep the cycles' order.  Area and
-    perimeter come from the vertices, so ``top_only`` fills and
-    canonicalises only the cycles tied at the top on both."""
-    sized = [((-c.shoelace_area(), -c.perimeter), c) for c in cycles]
-    top = min((size for size, _ in sized), default=None)
-    ranked = [(size, c, cycle_to_polyomino(c)) for size, c in sized
-              if size == top or not top_only]
-    return sorted(ranked, key=lambda item: (item[0], item[2].canonical_form))
+def _ranked(cycles: list[LatticeCycle],
+            ) -> list[tuple[LatticeCycle, Polyomino]]:
+    """Every cycle with its fill, by greatest area, then greatest perimeter,
+    then least canonical form; equal keys keep the cycles' order."""
+    filled = [(c, cycle_to_polyomino(c)) for c in cycles]
+    return sorted(filled, key=lambda item: (-item[1].area, -item[0].perimeter,
+                                            item[1].canonical_form))
 
 
 def largest_loop(
     grid: StitchGrid,
 ) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
     """The closed loop of greatest area (ties: greatest perimeter, then
-    least canonical form), or None when the grid has no closed loop."""
-    ranked = _ranked(extract_components(grid)[0], top_only=True)
-    if not ranked:
+    least canonical form), or None when the grid has no closed loop.
+
+    Area and perimeter come from the vertices.  When every loop tied at the
+    top on both is congruent to the first by its turn word, they share one
+    canonical form and the first wins; only the winner is filled.
+    """
+    cycles = extract_components(grid)[0]
+    if not cycles:
         return None
-    _, cycle, poly = ranked[0]
+    sized = [((c.shoelace_area(), c.perimeter), c) for c in cycles]
+    top = max(size for size, _ in sized)
+    ties = [c for size, c in sized if size == top]
+    word = ties[0].turn_word()
+    if all(congruent_words(word, c.turn_word()) for c in ties[1:]):
+        cycle, poly = ties[0], cycle_to_polyomino(ties[0])
+    else:
+        cycle, poly = _ranked(ties)[0]
     return cycle, poly, loop_stats(poly, cycle)
 
 
@@ -312,7 +351,7 @@ def analyze_grid(grid: StitchGrid) -> dict:
     path count, and the two-coloring as a bottom-up cell matrix."""
     cycles, paths = extract_components(grid)
     loops_report = []
-    for _, cycle, poly in _ranked(cycles):
+    for cycle, poly in _ranked(cycles):
         stats = loop_stats(poly, cycle)
         report = check_loop_theorems(stats)
         loops_report.append({

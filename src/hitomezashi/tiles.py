@@ -5,13 +5,15 @@ The order-n snowflake polyomino is enclosed by four copies of the turn word
 of index 3(n-1)+1 (order 1 is the unit square).  The order-n persimmon
 pattern stitches both directions with the word pell_word(n) followed by its
 reversal; its largest closed loop is conjectured to be the order-n snowflake,
-which verify_conjecture checks by canonical-form comparison at desk scale.
+which verify_conjecture checks by comparing the loop's cyclic turn word with
+the snowflake's boundary word up to rotation, reversal and complement.
 """
 
 from __future__ import annotations
 
 from .grid import PatternSpec, WordProgram, build_grid
-from .loops import LatticeCycle, Polyomino, cycle_to_polyomino, largest_loop
+from .loops import (LatticeCycle, Polyomino, congruent_words,
+                    cycle_to_polyomino, largest_loop)
 from .words import TurnWord, fib_turtle_word, pell, pell_word
 
 # heading turns: L is a counterclockwise quarter turn, R clockwise
@@ -108,8 +110,8 @@ def conjecture_report(order: int) -> dict:
     best = largest_loop(build_grid(spec))
     if best is None:
         raise ValueError("window too small")
-    cycle, polyomino, stats = best
-    tile = snowflake(order)
+    cycle, _, stats = best
+    tile = snowflake_cycle(order)
     return {
         "order": order,
         "window": [spec.width, spec.height],
@@ -120,8 +122,9 @@ def conjecture_report(order: int) -> dict:
             "width": stats.width,
         },
         "snowflake": {
-            "perimeter": snowflake_cycle(order).perimeter,
-            "area": tile.area,
+            "perimeter": tile.perimeter,
+            "area": tile.shoelace_area(),
         },
-        "match": polyomino.canonical_form == tile.canonical_form,
+        "match": congruent_words(cycle.turn_word(),
+                                 str(snowflake_boundary(order))),
     }

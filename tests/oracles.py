@@ -149,3 +149,35 @@ def bfs_two_color(grid):
                     raise ValueError("not two-colorable")
 
     return {cell: colors[region] for cell, region in region_of.items()}
+
+
+def brute_is_self_dual(row_word, col_word):
+    """The first (dx, dy), dy-major, whose translation maps the periodic
+    pattern onto its dual, trying every pair of shifts in two word periods.
+
+    Raises ValueError("empty encoding") when both words are empty.
+    """
+    row = row_word.bits
+    col = col_word.bits
+    if not row and not col:
+        raise ValueError("empty encoding")
+
+    def rows_ok(dy, dx):
+        return all(
+            1 - row[y] == row[(y + dy) % len(row)] ^ (dx % 2)
+            for y in range(len(row))
+        )
+
+    def cols_ok(dy, dx):
+        return all(
+            1 - col[x] == col[(x + dx) % len(col)] ^ (dy % 2)
+            for x in range(len(col))
+        )
+
+    dy_range = range(2 * len(row)) if row else range(2)
+    dx_range = range(2 * len(col)) if col else range(2)
+    for dy in dy_range:
+        for dx in dx_range:
+            if (not row or rows_ok(dy, dx)) and (not col or cols_ok(dy, dx)):
+                return (dx, dy)
+    return None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,21 @@ def test_verify_conjecture_max_order_out_of_range(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --max-order must be between 1 and 9\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after one line while the order-7 ASCII art (about
+    # 1.8 MB, far more than a pipe holds) is still being written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hitomezashi.cli", "persimmon", "--order", "7",
+         "--ascii"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"persimmon pattern order 7\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -6,9 +6,9 @@ import pytest
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                analyze_grid, centred_square_check,
-                               check_loop_theorems, cycle_to_polyomino,
-                               extract_components, largest_loop, loop_stats,
-                               two_color)
+                               check_loop_theorems, congruent_words,
+                               cycle_to_polyomino, extract_components,
+                               largest_loop, loop_stats, two_color)
 from hitomezashi.registry import lookup
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -176,6 +176,65 @@ def test_loop_width_in_boundary_stitches(seed):
         poly = cycle_to_polyomino(cycle)
         stitch_columns = {a[0] for a, b in cycle.edges() if a[0] == b[0]}
         assert len(stitch_columns) == poly.width + 1
+
+
+# --- turn words ---
+
+# counterclockwise boundaries of three tetrominoes of perimeter 10; each has
+# two straight steps
+S_TETROMINO = LatticeCycle([(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2),
+                            (2, 2), (1, 2), (1, 1), (0, 1)])
+Z_TETROMINO = LatticeCycle([(1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (2, 2),
+                            (1, 2), (0, 2), (0, 1), (1, 1)])
+T_TETROMINO = LatticeCycle([(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (2, 2),
+                            (1, 2), (0, 2), (0, 1), (1, 1)])
+
+
+def test_tetromino_boundaries_enclose_their_cells():
+    assert cycle_to_polyomino(S_TETROMINO).cells == {(0, 0), (1, 0), (1, 1),
+                                                     (2, 1)}
+    assert cycle_to_polyomino(Z_TETROMINO).cells == {(1, 0), (2, 0), (0, 1),
+                                                     (1, 1)}
+    assert cycle_to_polyomino(T_TETROMINO).cells == {(1, 0), (0, 1), (1, 1),
+                                                     (2, 1)}
+
+
+def test_turn_word_letters():
+    assert UNIT_SQUARE.turn_word() == "LLLL"
+    assert LatticeCycle(UNIT_SQUARE.vertices[::-1]).turn_word() == "RRRR"
+    assert S_TETROMINO.turn_word() == "LSLRLLSLRL"
+    for cycle in (S_TETROMINO, Z_TETROMINO, T_TETROMINO):
+        word = cycle.turn_word()
+        assert len(word) == cycle.perimeter
+        # a simple counterclockwise boundary turns left four times more
+        # often than right
+        assert word.count("L") - word.count("R") == 4
+
+
+def test_reflected_tetromino_is_congruent():
+    s, z = S_TETROMINO.turn_word(), Z_TETROMINO.turn_word()
+    assert s != z
+    assert congruent_words(s, z)
+    assert congruent_words(z, s)
+    assert cycle_to_polyomino(S_TETROMINO).canonical_form == \
+        cycle_to_polyomino(Z_TETROMINO).canonical_form
+
+
+def test_same_perimeter_other_shape_is_not_congruent():
+    s, t = S_TETROMINO.turn_word(), T_TETROMINO.turn_word()
+    assert len(s) == len(t)
+    assert not congruent_words(s, t)
+    assert not congruent_words(t, s)
+
+
+def test_congruent_words_up_to_rotation_reversal_and_swap():
+    word = S_TETROMINO.turn_word()
+    swap = str.maketrans("LR", "RL")
+    for variant in (word[3:] + word[:3], word[::-1].translate(swap),
+                    word.translate(swap), word[::-1]):
+        assert congruent_words(word, variant)
+    assert not congruent_words(word, word + "LR")
+    assert not congruent_words("LLLL", "LLL")
 
 
 # --- congruence checks ---

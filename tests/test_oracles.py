@@ -1,14 +1,17 @@
-"""The grid-native loop kernel and the closed-form two-coloring against the
+"""The grid-native loop kernel, the turn-word congruence test, the
+closed-form two-coloring and the per-axis self-duality search against the
 slow oracles in oracles.py."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hitomezashi.grid import PatternSpec, WordProgram, build_grid
-from hitomezashi.loops import (analyze_grid, extract_components, largest_loop,
-                               two_color)
+from hitomezashi.grid import PatternSpec, WordProgram, build_grid, is_self_dual
+from hitomezashi.loops import (analyze_grid, congruent_words,
+                               cycle_to_polyomino, extract_components,
+                               largest_loop, two_color)
 from hitomezashi.tiles import persimmon_spec
-from oracles import (bfs_two_color, brute_largest_loop,
+from hitomezashi.words import BinaryWord
+from oracles import (bfs_two_color, brute_is_self_dual, brute_largest_loop,
                      components_from_segments, ranked_loops)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
@@ -94,6 +97,19 @@ def test_analyze_grid_ranks_like_brute_force(grid):
         == [(p.area, c.perimeter, p.canonical_hash()) for c, p in ranked]
 
 
+@settings(max_examples=100, deadline=None)
+@given(grids(), grids())
+@example(grid_of(*TIED_TOP), grid_of("", "", 1, 1))
+def test_congruent_words_match_canonical_forms(grid_a, grid_b):
+    cycles = (extract_components(grid_a)[0][:30]
+              + extract_components(grid_b)[0][:30])
+    loops = [(c.turn_word(), cycle_to_polyomino(c).canonical_form)
+             for c in cycles]
+    for word_a, form_a in loops:
+        for word_b, form_b in loops:
+            assert congruent_words(word_a, word_b) == (form_a == form_b)
+
+
 def test_order_5_persimmon_matches_oracle():
     assert_matches_oracle(build_grid(persimmon_spec(5)))
 
@@ -131,3 +147,28 @@ def test_one_wide_strip_alternates_at_every_stitch():
     assert [coloring[(0, y)] for y in range(4)] == [0, 1, 0, 1]
     coloring = two_color(grid_of("", "1", 4, 1))
     assert [coloring[(x, 0)] for x in range(4)] == [0, 1, 0, 1]
+
+
+encoding_words = st.one_of(
+    st.text(alphabet="01", max_size=8),
+    odd_words.map(lambda u: u + u.translate(str.maketrans("01", "10"))),
+    st.tuples(st.text(alphabet="01", min_size=1, max_size=4),
+              st.integers(2, 4)).map(lambda t: t[0] * t[1]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(encoding_words, encoding_words)
+@example("", "")
+@example("10", "")
+@example("", "01")
+@example("1", "1")
+@example("0101", "01")
+def test_is_self_dual_matches_double_loop(row_text, col_text):
+    row, col = BinaryWord(row_text), BinaryWord(col_text)
+    if not row_text and not col_text:
+        for search in (is_self_dual, brute_is_self_dual):
+            with pytest.raises(ValueError, match="empty encoding"):
+                search(row, col)
+        return
+    assert is_self_dual(row, col) == brute_is_self_dual(row, col)

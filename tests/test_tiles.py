@@ -1,7 +1,8 @@
 import pytest
 
 from hitomezashi import tiles
-from hitomezashi.loops import Polyomino, check_loop_theorems, loop_stats
+from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
+                               cycle_to_polyomino, loop_stats)
 from hitomezashi.tiles import (conjecture_report, persimmon_spec,
                                persimmon_word, snowflake, snowflake_boundary,
                                snowflake_cycle, snowflake_width_check,
@@ -56,6 +57,11 @@ def test_snowflake_area_and_perimeter(order, area, perimeter):
     assert poly.area == area == pell(2 * order - 1)
     assert cycle.perimeter == perimeter
     assert cycle.perimeter == 4 * len(fib_turtle_word(3 * order - 2))
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_snowflake_shoelace_area_is_the_filled_area(order):
+    assert snowflake_cycle(order).shoelace_area() == snowflake(order).area
 
 
 @pytest.mark.parametrize("order", range(1, 6))
@@ -126,3 +132,27 @@ def test_conjecture_requires_a_closed_loop(monkeypatch):
     monkeypatch.setattr(tiles, "largest_loop", lambda grid: None)
     with pytest.raises(ValueError, match="window too small"):
         verify_conjecture(1)
+
+
+def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
+    # the I-pentomino has the plus pentomino's area 5 and perimeter 12
+    bar = LatticeCycle([(0, 0), (1, 0)] + [(1, y) for y in range(1, 6)]
+                       + [(0, y) for y in range(5, 0, -1)])
+    poly = cycle_to_polyomino(bar)
+    monkeypatch.setattr(tiles, "largest_loop",
+                        lambda grid: (bar, poly, loop_stats(poly, bar)))
+    report = conjecture_report(2)
+    assert report["largest_loop"]["perimeter"] == \
+        report["snowflake"]["perimeter"] == 12
+    assert report["largest_loop"]["area"] == report["snowflake"]["area"] == 5
+    assert report["match"] is False
+
+
+@pytest.mark.slow
+def test_order_8_largest_persimmon_loop_is_the_snowflake():
+    report = conjecture_report(8)
+    assert report["match"] is True
+    assert report["window"] == [1632, 1632]
+    assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
+        == pell(15)
+    assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(22))
