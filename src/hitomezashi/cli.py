@@ -14,10 +14,10 @@ from typing import Optional
 
 from . import registry
 from .grid import PatternSpec, WordProgram, build_grid, is_self_dual
-from .loops import analyze_grid, two_color
+from .loops import analyze_grid, cycle_to_polyomino, two_color
 from .render import RenderOptions, render_ascii, render_cycle_svg, render_svg
 from .tiles import (conjecture_report, persimmon_spec, persimmon_word,
-                    snowflake, snowflake_boundary, snowflake_cycle)
+                    snowflake_boundary, trace_turtle)
 from .words import BinaryWord, pell
 
 # Highest persimmon/snowflake order accepted (a 3940-cell-wide window); past
@@ -180,33 +180,37 @@ def _cmd_table1(args) -> int:
 def _cmd_snowflake(args) -> int:
     order = args.order
     _check_order(order, "--order")
-    poly = snowflake(order)
-    cycle = snowflake_cycle(order)
     boundary = snowflake_boundary(order)
+    cycle = trace_turtle(boundary)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_cycle_svg(
                 cycle, RenderOptions(cell_size=args.cell_size)))
         print(f"wrote {args.svg}")
         return 0
+    # the tile's cells span one less than its vertices on each axis
+    xs = [x for x, _ in cycle.vertices]
+    ys = [y for _, y in cycle.vertices]
+    width, height = max(xs) - min(xs), max(ys) - min(ys)
+    area = cycle.shoelace_area()
     if args.json:
         print(json.dumps({
             "order": order,
             "boundary": str(boundary),
             "perimeter": cycle.perimeter,
-            "area": poly.area,
-            "width": poly.width,
-            "height": poly.height,
-            "stitch_width": poly.width + 1,
-            "cells": sorted(poly.cells),
+            "area": area,
+            "width": width,
+            "height": height,
+            "stitch_width": width + 1,
+            "cells": sorted(cycle_to_polyomino(cycle).cells),
         }))
         return 0
     print(f"snowflake order {order}")
     print(f"  boundary word: {boundary}")
     print(f"  perimeter: {cycle.perimeter}")
-    print(f"  area: {poly.area}")
-    print(f"  bounding box: {poly.width}x{poly.height} cells "
-          f"({poly.width + 1} boundary stitches wide)")
+    print(f"  area: {area}")
+    print(f"  bounding box: {width}x{height} cells "
+          f"({width + 1} boundary stitches wide)")
     return 0
 
 

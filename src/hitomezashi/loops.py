@@ -14,7 +14,7 @@ import hashlib
 from collections import defaultdict
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
 
@@ -188,68 +188,146 @@ class TheoremReport(NamedTuple):
         return self.area_1_mod_4 and self.perimeter_4_mod_8 and self.box_dimensions_odd
 
 
+def _walker(grid: StitchGrid):
+    """The grid's stitch rule, shared by every trace: returns
+    (walk, paths, starts).
+
+    A vertex meets at most one horizontal and one vertical stitch, and the
+    phase bit of each line says on which side, so a walk alternates between
+    the two families and reads each step off a parity.
+
+    - walk(x, y, vertical, trail=None) follows the stitches not yet walked
+      from (x, y), vertical first if ``vertical``, and marks them walked.
+      It returns (sum of x * dy over its vertical steps, step count); for a
+      closed walk the sum is the signed area inside.  It appends each
+      vertex after (x, y) to ``trail`` if one is given (LatticeCycle checks
+      a kept loop); otherwise it marks each vertex it reaches and raises
+      ValueError("self-intersecting") on a repeat.
+    - paths walks every open path from its lesser end, in order of that
+      end, and yields its vertices.
+    - starts, once paths is exhausted, yields the least vertex of each loop
+      not yet walked, in (x, y) order; walk it heading up before asking for
+      the next.
+    """
+    W, H = grid.width, grid.height
+    rows, cols = grid.row_bits, grid.col_bits
+    both = rows is not None and cols is not None
+    # Stitch (x, y)-(x+1, y) is h_seen[y*(W+2) + x + 1] and (x, y)-(x, y+1)
+    # is v_seen[x*(H+2) + y + 1]; the ends of every line, and a missing
+    # family throughout, count as walked, so a walk stops there.
+    HS, VS = W + 2, H + 2
+    h_seen = bytearray(HS * (H + 1))
+    v_seen = bytearray(VS * (W + 1))
+    h_seen[::HS] = h_seen[W + 1::HS] = b"\1" * (H + 1)
+    v_seen[::VS] = v_seen[H + 1::VS] = b"\1" * (W + 1)
+    if rows is None:
+        rows, h_seen = (0,) * (H + 1), bytearray(b"\1") * len(h_seen)
+    if cols is None:
+        cols, v_seen = (0,) * (W + 1), bytearray(b"\1") * len(v_seen)
+    R = W + 1
+    visited = bytearray(R * (H + 1))  # vertex (x, y) at y*(W+1) + x
+
+    def walk(x: int, y: int, vertical: bool,
+             trail: Optional[list[Point]] = None) -> tuple[int, int]:
+        area = steps = 0
+        while True:
+            if vertical:
+                up = (y + cols[x]) & 1
+                i = x * VS + y + up
+                if v_seen[i]:
+                    break
+                v_seen[i] = 1
+                if up:
+                    y += 1
+                    area += x
+                else:
+                    y -= 1
+                    area -= x
+            else:
+                right = (x + rows[y]) & 1
+                i = y * HS + x + right
+                if h_seen[i]:
+                    break
+                h_seen[i] = 1
+                x += right + right - 1
+            if trail is not None:
+                trail.append((x, y))
+            else:
+                i = y * R + x
+                if visited[i]:
+                    raise ValueError("self-intersecting")
+                visited[i] = 1
+            steps += 1
+            vertical = not vertical
+        return area, steps
+
+    def paths() -> Iterator[tuple[Point, ...]]:
+        # With both families every interior vertex has degree 2, so paths
+        # end on the window edge; with one family each stitch is a path of
+        # its own.
+        for x in range(W + 1):
+            for y in (range(H + 1) if x in (0, W) or not both else (0, H)):
+                if both and grid.vertex_degree(x, y) != 1:
+                    continue
+                trail = [(x, y)]
+                if walk(x, y, True, trail)[1] or walk(x, y, False, trail)[1]:
+                    yield tuple(trail)
+
+    def starts() -> Iterator[Point]:
+        # Every stitch left unwalked lies on a closed loop, whose first
+        # vertical stitch in (x, y) order starts at the loop's least vertex.
+        for x in range(W + 1) if both else ():
+            for y in range((cols[x] + 1) & 1, H, 2):
+                if not v_seen[x * VS + y + 1]:
+                    yield x, y
+
+    return walk, paths(), starts()
+
+
+def _closed_trail(walk, x: int, y: int) -> LatticeCycle:
+    """The loop through its least vertex (x, y), walked heading up."""
+    trail = [(x, y)]
+    walk(x, y, True, trail)
+    trail.pop()  # the walk ends back at (x, y)
+    return LatticeCycle(trail)
+
+
 def extract_components(
     grid: StitchGrid,
 ) -> tuple[list[LatticeCycle], list[tuple[Point, ...]]]:
     """Closed loops and open paths of a grid; every present segment lands in
     exactly one component.
 
-    A vertex meets at most one horizontal and one vertical stitch, and the
-    phase bit of each line says on which side, so a trace alternates between
-    the two families and reads each step off a parity.  Paths run from their
-    lesser end, in order of that end; cycles start at their least vertex
-    heading up (the normalized() order) and come out sorted.
+    Paths run from their lesser end, in order of that end; cycles start at
+    their least vertex heading up (the normalized() order) and come out
+    sorted.
     """
-    W, H = grid.width, grid.height
-    rows, cols = grid.row_bits, grid.col_bits
-    h_seen = bytearray(W * (H + 1))  # stitch (x, y)-(x+1, y) at y*W + x
-    v_seen = bytearray((W + 1) * H)  # stitch (x, y)-(x, y+1) at x*H + y
+    walk, paths, starts = _walker(grid)
+    paths = list(paths)
+    return [_closed_trail(walk, x, y) for x, y in starts], paths
 
-    def walk(x: int, y: int, vertical: bool) -> list[Point]:
-        """Follow unseen stitches from (x, y), marking them seen."""
-        trail = [(x, y)]
-        while True:
-            if vertical:
-                if cols is None:
-                    return trail
-                y2 = y + 1 if (y + cols[x]) & 1 else y - 1
-                i = x * H + (y if y2 > y else y2)
-                if not 0 <= y2 <= H or v_seen[i]:
-                    return trail
-                v_seen[i], y = 1, y2
-            else:
-                if rows is None:
-                    return trail
-                x2 = x + 1 if (x + rows[y]) & 1 else x - 1
-                i = y * W + (x if x2 > x else x2)
-                if not 0 <= x2 <= W or h_seen[i]:
-                    return trail
-                h_seen[i], x = 1, x2
-            trail.append((x, y))
-            vertical = not vertical
 
-    # With both families every interior vertex has degree 2, so paths end
-    # on the window edge; with one family each stitch is a path of its own.
-    both = rows is not None and cols is not None
-    ends = [(x, y) for x in range(W + 1)
-            for y in (range(H + 1) if x in (0, W) or not both else (0, H))
-            if not both or grid.vertex_degree(x, y) == 1]
-    paths = []
-    for x, y in ends:
-        trail = walk(x, y, True)
-        if len(trail) == 1:
-            trail = walk(x, y, False)
-        if len(trail) > 1:
-            paths.append(tuple(trail))
+def _loop_census(grid: StitchGrid,
+                 ) -> Optional[tuple[tuple[int, int], list[Point]]]:
+    """The greatest (shoelace area, perimeter) over the grid's closed loops
+    and the least vertex of every loop that has it, in extract_components
+    order; None when there is no closed loop.
 
-    # Every stitch left unseen lies on a closed loop, whose first vertical
-    # stitch in (x, y) order starts at the loop's least vertex.
-    cycles = []
-    for x in range(W + 1) if both else ():
-        for y in range((cols[x] + 1) & 1, H, 2):
-            if not v_seen[x * H + y]:
-                cycles.append(LatticeCycle(walk(x, y, True)[:-1]))
-    return cycles, paths
+    Each loop is walked once and only the running best is kept, so memory
+    does not grow with the number of loops.
+    """
+    walk, paths, starts = _walker(grid)
+    for _ in paths:  # marks the open paths' stitches walked
+        pass
+    best, ties = (0, 0), []
+    for x, y in starts:
+        area, perimeter = walk(x, y, True)
+        size = (abs(area), perimeter)
+        if size > best:
+            best, ties = size, [(x, y)]
+        elif size == best:
+            ties.append((x, y))
+    return (best, ties) if ties else None
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -299,16 +377,17 @@ def largest_loop(
     """The closed loop of greatest area (ties: greatest perimeter, then
     least canonical form), or None when the grid has no closed loop.
 
-    Area and perimeter come from the vertices.  When every loop tied at the
-    top on both is congruent to the first by its turn word, they share one
-    canonical form and the first wins; only the winner is filled.
+    A census walks every loop once for its shoelace area and perimeter and
+    keeps no vertices; only the loops tied at the top on both are built as
+    LatticeCycles.  When every one of them is congruent to the first by its
+    turn word, they share one canonical form and the first wins; only the
+    winner is filled.
     """
-    cycles = extract_components(grid)[0]
-    if not cycles:
+    census = _loop_census(grid)
+    if census is None:
         return None
-    sized = [((c.shoelace_area(), c.perimeter), c) for c in cycles]
-    top = max(size for size, _ in sized)
-    ties = [c for size, c in sized if size == top]
+    walk = _walker(grid)[0]
+    ties = [_closed_trail(walk, x, y) for x, y in census[1]]
     word = ties[0].turn_word()
     if all(congruent_words(word, c.turn_word()) for c in ties[1:]):
         cycle, poly = ties[0], cycle_to_polyomino(ties[0])

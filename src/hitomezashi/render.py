@@ -38,21 +38,28 @@ def render_ascii(grid: StitchGrid, options: RenderOptions = DEFAULT_OPTIONS) -> 
     Horizontal stitches print as underscores at the foot of their text line,
     vertical stitches as pipes; the bottom lattice row prints last.  With
     show_grid, unoccupied lattice-line columns carry ``+`` marks.
+
+    A text line depends only on the parity of y (the top line has no pipes)
+    and on the parity of its row's phase bit, so each distinct line is built
+    once.
     """
     W, H = grid.width, grid.height
+    rows, cols = grid.row_bits, grid.col_bits
+    blank = "+" if options.show_grid else " "
+    built: dict[tuple[Optional[int], Optional[int]], str] = {}
     lines = []
     for y in range(H, -1, -1):
-        row = []
-        for x in range(W + 1):
-            mark = " "
-            if y < H and grid.vertical_present(x, y):
-                mark = "|"
-            elif options.show_grid:
-                mark = "+"
-            row.append(mark)
-            if x < W:
-                row.append("_" if grid.horizontal_present(x, y) else " ")
-        lines.append("".join(row).rstrip())
+        key = (y & 1 if y < H and cols is not None else None,
+               rows[y] & 1 if rows is not None else None)
+        if key not in built:
+            pipe, bit = key
+            marks = ([blank] * (W + 1) if pipe is None else
+                     ["|" if (pipe + c) & 1 else blank for c in cols])
+            under = ([" "] * W if bit is None else
+                     ["_" if (x + bit) & 1 else " " for x in range(W)])
+            built[key] = "".join(
+                m + u for m, u in zip(marks, under + [""])).rstrip()
+        lines.append(built[key])
     return "\n".join(lines)
 
 

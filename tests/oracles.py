@@ -5,6 +5,7 @@ from collections import defaultdict
 
 from hitomezashi.loops import (LatticeCycle, cycle_to_polyomino,
                                loop_stats)
+from hitomezashi.render import DEFAULT_OPTIONS
 
 
 def components_from_segments(segments):
@@ -181,3 +182,23 @@ def brute_is_self_dual(row_word, col_word):
             if (not row or rows_ok(dy, dx)) and (not col or cols_ok(dy, dx)):
                 return (dx, dy)
     return None
+
+
+def vertex_render_ascii(grid, options=DEFAULT_OPTIONS):
+    """ASCII picture built mark by mark, two presence queries per lattice
+    point."""
+    W, H = grid.width, grid.height
+    lines = []
+    for y in range(H, -1, -1):
+        row = []
+        for x in range(W + 1):
+            mark = " "
+            if y < H and grid.vertical_present(x, y):
+                mark = "|"
+            elif options.show_grid:
+                mark = "+"
+            row.append(mark)
+            if x < W:
+                row.append("_" if grid.horizontal_present(x, y) else " ")
+        lines.append("".join(row).rstrip())
+    return "\n".join(lines)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hitomezashi.cli import main
+from hitomezashi.tiles import snowflake, snowflake_boundary, snowflake_cycle
 
 TABLE1_TEXT = """\
 pattern                      perimeter  area  height  width
@@ -130,6 +131,29 @@ def test_snowflake_json(capsys):
     assert data["perimeter"] == 12
     assert data["boundary"] == "RLLRLLRLLRLL"
     assert data["stitch_width"] == 4
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_snowflake_outputs_match_the_filled_tile(capsys, order):
+    tile = snowflake(order)
+    perimeter = snowflake_cycle(order).perimeter
+    boundary = str(snowflake_boundary(order))
+    code, out, _ = run(capsys, "snowflake", "--order", str(order), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "order": order, "boundary": boundary, "perimeter": perimeter,
+        "area": tile.area, "width": tile.width, "height": tile.height,
+        "stitch_width": tile.width + 1,
+        "cells": [list(cell) for cell in sorted(tile.cells)],
+    }
+    code, out, _ = run(capsys, "snowflake", "--order", str(order))
+    assert code == 0
+    assert out == (f"snowflake order {order}\n"
+                   f"  boundary word: {boundary}\n"
+                   f"  perimeter: {perimeter}\n"
+                   f"  area: {tile.area}\n"
+                   f"  bounding box: {tile.width}x{tile.height} cells "
+                   f"({tile.width + 1} boundary stitches wide)\n")
 
 
 def test_snowflake_svg(tmp_path, capsys):

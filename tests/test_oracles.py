@@ -1,18 +1,20 @@
-"""The grid-native loop kernel, the turn-word congruence test, the
-closed-form two-coloring and the per-axis self-duality search against the
-slow oracles in oracles.py."""
+"""The grid-native loop kernel and loop census, the turn-word congruence
+test, the closed-form two-coloring, the per-axis self-duality search and the
+line-by-line ASCII render against the slow oracles in oracles.py."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid, is_self_dual
-from hitomezashi.loops import (analyze_grid, congruent_words,
+from hitomezashi.loops import (_loop_census, analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, two_color)
+from hitomezashi.render import RenderOptions, render_ascii
 from hitomezashi.tiles import persimmon_spec
 from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_is_self_dual, brute_largest_loop,
-                     components_from_segments, ranked_loops)
+                     components_from_segments, ranked_loops,
+                     vertex_render_ascii)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -85,6 +87,36 @@ def test_largest_loop_matches_brute_force_ranking(grid):
     assert cycle.vertices == expected[0].vertices
     assert poly == expected[1]
     assert stats == expected[2]
+
+
+def census_of_components(grid):
+    """The census's answer, ranked from extract_components."""
+    sized = [((c.shoelace_area(), c.perimeter), c.vertices[0])
+             for c in extract_components(grid)[0]]
+    if not sized:
+        return None
+    top = max(size for size, _ in sized)
+    return top, [start for size, start in sized if size == top]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))
+@example(grid_of("10", "", 1, 9))
+@example(grid_of("", "0110", 9, 1))
+@example(grid_of("1", "1", 1, 7))
+@example(grid_of(*TIED_TOP))
+def test_loop_census_matches_ranked_components(grid):
+    assert _loop_census(grid) == census_of_components(grid)
+
+
+def test_order_3_persimmon_census_keeps_the_four_snowflakes_in_order():
+    grid = build_grid(persimmon_spec(3))
+    cycles = extract_components(grid)[0]
+    snowflakes = [c.vertices[0] for c in cycles
+                  if (c.shoelace_area(), c.perimeter) == (29, 52)]
+    assert len(snowflakes) == 4
+    assert _loop_census(grid) == ((29, 52), snowflakes)
 
 
 @settings(max_examples=50, deadline=None)
@@ -172,3 +204,16 @@ def test_is_self_dual_matches_double_loop(row_text, col_text):
                 search(row, col)
         return
     assert is_self_dual(row, col) == brute_is_self_dual(row, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.booleans())
+@example(grid_of("", "", 5, 3), True)
+@example(grid_of("1", "", 1, 4), True)
+@example(grid_of("", "1", 4, 1), False)
+@example(grid_of("0110", "", 1, 7), False)
+@example(grid_of("", "0110", 7, 1), True)
+@example(grid_of("0110:1,1", "01:2,10", 1, 1), True)
+def test_render_ascii_matches_vertex_by_vertex_render(grid, show_grid):
+    options = RenderOptions(show_grid=show_grid)
+    assert render_ascii(grid, options) == vertex_render_ascii(grid, options)

@@ -156,3 +156,13 @@ def test_order_8_largest_persimmon_loop_is_the_snowflake():
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
         == pell(15)
     assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(22))
+
+
+@pytest.mark.slow
+def test_order_9_largest_persimmon_loop_is_the_snowflake():
+    report = conjecture_report(9)
+    assert report["match"] is True
+    assert report["window"] == [3940, 3940]
+    assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
+        == pell(17)
+    assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(25))
