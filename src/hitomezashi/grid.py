@@ -96,9 +96,14 @@ class WordProgram:
         return not self.segments
 
 
+# Largest window a spec may ask for; order 10's persimmon has 9512**2 cells.
+MAX_CELLS = 10 ** 8
+
+
 @dataclass(frozen=True)
 class PatternSpec:
-    """A named pattern: two word programs plus a window size in cells."""
+    """A named pattern: two word programs plus a window of at most
+    MAX_CELLS cells."""
 
     name: str
     row_program: WordProgram
@@ -109,6 +114,9 @@ class PatternSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("window must be at least 1x1 cells")
+        if self.width * self.height > MAX_CELLS:
+            raise ValueError(f"window of {self.width}x{self.height} cells "
+                             f"exceeds {MAX_CELLS} cells")
 
     def to_dict(self) -> dict:
         def prog(p: WordProgram) -> list[dict]:

@@ -200,9 +200,9 @@ def _walker(grid: StitchGrid):
       from (x, y), vertical first if ``vertical``, and marks them walked.
       It returns (sum of x * dy over its vertical steps, step count); for a
       closed walk the sum is the signed area inside.  It appends each
-      vertex after (x, y) to ``trail`` if one is given (LatticeCycle checks
-      a kept loop); otherwise it marks each vertex it reaches and raises
-      ValueError("self-intersecting") on a repeat.
+      vertex after (x, y) to ``trail`` if one is given.  A walk cannot
+      cross itself: every vertex has one vertical stitch, which it walks
+      at most once.
     - paths walks every open path from its lesser end, in order of that
       end, and yields its vertices.
     - starts, once paths is exhausted, yields the least vertex of each loop
@@ -224,8 +224,6 @@ def _walker(grid: StitchGrid):
         rows, h_seen = (0,) * (H + 1), bytearray(b"\1") * len(h_seen)
     if cols is None:
         cols, v_seen = (0,) * (W + 1), bytearray(b"\1") * len(v_seen)
-    R = W + 1
-    visited = bytearray(R * (H + 1))  # vertex (x, y) at y*(W+1) + x
 
     def walk(x: int, y: int, vertical: bool,
              trail: Optional[list[Point]] = None) -> tuple[int, int]:
@@ -252,11 +250,6 @@ def _walker(grid: StitchGrid):
                 x += right + right - 1
             if trail is not None:
                 trail.append((x, y))
-            else:
-                i = y * R + x
-                if visited[i]:
-                    raise ValueError("self-intersecting")
-                visited[i] = 1
             steps += 1
             vertical = not vertical
         return area, steps
@@ -379,20 +372,25 @@ def largest_loop(
 
     A census walks every loop once for its shoelace area and perimeter and
     keeps no vertices; only the loops tied at the top on both are built as
-    LatticeCycles.  When every one of them is congruent to the first by its
-    turn word, they share one canonical form and the first wins; only the
-    winner is filled.
+    LatticeCycles, one at a time.  When every one of them is congruent to
+    the first by its turn word, they share one canonical form and the first
+    wins; only the winner is filled.  Otherwise all the ties are built again
+    and ranked by canonical form.
     """
     census = _loop_census(grid)
     if census is None:
         return None
+    starts = census[1]
     walk = _walker(grid)[0]
-    ties = [_closed_trail(walk, x, y) for x, y in census[1]]
-    word = ties[0].turn_word()
-    if all(congruent_words(word, c.turn_word()) for c in ties[1:]):
-        cycle, poly = ties[0], cycle_to_polyomino(ties[0])
+    cycle = _closed_trail(walk, *starts[0])
+    word = cycle.turn_word()
+    if all(congruent_words(word, _closed_trail(walk, x, y).turn_word())
+           for x, y in starts[1:]):
+        poly = cycle_to_polyomino(cycle)
     else:
-        cycle, poly = _ranked(ties)[0]
+        walk = _walker(grid)[0]  # the first walk marked the ties walked
+        cycle, poly = _ranked([_closed_trail(walk, x, y)
+                               for x, y in starts])[0]
     return cycle, poly, loop_stats(poly, cycle)
 
 

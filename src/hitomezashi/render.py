@@ -30,6 +30,9 @@ class RenderOptions:
 
 
 DEFAULT_OPTIONS = RenderOptions()
+# one stitch of a row or column line; NUL stands for the line's own coordinate
+_ROW_STITCH = '    <line x1="{}" y1="\0" x2="{}" y2="\0"/>'
+_COL_STITCH = '    <line x1="\0" y1="{}" x2="\0" y2="{}"/>'
 
 
 def render_ascii(grid: StitchGrid, options: RenderOptions = DEFAULT_OPTIONS) -> str:
@@ -69,6 +72,18 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}".rstrip("0").rstrip(".")
 
 
+class _Axis(dict):
+    """Coordinate strings by lattice coordinate: 0..n formatted up front,
+    any other coordinate (off the window) when it is looked up."""
+
+    def __init__(self, coord, n: int):
+        super().__init__((i, coord(i)) for i in range(n + 1))
+        self.coord = coord
+
+    def __missing__(self, value):
+        return self.coord(value)
+
+
 def render_svg(
     grid: StitchGrid,
     options: RenderOptions = DEFAULT_OPTIONS,
@@ -79,17 +94,15 @@ def render_svg(
 
     ``coloring`` (cell -> 0/1, as produced by two_color) paints unit squares
     beneath the strokes when fill_two_coloring is set; ``highlight`` draws
-    one closed cycle on top with a heavier contrasting stroke.
+    one closed cycle on top with a heavier contrasting stroke.  Each
+    coordinate of the window is formatted once.
     """
     s = options.cell_size
     W, H = grid.width, grid.height
     fill_a, fill_b, stroke = options.palette
-
-    def X(x: float) -> str:
-        return _fmt(x * s)
-
-    def Y(y: float) -> str:
-        return _fmt((H - y) * s)
+    X = _Axis(lambda x: _fmt(x * s), W)
+    Y = _Axis(lambda y: _fmt((H - y) * s), H)
+    xs, ys = list(X.values()), list(Y.values())
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>']
     parts.append(
@@ -99,40 +112,42 @@ def render_svg(
 
     if options.fill_two_coloring and coloring is not None:
         parts.append('  <g stroke="none">')
-        for (cx, cy) in sorted(coloring):
-            fill = fill_b if coloring[(cx, cy)] else fill_a
-            parts.append(
-                f'    <rect x="{X(cx)}" y="{Y(cy + 1)}" width="{s}" '
-                f'height="{s}" fill="{fill}"/>'
-            )
+        tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{fill}"/>'
+                          for fill in (fill_a, fill_b))
+        parts += [f'    <rect x="{X[cell[0]]}" y="{Y[cell[1] + 1]}'
+                  f'{tail_b if coloring[cell] else tail_a}'
+                  for cell in sorted(coloring)]
         parts.append("  </g>")
 
     if options.show_grid:
         parts.append(
             f'  <g stroke="{stroke}" stroke-opacity="0.15" stroke-width="1">'
         )
-        for x in range(W + 1):
-            parts.append(
-                f'    <line x1="{X(x)}" y1="{Y(0)}" x2="{X(x)}" y2="{Y(H)}"/>'
-            )
-        for y in range(H + 1):
-            parts.append(
-                f'    <line x1="{X(0)}" y1="{Y(y)}" x2="{X(W)}" y2="{Y(y)}"/>'
-            )
+        parts += [f'    <line x1="{x}" y1="{ys[0]}" x2="{x}" y2="{ys[H]}"/>'
+                  for x in xs]
+        parts += [f'    <line x1="{xs[0]}" y1="{y}" x2="{xs[W]}" y2="{y}"/>'
+                  for y in ys]
         parts.append("  </g>")
 
     parts.append(
         f'  <g stroke="{stroke}" stroke-width="{_fmt(options.stroke_width)}" '
         f'stroke-linecap="square">'
     )
-    for (x1, y1), (x2, y2) in grid.segments():
-        parts.append(
-            f'    <line x1="{X(x1)}" y1="{Y(y1)}" x2="{X(x2)}" y2="{Y(y2)}"/>'
-        )
+    # A line with phase bit b is stitched on the steps k -> k + 1 for k in
+    # range(1 - (b & 1), n, 2): one template per parity serves every line.
+    for bits, along, across, element in (
+            (grid.row_bits, xs, ys, _ROW_STITCH),
+            (grid.col_bits, ys, xs, _COL_STITCH)):
+        if bits is not None:
+            templates = ["\n".join(element.format(a, b) for a, b in
+                                   zip(along[p::2], along[p + 1::2]))
+                         .split("\0") for p in (1, 0)]
+            parts += filter(None, (coord.join(templates[b & 1])
+                                   for coord, b in zip(across, bits)))
     parts.append("  </g>")
 
     if highlight is not None:
-        points = " ".join(f"{X(x)},{Y(y)}" for x, y in highlight.vertices)
+        points = " ".join(f"{X[x]},{Y[y]}" for x, y in highlight.vertices)
         parts.append(
             f'  <polygon points="{points}" fill="none" stroke="{fill_b}" '
             f'stroke-width="{_fmt(options.stroke_width * 2)}"/>'

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 from hitomezashi.loops import (LatticeCycle, cycle_to_polyomino,
                                loop_stats)
-from hitomezashi.render import DEFAULT_OPTIONS
+from hitomezashi.render import DEFAULT_OPTIONS, _fmt
 
 
 def components_from_segments(segments):
@@ -202,3 +202,74 @@ def vertex_render_ascii(grid, options=DEFAULT_OPTIONS):
                 row.append("_" if grid.horizontal_present(x, y) else " ")
         lines.append("".join(row).rstrip())
     return "\n".join(lines)
+
+
+def segment_render_svg(grid, options=DEFAULT_OPTIONS, coloring=None,
+                       highlight=None):
+    """SVG document built segment by segment from grid.segments(), four
+    coordinate formats per line element.
+
+    ``coloring`` (cell -> 0/1, as produced by two_color) paints unit squares
+    beneath the strokes when fill_two_coloring is set; ``highlight`` draws
+    one closed cycle on top with a heavier contrasting stroke.
+    """
+    s = options.cell_size
+    W, H = grid.width, grid.height
+    fill_a, fill_b, stroke = options.palette
+
+    def X(x):
+        return _fmt(x * s)
+
+    def Y(y):
+        return _fmt((H - y) * s)
+
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
+    parts.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W * s}" '
+        f'height="{H * s}" viewBox="0 0 {W * s} {H * s}">'
+    )
+
+    if options.fill_two_coloring and coloring is not None:
+        parts.append('  <g stroke="none">')
+        for (cx, cy) in sorted(coloring):
+            fill = fill_b if coloring[(cx, cy)] else fill_a
+            parts.append(
+                f'    <rect x="{X(cx)}" y="{Y(cy + 1)}" width="{s}" '
+                f'height="{s}" fill="{fill}"/>'
+            )
+        parts.append("  </g>")
+
+    if options.show_grid:
+        parts.append(
+            f'  <g stroke="{stroke}" stroke-opacity="0.15" stroke-width="1">'
+        )
+        for x in range(W + 1):
+            parts.append(
+                f'    <line x1="{X(x)}" y1="{Y(0)}" x2="{X(x)}" y2="{Y(H)}"/>'
+            )
+        for y in range(H + 1):
+            parts.append(
+                f'    <line x1="{X(0)}" y1="{Y(y)}" x2="{X(W)}" y2="{Y(y)}"/>'
+            )
+        parts.append("  </g>")
+
+    parts.append(
+        f'  <g stroke="{stroke}" stroke-width="{_fmt(options.stroke_width)}" '
+        f'stroke-linecap="square">'
+    )
+    for (x1, y1), (x2, y2) in grid.segments():
+        parts.append(
+            f'    <line x1="{X(x1)}" y1="{Y(y1)}" x2="{X(x2)}" y2="{Y(y2)}"/>'
+        )
+    parts.append("  </g>")
+
+    if highlight is not None:
+        points = " ".join(f"{X(x)},{Y(y)}" for x, y in highlight.vertices)
+        parts.append(
+            f'  <polygon points="{points}" fill="none" stroke="{fill_b}" '
+            f'stroke-width="{_fmt(options.stroke_width * 2)}"/>'
+        )
+
+    parts.append("</svg>")
+    parts.append("")
+    return "\n".join(parts)

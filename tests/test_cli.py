@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hitomezashi import cli
 from hitomezashi.cli import main
 from hitomezashi.tiles import snowflake, snowflake_boundary, snowflake_cycle
 
@@ -250,6 +251,31 @@ def test_verify_conjecture_max_order_out_of_range(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --max-order must be between 1 and 9\n"
+
+
+HUGE = ["--rows", "01", "--cols", "1", "--width", "100000",
+        "--height", "100001"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", *HUGE],
+    ["dual", *HUGE],
+    ["analyze", *HUGE, "--json"],
+    ["persimmon", "--order", "9", "--periods", "1000"],
+    ["persimmon", "--order", "9", "--periods", "1000", "--ascii"],
+])
+def test_oversized_window_is_refused_before_it_is_built(capsys, monkeypatch,
+                                                        argv):
+    def refuse(spec):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: window of ")
+    assert err.endswith(" cells exceeds 100000000 cells\n")
+    assert err.count("\n") == 1
 
 
 def test_closed_stdout_exits_quietly():

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hitomezashi.grid import (PatternSpec, ProgramSegment, WordProgram,
-                              build_grid, expand_program, is_self_dual)
+from hitomezashi.grid import (MAX_CELLS, PatternSpec, ProgramSegment,
+                              WordProgram, build_grid, expand_program,
+                              is_self_dual)
 from hitomezashi.registry import list_all
 from hitomezashi.tiles import persimmon_word
 from hitomezashi.words import BinaryWord, pell
@@ -109,6 +110,11 @@ def test_pattern_spec_from_dict_rejects_wrong_types(field, value, message):
 def test_spec_window_validation():
     with pytest.raises(ValueError):
         spec("1", "1", 0, 4)
+    assert spec("1", "1", MAX_CELLS // 4, 4).width == MAX_CELLS // 4
+    with pytest.raises(ValueError, match=f"exceeds {MAX_CELLS} cells"):
+        spec("1", "1", MAX_CELLS // 4 + 1, 4)
+    with pytest.raises(ValueError, match="window of 1x100000001 cells"):
+        spec("1", "1", 1, MAX_CELLS + 1)
 
 
 # --- grids ---

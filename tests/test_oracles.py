@@ -1,20 +1,21 @@
 """The grid-native loop kernel and loop census, the turn-word congruence
-test, the closed-form two-coloring, the per-axis self-duality search and the
-line-by-line ASCII render against the slow oracles in oracles.py."""
+test, the closed-form two-coloring, the per-axis self-duality search, the
+line-by-line ASCII render and the table-driven SVG render against the slow
+oracles in oracles.py."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid, is_self_dual
-from hitomezashi.loops import (_loop_census, analyze_grid, congruent_words,
-                               cycle_to_polyomino, extract_components,
-                               largest_loop, two_color)
-from hitomezashi.render import RenderOptions, render_ascii
+from hitomezashi.loops import (LatticeCycle, _loop_census, analyze_grid,
+                               congruent_words, cycle_to_polyomino,
+                               extract_components, largest_loop, two_color)
+from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import persimmon_spec
 from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_is_self_dual, brute_largest_loop,
                      components_from_segments, ranked_loops,
-                     vertex_render_ascii)
+                     segment_render_svg, vertex_render_ascii)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -217,3 +218,58 @@ def test_is_self_dual_matches_double_loop(row_text, col_text):
 def test_render_ascii_matches_vertex_by_vertex_render(grid, show_grid):
     options = RenderOptions(show_grid=show_grid)
     assert render_ascii(grid, options) == vertex_render_ascii(grid, options)
+
+
+def svg_coloring(grid, kind):
+    """No coloring, the grid's two-coloring, a part of it, or all of it plus
+    cells off the window on every side (2 is a truthy color)."""
+    if kind is None:
+        return None
+    coloring = two_color(grid)
+    W, H = grid.width, grid.height
+    if kind == "partial":
+        return {(x, y): c for (x, y), c in coloring.items()
+                if (2 * x + y) % 3}
+    if kind == "off-window":
+        coloring.update({(-1, 0): 1, (W, H - 1): 2, (0, H): 1, (W - 1, -1): 0,
+                         (-W - 2, H + 3): 2, (W + 5, -2): 0})
+    return coloring
+
+
+def svg_highlight(grid, kind):
+    """No highlight, the first traced loop, or a loop (a unit square when
+    the grid has none) moved by (-W, H), so partly or wholly off the
+    window."""
+    if kind is None:
+        return None
+    cycles = extract_components(grid)[0]
+    if kind == "loop":
+        return cycles[0] if cycles else None
+    cycle = cycles[0] if cycles else LatticeCycle([(0, 0), (1, 0), (1, 1),
+                                                   (0, 1)])
+    return LatticeCycle([(x - grid.width, y + grid.height)
+                         for x, y in cycle.vertices])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.sampled_from([None, "full", "partial", "off-window"]),
+       st.booleans(), st.booleans(),
+       st.sampled_from([None, "loop", "shifted"]),
+       st.sampled_from([1, 7, 20]), st.sampled_from([2.0, 1.25]))
+@example(grid_of("", "", 5, 3), "full", True, True, "shifted", 7, 1.25)
+@example(grid_of("10", "", 1, 9), "off-window", True, False, "shifted", 1, 2.0)
+@example(grid_of("", "0110", 9, 1), "partial", True, True, None, 20, 1.25)
+@example(grid_of("1", "", 1, 4), "off-window", True, True, "loop", 7, 2.0)
+@example(grid_of("", "1", 4, 1), "full", False, True, "shifted", 1, 1.25)
+@example(grid_of("1", "1", 1, 7), "off-window", True, True, "shifted", 7, 2.0)
+@example(grid_of("0", "1", 9, 1), "partial", True, False, "loop", 1, 1.25)
+@example(grid_of(*TIED_TOP), "off-window", True, True, "loop", 7, 1.25)
+def test_render_svg_matches_segment_by_segment_render(
+        grid, coloring_kind, fill, show_grid, highlight_kind, cell_size,
+        stroke_width):
+    options = RenderOptions(cell_size=cell_size, stroke_width=stroke_width,
+                            show_grid=show_grid, fill_two_coloring=fill)
+    coloring = svg_coloring(grid, coloring_kind)
+    highlight = svg_highlight(grid, highlight_kind)
+    assert render_svg(grid, options, coloring, highlight) \
+        == segment_render_svg(grid, options, coloring, highlight)

@@ -113,6 +113,10 @@ def test_persimmon_spec_window():
     assert spec.row_program.to_text() == "1000110001"
     with pytest.raises(ValueError):
         persimmon_spec(1, periods=0)
+    # the window cap admits order 10 (9512 x 9512 cells), not a third period
+    assert persimmon_spec(10).width == 4 * pell(10) == 9512
+    with pytest.raises(ValueError, match="exceeds"):
+        persimmon_spec(10, periods=3)
 
 
 @pytest.mark.parametrize("order", range(1, 5))
