@@ -188,10 +188,7 @@ def _cmd_snowflake(args) -> int:
                 cycle, RenderOptions(cell_size=args.cell_size)))
         print(f"wrote {args.svg}")
         return 0
-    # the tile's cells span one less than its vertices on each axis
-    xs = [x for x, _ in cycle.vertices]
-    ys = [y for _, y in cycle.vertices]
-    width, height = max(xs) - min(xs), max(ys) - min(ys)
+    width, height = cycle.cell_box()
     area = cycle.shoelace_area()
     if args.json:
         print(json.dumps({

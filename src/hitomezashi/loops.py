@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
@@ -51,6 +52,11 @@ class LatticeCycle:
         total = sum(x1 * y2 - x2 * y1
                     for (x1, y1), (x2, y2) in self.edges())
         return abs(total) // 2
+
+    def cell_box(self) -> tuple[int, int]:
+        """Width and height in cells of the region inside: the vertex span."""
+        xs, ys = zip(*self.vertices)
+        return max(xs) - min(xs), max(ys) - min(ys)
 
     def turn_word(self) -> str:
         """One letter per vertex, in traversal order: L for a left
@@ -347,6 +353,12 @@ def loop_stats(polyomino: Polyomino, cycle: LatticeCycle) -> LoopStats:
     )
 
 
+def _cycle_stats(cycle: LatticeCycle) -> LoopStats:
+    """loop_stats without the fill: the shoelace area and the vertex box."""
+    width, height = cycle.cell_box()
+    return LoopStats(cycle.perimeter, cycle.shoelace_area(), height, width)
+
+
 def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     return TheoremReport(
         area_1_mod_4=stats.area % 4 == 1,
@@ -355,28 +367,11 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-def _ranked(cycles: list[LatticeCycle],
-            ) -> list[tuple[LatticeCycle, Polyomino]]:
-    """Every cycle with its fill, by greatest area, then greatest perimeter,
-    then least canonical form; equal keys keep the cycles' order."""
-    filled = [(c, cycle_to_polyomino(c)) for c in cycles]
-    return sorted(filled, key=lambda item: (-item[1].area, -item[0].perimeter,
-                                            item[1].canonical_form))
-
-
-def largest_loop(
-    grid: StitchGrid,
-) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
-    """The closed loop of greatest area (ties: greatest perimeter, then
-    least canonical form), or None when the grid has no closed loop.
-
-    A census walks every loop once for its shoelace area and perimeter and
-    keeps no vertices; only the loops tied at the top on both are built as
-    LatticeCycles, one at a time.  When every one of them is congruent to
-    the first by its turn word, they share one canonical form and the first
-    wins; only the winner is filled.  Otherwise all the ties are built again
-    and ranked by canonical form.
-    """
+def _largest_cycle(grid: StitchGrid) -> Optional[LatticeCycle]:
+    """largest_loop's cycle, unfilled.  A census walks every loop once for
+    its (shoelace area, perimeter); only the loops tied at the top are built,
+    one at a time.  If all are congruent to the first by turn word, it wins;
+    otherwise they are built again and filled to rank by canonical form."""
     census = _loop_census(grid)
     if census is None:
         return None
@@ -386,17 +381,29 @@ def largest_loop(
     word = cycle.turn_word()
     if all(congruent_words(word, _closed_trail(walk, x, y).turn_word())
            for x, y in starts[1:]):
-        poly = cycle_to_polyomino(cycle)
-    else:
-        walk = _walker(grid)[0]  # the first walk marked the ties walked
-        cycle, poly = _ranked([_closed_trail(walk, x, y)
-                               for x, y in starts])[0]
+        return cycle
+    walk = _walker(grid)[0]  # the first walk marked the ties walked
+    return min((_closed_trail(walk, x, y) for x, y in starts),
+               key=lambda c: cycle_to_polyomino(c).canonical_form)
+
+
+def largest_loop(
+    grid: StitchGrid,
+) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
+    """The closed loop of greatest area (ties: greatest perimeter, then
+    least canonical form) with its fill and stats, or None when the grid
+    has no closed loop."""
+    cycle = _largest_cycle(grid)
+    if cycle is None:
+        return None
+    poly = cycle_to_polyomino(cycle)
     return cycle, poly, loop_stats(poly, cycle)
 
 
 def two_color(grid: StitchGrid) -> dict[Point, int]:
     """Assign 0/1 to every window cell so that distinct regions separated by
-    a present stitch get different colors; cell (0, 0) gets 0.
+    a present stitch get different colors; cell (0, 0) gets 0.  The keys
+    iterate in sorted (x, y) order: column by column, bottom up.
 
     With both families every interior vertex has degree 2, so a cell's color
     is the parity of the stitches crossed on a path from (0, 0), which is
@@ -404,13 +411,24 @@ def two_color(grid: StitchGrid) -> dict[Point, int]:
     bits.  With one family the window is one region unless it is one cell
     wide across the lines, where each stitch cuts the strip.
     """
+    coloring: dict[Point, int] = {}
+    for x, column in enumerate(_color_columns(grid)):
+        coloring.update(zip(zip(repeat(x), range(grid.height)), column))
+    return coloring
+
+
+def _color_columns(grid: StitchGrid) -> list[list[int]]:
+    """two_color's colors as one list per column, bottom up: column x is
+    ry, or ry ^ (y & 1) for odd x with both families present, complemented
+    when cx[x] is 1, so one of four shared lists."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     both = rows is not None and cols is not None
     ry = _prefix_parity(rows, H) if rows and (both or W == 1) else [0] * H
     cx = _prefix_parity(cols, W) if cols and (both or H == 1) else [0] * W
-    return {(x, y): ry[y] ^ cx[x] ^ (x & y & both)
-            for y in range(H) for x in range(W)}
+    odd = [c ^ (y & 1) for y, c in enumerate(ry)]
+    columns = (ry, [c ^ 1 for c in ry], odd, [c ^ 1 for c in odd])
+    return [columns[cx[x] | (x & both) << 1] for x in range(W)]
 
 
 def _prefix_parity(bits: Sequence[int], n: int) -> list[int]:
@@ -425,28 +443,31 @@ def centred_square_check(areas: Sequence[int]) -> bool:
 
 def analyze_grid(grid: StitchGrid) -> dict:
     """Structured loop report: per-loop stats with theorem checks, the open
-    path count, and the two-coloring as a bottom-up cell matrix."""
-    cycles, paths = extract_components(grid)
-    loops_report = []
-    for cycle, poly in _ranked(cycles):
-        stats = loop_stats(poly, cycle)
-        report = check_loop_theorems(stats)
-        loops_report.append({
-            "perimeter": stats.perimeter,
-            "area": stats.area,
-            "height": stats.height,
-            "width": stats.width,
-            "canonical_hash": poly.canonical_hash(),
-            "theorems": {
-                "area_1_mod_4": report.area_1_mod_4,
-                "perimeter_4_mod_8": report.perimeter_4_mod_8,
-                "box_dimensions_odd": report.box_dimensions_odd,
-            },
-        })
+    path count, and the two-coloring as a bottom-up cell matrix.
 
-    coloring = two_color(grid)
-    matrix = [[coloring[(x, y)] for x in range(grid.width)]
-              for y in range(grid.height)]
+    Loops rank by greatest area, then greatest perimeter, then least
+    canonical form, equal keys in extract_components order.  Area is the
+    shoelace area, width and height each loop's own vertex box.  Loops of
+    equal area and perimeter fall into congruence classes by turn word; only
+    the first loop of a class is filled, and its canonical hash serves all.
+    """
+    cycles, paths = extract_components(grid)
+    classes: dict[tuple[int, int], list[tuple[str, tuple, str]]] = {}
+    ranked = []
+    for cycle in cycles:
+        stats = _cycle_stats(cycle)
+        word = cycle.turn_word()
+        bucket = classes.setdefault((stats.area, stats.perimeter), [])
+        rep = next((r for r in bucket if congruent_words(r[0], word)), None)
+        if rep is None:
+            poly = cycle_to_polyomino(cycle)
+            rep = (word, poly.canonical_form, poly.canonical_hash())
+            bucket.append(rep)
+        ranked.append(((-stats.area, -stats.perimeter, rep[1]), {
+            **stats._asdict(), "canonical_hash": rep[2],
+            "theorems": check_loop_theorems(stats)._asdict()}))
+    ranked.sort(key=itemgetter(0))
+    loops_report = [entry for _, entry in ranked]
 
     return {
         "width": grid.width,
@@ -454,10 +475,7 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "segment_count": grid.segment_count(),
         "loops": loops_report,
         "open_path_count": len(paths),
-        "theorems_all_hold": all(
-            entry["theorems"][key]
-            for entry in loops_report
-            for key in entry["theorems"]
-        ),
-        "two_coloring": matrix,
+        "theorems_all_hold": all(all(entry["theorems"].values())
+                                 for entry in loops_report),
+        "two_coloring": [list(row) for row in zip(*_color_columns(grid))],
     }

@@ -164,12 +164,9 @@ def render_cycle_svg(
 ) -> str:
     """Standalone SVG of one closed boundary, e.g. a traced snowflake."""
     s = options.cell_size
-    xs = [x for x, _ in cycle.vertices]
-    ys = [y for _, y in cycle.vertices]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    width = (max_x - min_x) * s
-    height = (max_y - min_y) * s
+    min_x = min(x for x, _ in cycle.vertices)
+    max_y = max(y for _, y in cycle.vertices)
+    width, height = (d * s for d in cycle.cell_box())
 
     def X(x: int) -> str:
         return _fmt((x - min_x) * s)

@@ -12,8 +12,9 @@ the snowflake's boundary word up to rotation, reversal and complement.
 from __future__ import annotations
 
 from .grid import PatternSpec, WordProgram, build_grid
-from .loops import (LatticeCycle, Polyomino, congruent_words,
-                    cycle_to_polyomino, largest_loop)
+from .loops import (LatticeCycle, Polyomino, _cycle_stats, _largest_cycle,
+                    congruent_words, cycle_to_polyomino,
+                    largest_loop)  # largest_loop is re-exported
 from .words import TurnWord, fib_turtle_word, pell, pell_word
 
 # heading turns: L is a counterclockwise quarter turn, R clockwise
@@ -67,7 +68,7 @@ def snowflake(order: int) -> Polyomino:
 def snowflake_width_check(order: int) -> bool:
     """Does the snowflake's width in boundary stitches (cell width plus one)
     equal twice pell(order)?"""
-    return snowflake(order).width + 1 == 2 * pell(order)
+    return snowflake_cycle(order).cell_box()[0] + 1 == 2 * pell(order)
 
 
 def persimmon_word(order: int):
@@ -105,22 +106,16 @@ def verify_conjecture(order: int) -> bool:
 
 def conjecture_report(order: int) -> dict:
     """Structured comparison of the order-n persimmon's largest loop with
-    the order-n snowflake tile."""
+    the order-n snowflake tile; the loop is measured, not filled."""
     spec = persimmon_spec(order, periods=2)
-    best = largest_loop(build_grid(spec))
-    if best is None:
+    cycle = _largest_cycle(build_grid(spec))
+    if cycle is None:
         raise ValueError("window too small")
-    cycle, _, stats = best
     tile = snowflake_cycle(order)
     return {
         "order": order,
         "window": [spec.width, spec.height],
-        "largest_loop": {
-            "perimeter": stats.perimeter,
-            "area": stats.area,
-            "height": stats.height,
-            "width": stats.width,
-        },
+        "largest_loop": _cycle_stats(cycle)._asdict(),
         "snowflake": {
             "perimeter": tile.perimeter,
             "area": tile.shoelace_area(),

@@ -3,7 +3,8 @@ against."""
 
 from collections import defaultdict
 
-from hitomezashi.loops import (LatticeCycle, cycle_to_polyomino,
+from hitomezashi.loops import (LatticeCycle, check_loop_theorems,
+                               cycle_to_polyomino, extract_components,
                                loop_stats)
 from hitomezashi.render import DEFAULT_OPTIONS, _fmt
 
@@ -76,6 +77,47 @@ def brute_largest_loop(cycles):
         return None
     cycle, poly = ranked[0]
     return cycle, poly, loop_stats(poly, cycle)
+
+
+def fill_all_analyze_grid(grid):
+    """analyze_grid's report with every loop filled and canonicalised, its
+    area and box read off the fill, and the two-coloring from the region
+    BFS."""
+    cycles, paths = extract_components(grid)
+    loops_report = []
+    for cycle, poly in ranked_loops(cycles):
+        stats = loop_stats(poly, cycle)
+        report = check_loop_theorems(stats)
+        loops_report.append({
+            "perimeter": stats.perimeter,
+            "area": stats.area,
+            "height": stats.height,
+            "width": stats.width,
+            "canonical_hash": poly.canonical_hash(),
+            "theorems": {
+                "area_1_mod_4": report.area_1_mod_4,
+                "perimeter_4_mod_8": report.perimeter_4_mod_8,
+                "box_dimensions_odd": report.box_dimensions_odd,
+            },
+        })
+
+    coloring = bfs_two_color(grid)
+    matrix = [[coloring[(x, y)] for x in range(grid.width)]
+              for y in range(grid.height)]
+
+    return {
+        "width": grid.width,
+        "height": grid.height,
+        "segment_count": grid.segment_count(),
+        "loops": loops_report,
+        "open_path_count": len(paths),
+        "theorems_all_hold": all(
+            entry["theorems"][key]
+            for entry in loops_report
+            for key in entry["theorems"]
+        ),
+        "two_coloring": matrix,
+    }
 
 
 def _regions(grid):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,28 @@ def test_analyze_json(capsys):
     report = json.loads(out)
     assert report["loops"][0]["area"] == 5
     assert report["theorems_all_hold"] is True
+
+
+# sha256 of the whole `analyze --json` stdout, taken while every loop was
+# still filled and canonicalised: the window where two non-congruent loops
+# tie at the top; a piecewise window with nine congruence classes, one of
+# them in both 5x3 and 3x5 boxes; and a two-word window with 5275 loops in
+# five classes
+@pytest.mark.parametrize("rows,cols,width,height,digest", [
+    ("11110:2,001:1,10", "10:2,11011", 15, 21,
+     "c71b23338b4981a664db1344b367ce2da875c58ff1e52c6986d2c2981741abe7"),
+    ("01101:3,001001111", "011011110:4,001001111", 128, 97,
+     "cd074e900442ab2dcbd61ba1183be00aeba2195ab97fc51a57397f181c4a9b10"),
+    ("0011010", "100101101", 300, 300,
+     "b8bbdd8f6d63d781a0ebfa6208c5b61d3745b45061a2f09197564bd004e9a000"),
+])
+def test_analyze_json_bytes_are_unchanged(capsys, rows, cols, width, height,
+                                          digest):
+    code, out, _ = run(capsys, "analyze", "--rows", rows, "--cols", cols,
+                       "--width", str(width), "--height", str(height),
+                       "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_human(capsys):

@@ -1,7 +1,7 @@
 """The grid-native loop kernel and loop census, the turn-word congruence
-test, the closed-form two-coloring, the per-axis self-duality search, the
-line-by-line ASCII render and the table-driven SVG render against the slow
-oracles in oracles.py."""
+test, the one-fill-per-class loop report, the closed-form two-coloring, the
+per-axis self-duality search, the line-by-line ASCII render and the
+table-driven SVG render against the slow oracles in oracles.py."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +14,7 @@ from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import persimmon_spec
 from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_is_self_dual, brute_largest_loop,
-                     components_from_segments, ranked_loops,
+                     components_from_segments, fill_all_analyze_grid,
                      segment_render_svg, vertex_render_ascii)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
@@ -120,14 +120,52 @@ def test_order_3_persimmon_census_keeps_the_four_snowflakes_in_order():
     assert _loop_census(grid) == ((29, 52), snowflakes)
 
 
-@settings(max_examples=50, deadline=None)
+# two non-congruent loop classes share (area, perimeter) = (17, 28)
+SHARED_SIZE = ("0:2,011:2,11101101:2,0111", "1000110:1,11110101:2,1", 12, 24)
+# two loops of area 13 differ in perimeter (20 and 28)
+SHARED_AREA = ("011", "011:3,1:2,110", 24, 8)
+# one congruence class holds loops with 5x3 and with 3x5 boxes
+BOTH_ORIENTATIONS = ("10010000:2,0:3,10:1,1101", "1001111:2,0101", 17, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))
+@example(grid_of("10", "", 1, 9))
+@example(grid_of("", "0110", 9, 1))
+@example(grid_of("011100", "10110", 17, 13))
+@example(grid_of(*TIED_TOP))
+@example(grid_of(*SHARED_SIZE))
+@example(grid_of(*SHARED_AREA))
+@example(grid_of(*BOTH_ORIENTATIONS))
+def test_analyze_grid_matches_fill_all_oracle(grid):
+    assert analyze_grid(grid) == fill_all_analyze_grid(grid)
+
+
+@settings(max_examples=200, deadline=None)
 @given(grids())
 @example(grid_of(*TIED_TOP))
-def test_analyze_grid_ranks_like_brute_force(grid):
-    loops = analyze_grid(grid)["loops"]
-    ranked = ranked_loops(extract_components(grid)[0])
-    assert [(e["area"], e["perimeter"], e["canonical_hash"]) for e in loops] \
-        == [(p.area, c.perimeter, p.canonical_hash()) for c, p in ranked]
+@example(grid_of(*SHARED_SIZE))
+@example(grid_of(*SHARED_AREA))
+@example(grid_of(*BOTH_ORIENTATIONS))
+def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
+    fills, compared = [], []
+
+    def fill(cycle):
+        fills.append(cycle)
+        return cycle_to_polyomino(cycle)
+
+    def congruent(a, b):
+        compared.append((len(a), len(b)))
+        return congruent_words(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
+        patch.setattr("hitomezashi.loops.congruent_words", congruent)
+        report = analyze_grid(grid)
+    assert len(fills) == len({e["canonical_hash"] for e in report["loops"]})
+    # a loop meets only the classes of its own area and perimeter
+    assert all(a == b for a, b in compared)
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,6 +210,7 @@ def test_two_color_matches_bfs_oracle(grid):
     coloring = two_color(grid)
     assert coloring == bfs_two_color(grid)
     assert len(coloring) == grid.width * grid.height
+    assert list(coloring) == sorted(coloring)
 
 
 def test_one_wide_strip_alternates_at_every_stitch():

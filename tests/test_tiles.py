@@ -1,8 +1,9 @@
 import pytest
 
 from hitomezashi import tiles
+from hitomezashi.grid import build_grid
 from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
-                               cycle_to_polyomino, loop_stats)
+                               largest_loop, loop_stats)
 from hitomezashi.tiles import (conjecture_report, persimmon_spec,
                                persimmon_word, snowflake, snowflake_boundary,
                                snowflake_cycle, snowflake_width_check,
@@ -132,8 +133,16 @@ def test_conjecture_report_contents():
     assert report["largest_loop"]["perimeter"] == 12
 
 
+@pytest.mark.parametrize("order", range(1, 8))
+def test_conjecture_report_matches_the_filled_largest_loop(order):
+    _, _, stats = largest_loop(build_grid(persimmon_spec(order)))
+    assert conjecture_report(order)["largest_loop"] == {
+        "perimeter": stats.perimeter, "area": stats.area,
+        "height": stats.height, "width": stats.width}
+
+
 def test_conjecture_requires_a_closed_loop(monkeypatch):
-    monkeypatch.setattr(tiles, "largest_loop", lambda grid: None)
+    monkeypatch.setattr(tiles, "_largest_cycle", lambda grid: None)
     with pytest.raises(ValueError, match="window too small"):
         verify_conjecture(1)
 
@@ -142,9 +151,7 @@ def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
     # the I-pentomino has the plus pentomino's area 5 and perimeter 12
     bar = LatticeCycle([(0, 0), (1, 0)] + [(1, y) for y in range(1, 6)]
                        + [(0, y) for y in range(5, 0, -1)])
-    poly = cycle_to_polyomino(bar)
-    monkeypatch.setattr(tiles, "largest_loop",
-                        lambda grid: (bar, poly, loop_stats(poly, bar)))
+    monkeypatch.setattr(tiles, "_largest_cycle", lambda grid: bar)
     report = conjecture_report(2)
     assert report["largest_loop"]["perimeter"] == \
         report["snowflake"]["perimeter"] == 12
