@@ -7,6 +7,7 @@ Every subcommand is a thin wrapper over the library modules.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ from .tiles import (conjecture_report, persimmon_spec, persimmon_word,
                     snowflake_boundary, trace_turtle)
 from .words import BinaryWord, pell
 
-# Highest persimmon/snowflake order accepted (a 3940-cell-wide window); past
-# it the recursive word builders run for minutes, then exhaust the stack.
+# Highest persimmon/snowflake order accepted (a 3940-cell-wide window).  The
+# word builders are cheap past it; the order-10 conjecture check is not.
 MAX_ORDER = 9
 
 
@@ -104,7 +105,7 @@ def _cmd_dual(args) -> int:
 def _cmd_analyze(args) -> int:
     report = analyze_grid(build_grid(_spec_from_args(args)))
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_dumps_report(report))
         return 0
     print(f"window: {report['width']}x{report['height']} cells, "
           f"{report['segment_count']} stitches")
@@ -121,6 +122,24 @@ def _cmd_analyze(args) -> int:
     for row in reversed(report["two_coloring"]):
         print("  " + "".join(str(c) for c in row))
     return 0
+
+
+def _dumps_report(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte.  The indent encoder is
+    pure Python, but the two long lists repeat themselves (the two-coloring
+    has at most four distinct rows, the loops about one entry per congruence
+    class), so each distinct entry is indent-encoded once.  Entries are
+    plain data, so equal reprs mean equal JSON."""
+    lists = ("loops", "two_coloring")
+    text = json.dumps({**report, **dict.fromkeys(lists)}, indent=2)
+    for key in lists:
+        reprs = list(map(repr, report[key]))
+        block = {r: json.dumps(item, indent=2).replace("\n", "\n    ")
+                 for r, item in dict(zip(reprs, report[key])).items()}
+        body = ",\n    ".join(map(block.__getitem__, reprs))
+        text = text.replace(f'"{key}": null', f'"{key}": [\n    {body}\n  ]'
+                            if reprs else f'"{key}": []', 1)
+    return text
 
 
 def _cmd_self_dual(args) -> int:
@@ -250,7 +269,10 @@ def _cmd_verify_conjecture(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state, and the subcommands look up library functions at call time."""
     parser = argparse.ArgumentParser(
         prog="hitomezashi",
         description="Encode, analyze and render running-stitch grid patterns.",

@@ -9,6 +9,7 @@ where the pattern outlines closed loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .grid import PatternSpec, WordProgram, build_grid
@@ -43,12 +44,13 @@ class PatternEntry:
         )
 
     def to_dict(self) -> dict:
+        spec = self.spec()
         return {
             "key": self.key,
             "display_name": self.display_name,
             "meaning": self.meaning,
-            "rows": self.spec().row_program.to_text(),
-            "cols": self.spec().col_program.to_text(),
+            "rows": spec.row_program.to_text(),
+            "cols": spec.col_program.to_text(),
             "default_window": list(self.default_window),
             "self_dual": self.self_dual,
             "expected_stats": (list(self.expected_stats)
@@ -188,7 +190,13 @@ _TABLE1_ROWS = (
 
 def table1() -> list[tuple[str, LoopStats]]:
     """Largest-loop statistics of the classic looped patterns, computed from
-    their grids (and from the dual grid for the dual triple-persimmon row)."""
+    their grids (and from the dual grid for the dual triple-persimmon row)
+    once per process; each call returns a new list."""
+    return list(_table1_rows())
+
+
+@cache
+def _table1_rows() -> tuple[tuple[str, LoopStats], ...]:
     rows = []
     for key, use_dual in _TABLE1_ROWS:
         entry = lookup(key)
@@ -202,7 +210,7 @@ def table1() -> list[tuple[str, LoopStats]]:
         if use_dual:
             name = f"dual {name}"
         rows.append((name, best[2]))
-    return rows
+    return tuple(rows)
 
 
 def export_catalog() -> list[dict]:

@@ -127,6 +127,41 @@ def test_analyze_human(capsys):
     assert "two-coloring" in out
 
 
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main() reuses one parser per process; each call must parse as if the
+    # parser were new, whatever the calls before it set or failed on
+    assert cli.build_parser() is cli.build_parser()
+    pattern = ("--rows", "1", "--cols", "1", "--width", "4", "--height", "4")
+    target = tmp_path / "out.svg"
+    calls = [
+        ["analyze", *pattern, "--json"],
+        ["analyze", *pattern],
+        ["render", "--rows", "1"],  # usage error: exits 2
+        ["table1"],
+        ["render", *pattern, "--fill", "--show-grid", "--svg", str(target)],
+        ["render", *pattern],
+    ]
+    results = []
+    for argv in calls:
+        fresh = cli.build_parser.__wrapped__()
+        try:
+            assert cli.build_parser().parse_args(argv) == fresh.parse_args(argv)
+            results.append(run(capsys, *argv))
+        except SystemExit as exc:
+            results.append((exc.code, *capsys.readouterr()))
+    codes = [code for code, _, _ in results]
+    assert codes == [0, 0, 2, 0, 0, 0]
+    outs = [out for _, out, _ in results]
+    assert json.loads(outs[0])["width"] == 4
+    assert outs[1].startswith("window: 4x4 cells, ")
+    assert "closed loops: 4" in outs[1]
+    assert "required" in results[2][2]
+    assert outs[3] == TABLE1_TEXT
+    assert outs[4] == f"wrote {target}\n"
+    assert "<rect" in target.read_text()
+    assert outs[5] == " _   _\n _   _\n|_| |_| |\n _   _\n|_| |_| |\n"
+
+
 def test_registry_listing(capsys):
     code, out, _ = run(capsys, "registry")
     assert code == 0

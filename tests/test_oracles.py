@@ -1,11 +1,15 @@
 """The grid-native loop kernel and loop census, the turn-word congruence
 test, the one-fill-per-class loop report, the closed-form two-coloring, the
 per-axis self-duality search, the line-by-line ASCII render and the
-table-driven SVG render against the slow oracles in oracles.py."""
+table-driven SVG render against the slow oracles in oracles.py; the
+`analyze --json` writer against json.dumps."""
+
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid, is_self_dual
 from hitomezashi.loops import (LatticeCycle, _loop_census, analyze_grid,
                                congruent_words, cycle_to_polyomino,
@@ -166,6 +170,18 @@ def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
     assert len(fills) == len({e["canonical_hash"] for e in report["loops"]})
     # a loop meets only the classes of its own area and perimeter
     assert all(a == b for a, b in compared)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))         # no closed loop: "loops": []
+@example(grid_of("10", "", 1, 9))       # rows only
+@example(grid_of("", "0110", 9, 1))     # columns only
+@example(grid_of(*TIED_TOP))
+@example(grid_of(*BOTH_ORIENTATIONS))
+def test_analyze_json_writer_matches_json_dumps(grid):
+    report = analyze_grid(grid)
+    assert _dumps_report(report) == json.dumps(report, indent=2)
 
 
 @settings(max_examples=100, deadline=None)

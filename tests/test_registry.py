@@ -94,15 +94,27 @@ def test_loopless_entries_have_no_expected_stats():
         assert lookup(key).expected_stats is None
 
 
+PAPER_TABLE1 = [
+    ("kuchizashi", (4, 1, 1, 1)),
+    ("jūjizashi", (12, 5, 3, 3)),
+    ("kakinohanazashi", (20, 13, 5, 5)),
+    ("dual sanjū kakinohanazashi", (28, 25, 7, 7)),
+    ("sanjū kakinohanazashi", (36, 41, 9, 9)),
+    ("igetazashi", (28, 17, 5, 5)),
+]
+
+
+@pytest.fixture
+def uncached_table1():
+    """Table 1 is computed once per process; drop the cached rows before
+    and after the test so that none computed under a patch outlive it."""
+    registry._table1_rows.cache_clear()
+    yield
+    registry._table1_rows.cache_clear()
+
+
 def test_table1_rows():
-    assert [(name, tuple(stats)) for name, stats in table1()] == [
-        ("kuchizashi", (4, 1, 1, 1)),
-        ("jūjizashi", (12, 5, 3, 3)),
-        ("kakinohanazashi", (20, 13, 5, 5)),
-        ("dual sanjū kakinohanazashi", (28, 25, 7, 7)),
-        ("sanjū kakinohanazashi", (36, 41, 9, 9)),
-        ("igetazashi", (28, 17, 5, 5)),
-    ]
+    assert [(name, tuple(stats)) for name, stats in table1()] == PAPER_TABLE1
 
 
 def test_table1_stats_are_loop_stats():
@@ -119,7 +131,19 @@ def test_catalog_is_json_serializable():
     assert by_key["yokogushi"]["cols"] == ""
 
 
-def test_table1_requires_a_closed_loop(monkeypatch):
+def test_table1_requires_a_closed_loop(uncached_table1, monkeypatch):
     monkeypatch.setattr(registry, "largest_loop", lambda grid: None)
     with pytest.raises(ValueError, match="no closed loop in kuchizashi"):
         table1()
+
+
+def test_table1_returns_a_new_list_on_each_call(uncached_table1, monkeypatch):
+    with monkeypatch.context() as patch:  # a failed computation caches nothing
+        patch.setattr(registry, "largest_loop", lambda grid: None)
+        with pytest.raises(ValueError, match="no closed loop"):
+            table1()
+    first, second = table1(), table1()
+    assert first is not second
+    first.clear()
+    assert [(name, tuple(stats)) for name, stats in second] == PAPER_TABLE1
+    assert table1() == second
