@@ -22,13 +22,19 @@ from .tiles import (conjecture_report, persimmon_spec, persimmon_word,
 from .words import BinaryWord, pell
 
 # Highest persimmon/snowflake order accepted (a 3940-cell-wide window).  The
-# word builders are cheap past it; the order-10 conjecture check is not.
+# word builders are cheap past it, but their outputs are not: at order 10
+# `snowflake --json` would list 6.6 M cells and `persimmon --svg` write
+# 90.5 M <line> elements, both GB-scale.
 MAX_ORDER = 9
+# Highest order verify-conjecture checks.  Orders 1-10 take about 40 s and
+# 0.66 GB on a 2-vCPU VM, since the loop census walks only the first column
+# period of the 9512-cell-wide window and the winner is not filled.
+MAX_CONJECTURE_ORDER = 10
 
 
-def _check_order(order: int, flag: str) -> None:
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"{flag} must be between 1 and {MAX_ORDER}")
+def _check_order(order: int, flag: str, limit: int = MAX_ORDER) -> None:
+    if not 1 <= order <= limit:
+        raise ValueError(f"{flag} must be between 1 and {limit}")
 
 
 def _word_arg(text: str) -> BinaryWord:
@@ -257,15 +263,17 @@ def _cmd_persimmon(args) -> int:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    _check_order(args.max_order, "--max-order")
-    reports = [conjecture_report(order)
-               for order in range(1, args.max_order + 1)]
+    _check_order(args.max_order, "--max-order", MAX_CONJECTURE_ORDER)
+    reports = []
+    for order in range(1, args.max_order + 1):
+        report = conjecture_report(order)
+        if args.json:
+            reports.append(report)
+        else:  # one line per order as soon as it is checked
+            print(f"order {order}: largest persimmon loop is the snowflake: "
+                  f"{str(report['match']).lower()}", flush=True)
     if args.json:
         print(json.dumps(reports, indent=2))
-        return 0
-    for report in reports:
-        print(f"order {report['order']}: largest persimmon loop is the "
-              f"snowflake: {str(report['match']).lower()}")
     return 0
 
 

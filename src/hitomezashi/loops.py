@@ -211,9 +211,10 @@ def _walker(grid: StitchGrid):
       at most once.
     - paths walks every open path from its lesser end, in order of that
       end, and yields its vertices.
-    - starts, once paths is exhausted, yields the least vertex of each loop
-      not yet walked, in (x, y) order; walk it heading up before asking for
-      the next.
+    - starts(stop), called once paths is exhausted, yields the least
+      vertex of each loop not yet walked, in (x, y) order, up to column
+      x = stop (exclusive; by default every column); walk it heading up
+      before asking for the next.
     """
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
@@ -272,15 +273,15 @@ def _walker(grid: StitchGrid):
                 if walk(x, y, True, trail)[1] or walk(x, y, False, trail)[1]:
                     yield tuple(trail)
 
-    def starts() -> Iterator[Point]:
+    def starts(stop: int = W + 1) -> Iterator[Point]:
         # Every stitch left unwalked lies on a closed loop, whose first
         # vertical stitch in (x, y) order starts at the loop's least vertex.
-        for x in range(W + 1) if both else ():
+        for x in range(stop) if both else ():
             for y in range((cols[x] + 1) & 1, H, 2):
                 if not v_seen[x * VS + y + 1]:
                     yield x, y
 
-    return walk, paths(), starts()
+    return walk, paths(), starts
 
 
 def _closed_trail(walk, x: int, y: int) -> LatticeCycle:
@@ -303,15 +304,22 @@ def extract_components(
     """
     walk, paths, starts = _walker(grid)
     paths = list(paths)
-    return [_closed_trail(walk, x, y) for x, y in starts], paths
+    return [_closed_trail(walk, x, y) for x, y in starts()], paths
 
 
 def _loop_census(grid: StitchGrid,
                  ) -> Optional[tuple[tuple[int, int], list[Point]]]:
     """The greatest (shoelace area, perimeter) over the grid's closed loops
-    and the least vertex of every loop that has it, in extract_components
-    order; None when there is no closed loop.
+    and the least vertex of every loop that has it and starts left of
+    column P, in extract_components order; None when there is no closed
+    loop.
 
+    P is the least even period of the column phase bits, if any.  A shift
+    by P maps the column lines onto themselves and, P being even, each
+    row's stitches too, so a loop whose least vertex has x >= P is a
+    translate of one that starts P columns to its left and need not be
+    walked.  (Rows are not cut short: a skipped loop
+    would leave stitches that starts reports from a non-least vertex.)
     Each loop is walked once and only the running best is kept, so memory
     does not grow with the number of loops.
     """
@@ -319,7 +327,7 @@ def _loop_census(grid: StitchGrid,
     for _ in paths:  # marks the open paths' stitches walked
         pass
     best, ties = (0, 0), []
-    for x, y in starts:
+    for x, y in starts(_even_period(grid.col_bits or ())):
         area, perimeter = walk(x, y, True)
         size = (abs(area), perimeter)
         if size > best:
@@ -327,6 +335,24 @@ def _loop_census(grid: StitchGrid,
         elif size == best:
             ties.append((x, y))
     return (best, ties) if ties else None
+
+
+def _even_period(bits: Sequence[int]) -> int:
+    """The least even p with bits[p:] == bits[:-p], or len(bits) if there
+    is none.  Each period is len(bits) minus a border (a proper prefix that
+    is also a suffix); the prefix function lists the borders longest first,
+    in linear time."""
+    n = len(bits)
+    border = [0] * (n + 1)  # border[i]: longest border of bits[:i]
+    for i in range(1, n):
+        k = border[i]
+        while k and bits[i] != bits[k]:
+            k = border[k]
+        border[i + 1] = k + (bits[i] == bits[k])
+    k = border[n]
+    while k and (n - k) % 2:
+        k = border[k]
+    return n - k
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -368,10 +394,13 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
 
 
 def _largest_cycle(grid: StitchGrid) -> Optional[LatticeCycle]:
-    """largest_loop's cycle, unfilled.  A census walks every loop once for
-    its (shoelace area, perimeter); only the loops tied at the top are built,
-    one at a time.  If all are congruent to the first by turn word, it wins;
-    otherwise they are built again and filled to rank by canonical form."""
+    """largest_loop's cycle, unfilled.  A census walks every loop of the
+    first column period once for its (shoelace area, perimeter); only the
+    loops tied at the top there are built, one at a time.  Every tie left
+    out is a translate of one kept, later in walk order, so the answer is
+    that of all ties.  If all are congruent to the first by turn word, it
+    wins; otherwise they are built again and filled to rank by canonical
+    form."""
     census = _loop_census(grid)
     if census is None:
         return None

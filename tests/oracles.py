@@ -79,6 +79,14 @@ def brute_largest_loop(cycles):
     return cycle, poly, loop_stats(poly, cycle)
 
 
+def brute_even_period(bits):
+    """The least even p with bits[x] == bits[x + p] for every x, tried
+    one by one; None when there is none."""
+    return next((p for p in range(2, len(bits), 2)
+                 if all(bits[x] == bits[x + p] for x in range(len(bits) - p))),
+                None)
+
+
 def fill_all_analyze_grid(grid):
     """analyze_grid's report with every loop filled and canonicalised, its
     area and box read off the fill, and the two-coloring from the region

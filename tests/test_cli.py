@@ -308,7 +308,50 @@ def test_verify_conjecture_max_order_out_of_range(capsys):
     code, out, err = run(capsys, "verify-conjecture", "--max-order", "0")
     assert code == 1
     assert out == ""
-    assert err == "error: --max-order must be between 1 and 9\n"
+    assert err == "error: --max-order must be between 1 and 10\n"
+
+
+def stub_reports(monkeypatch, on_call=None):
+    """Replace the conjecture check by a stub that records the orders asked
+    for; order 1 is reported as a match and every other order not."""
+    orders = []
+
+    def report(order):
+        if on_call:
+            on_call(order)
+        orders.append(order)
+        return {"order": order, "match": order == 1}
+
+    monkeypatch.setattr(cli, "conjecture_report", report)
+    return orders
+
+
+def test_verify_conjecture_runs_up_to_order_10(capsys, monkeypatch):
+    orders = stub_reports(monkeypatch)
+    code, out, _ = run(capsys, "verify-conjecture", "--max-order", "10")
+    assert code == 0
+    assert orders == list(range(1, 11))
+    assert out.splitlines()[-1] == \
+        "order 10: largest persimmon loop is the snowflake: false"
+    orders.clear()
+    code, out, err = run(capsys, "verify-conjecture", "--max-order", "11")
+    assert (code, out, orders) == (1, "", [])
+    assert err == "error: --max-order must be between 1 and 10\n"
+
+
+def test_verify_conjecture_prints_each_order_once_checked(capsys,
+                                                          monkeypatch):
+    seen = []
+
+    def on_call(order):
+        if order == 2:
+            seen.append(capsys.readouterr().out)
+
+    stub_reports(monkeypatch, on_call)
+    code, out, _ = run(capsys, "verify-conjecture", "--max-order", "2")
+    assert code == 0
+    assert seen == ["order 1: largest persimmon loop is the snowflake: true\n"]
+    assert out == "order 2: largest persimmon loop is the snowflake: false\n"
 
 
 HUGE = ["--rows", "01", "--cols", "1", "--width", "100000",

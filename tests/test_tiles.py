@@ -177,3 +177,13 @@ def test_order_9_largest_persimmon_loop_is_the_snowflake():
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
         == pell(17)
     assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(25))
+
+
+@pytest.mark.slow
+def test_order_10_largest_persimmon_loop_is_the_snowflake():
+    report = conjecture_report(10)
+    assert report["match"] is True
+    assert report["window"] == [9512, 9512]
+    assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
+        == pell(19)
+    assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(28))
