@@ -261,27 +261,22 @@ class StitchGrid:
                           flip(self.row_bits), flip(self.col_bits))
 
     def vertex_degree(self, x: int, y: int) -> int:
-        """Number of present segments meeting the lattice point (x, y)."""
-        if not (0 <= x <= self.width and 0 <= y <= self.height):
+        """Number of present segments meeting the lattice point (x, y): one
+        per family present, leading right (up) when x + row_bits[y]
+        (y + col_bits[x]) is odd and left (down) otherwise, unless that side
+        is off the window."""
+        W, H = self.width, self.height
+        if not (0 <= x <= W and 0 <= y <= H):
             raise IndexError("out of bounds")
-        degree = 0
-        if x > 0 and self.horizontal_present(x - 1, y):
-            degree += 1
-        if x < self.width and self.horizontal_present(x, y):
-            degree += 1
-        if y > 0 and self.vertical_present(x, y - 1):
-            degree += 1
-        if y < self.height and self.vertical_present(x, y):
-            degree += 1
-        return degree
+        rows, cols = self.row_bits, self.col_bits
+        return ((rows is not None and 0 < x + (x + rows[y]) % 2 <= W)
+                + (cols is not None and 0 < y + (y + cols[x]) % 2 <= H))
 
     def is_fully_packed(self) -> bool:
-        """True when every strictly interior vertex has degree exactly 2."""
-        return all(
-            self.vertex_degree(x, y) == 2
-            for x in range(1, self.width)
-            for y in range(1, self.height)
-        )
+        """True when every strictly interior vertex has degree exactly 2:
+        when both families are present or there is no interior vertex."""
+        return ((self.row_bits is not None and self.col_bits is not None)
+                or min(self.width, self.height) < 2)
 
 
 def build_grid(spec: PatternSpec) -> StitchGrid:

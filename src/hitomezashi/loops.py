@@ -34,7 +34,7 @@ class LatticeCycle:
         if len(verts) < 4 or len(verts) % 2 != 0:
             raise ValueError("a lattice cycle needs an even number of edges, at least 4")
         if len(set(verts)) != len(verts):
-            raise ValueError("self-intersecting")
+            raise ValueError("self-intersecting boundary")
         for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
             if abs(x1 - x2) + abs(y1 - y2) != 1:
                 raise ValueError("cycle edges must be unit lattice steps")
@@ -195,8 +195,8 @@ class TheoremReport(NamedTuple):
 
 
 def _walker(grid: StitchGrid):
-    """The grid's stitch rule, shared by every trace: returns
-    (walk, paths, starts).
+    """The stitch rule of a grid with both families present, shared by every
+    trace: returns (walk, paths, starts).
 
     A vertex meets at most one horizontal and one vertical stitch, and the
     phase bit of each line says on which side, so a walk alternates between
@@ -218,19 +218,14 @@ def _walker(grid: StitchGrid):
     """
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
-    both = rows is not None and cols is not None
     # Stitch (x, y)-(x+1, y) is h_seen[y*(W+2) + x + 1] and (x, y)-(x, y+1)
-    # is v_seen[x*(H+2) + y + 1]; the ends of every line, and a missing
-    # family throughout, count as walked, so a walk stops there.
+    # is v_seen[x*(H+2) + y + 1]; the ends of every line count as walked,
+    # so a walk stops there.
     HS, VS = W + 2, H + 2
     h_seen = bytearray(HS * (H + 1))
     v_seen = bytearray(VS * (W + 1))
     h_seen[::HS] = h_seen[W + 1::HS] = b"\1" * (H + 1)
     v_seen[::VS] = v_seen[H + 1::VS] = b"\1" * (W + 1)
-    if rows is None:
-        rows, h_seen = (0,) * (H + 1), bytearray(b"\1") * len(h_seen)
-    if cols is None:
-        cols, v_seen = (0,) * (W + 1), bytearray(b"\1") * len(v_seen)
 
     def walk(x: int, y: int, vertical: bool,
              trail: Optional[list[Point]] = None) -> tuple[int, int]:
@@ -262,12 +257,10 @@ def _walker(grid: StitchGrid):
         return area, steps
 
     def paths() -> Iterator[tuple[Point, ...]]:
-        # With both families every interior vertex has degree 2, so paths
-        # end on the window edge; with one family each stitch is a path of
-        # its own.
+        # Every interior vertex has degree 2, so paths end on the window edge.
         for x in range(W + 1):
-            for y in (range(H + 1) if x in (0, W) or not both else (0, H)):
-                if both and grid.vertex_degree(x, y) != 1:
+            for y in range(H + 1) if x in (0, W) else (0, H):
+                if grid.vertex_degree(x, y) != 1:
                     continue
                 trail = [(x, y)]
                 if walk(x, y, True, trail)[1] or walk(x, y, False, trail)[1]:
@@ -276,7 +269,7 @@ def _walker(grid: StitchGrid):
     def starts(stop: int = W + 1) -> Iterator[Point]:
         # Every stitch left unwalked lies on a closed loop, whose first
         # vertical stitch in (x, y) order starts at the loop's least vertex.
-        for x in range(stop) if both else ():
+        for x in range(stop):
             for y in range((cols[x] + 1) & 1, H, 2):
                 if not v_seen[x * VS + y + 1]:
                     yield x, y
@@ -300,8 +293,11 @@ def extract_components(
 
     Paths run from their lesser end, in order of that end; cycles start at
     their least vertex heading up (the normalized() order) and come out
-    sorted.
+    sorted.  A grid with one family missing has no loops, and each of its
+    stitches is an open path.
     """
+    if grid.row_bits is None or grid.col_bits is None:
+        return [], sorted(grid.segments())
     walk, paths, starts = _walker(grid)
     paths = list(paths)
     return [_closed_trail(walk, x, y) for x, y in starts()], paths
@@ -323,11 +319,13 @@ def _loop_census(grid: StitchGrid,
     Each loop is walked once and only the running best is kept, so memory
     does not grow with the number of loops.
     """
+    if grid.row_bits is None or grid.col_bits is None:
+        return None
     walk, paths, starts = _walker(grid)
     for _ in paths:  # marks the open paths' stitches walked
         pass
     best, ties = (0, 0), []
-    for x, y in starts(_even_period(grid.col_bits or ())):
+    for x, y in starts(_even_period(grid.col_bits)):
         area, perimeter = walk(x, y, True)
         size = (abs(area), perimeter)
         if size > best:

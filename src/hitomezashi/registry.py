@@ -26,7 +26,6 @@ class PatternEntry:
     default_window: tuple[int, int]  # (width, height) in cells
     self_dual: bool
     expected_stats: Optional[LoopStats] = None
-    dual_key: Optional[str] = None
     builder: Optional[Callable[[int, int], PatternSpec]] = None
 
     def spec(self, width: Optional[int] = None,
@@ -55,7 +54,7 @@ class PatternEntry:
             "self_dual": self.self_dual,
             "expected_stats": (list(self.expected_stats)
                                if self.expected_stats else None),
-            "dual_key": self.dual_key,
+            "dual_key": self.key if self.self_dual else None,
         }
 
 
@@ -79,31 +78,31 @@ _ENTRIES: tuple[PatternEntry, ...] = (
         key="yokogushi", display_name="yokogushi",
         meaning="offset horizontal rows",
         row_text="10", col_text="", default_window=(8, 8),
-        self_dual=True, dual_key="yokogushi",
+        self_dual=True,
     ),
     PatternEntry(
         key="tategushi", display_name="tategushi",
         meaning="offset vertical rows",
         row_text="", col_text="10", default_window=(8, 8),
-        self_dual=True, dual_key="tategushi",
+        self_dual=True,
     ),
     PatternEntry(
         key="dan_tsunagi_ne", display_name="dan tsunagi (rising NE)",
         meaning="linked steps",
         row_text="01", col_text="10", default_window=(8, 8),
-        self_dual=True, dual_key="dan_tsunagi_ne",
+        self_dual=True,
     ),
     PatternEntry(
         key="dan_tsunagi_nw", display_name="dan tsunagi (rising NW)",
         meaning="linked steps",
         row_text="10", col_text="10", default_window=(8, 8),
-        self_dual=True, dual_key="dan_tsunagi_nw",
+        self_dual=True,
     ),
     PatternEntry(
         key="kuchizashi", display_name="kuchizashi",
         meaning="mouth stitch, after the kanji for mouth",
         row_text="1", col_text="1", default_window=(4, 4),
-        self_dual=True, dual_key="kuchizashi",
+        self_dual=True,
         expected_stats=LoopStats(4, 1, 1, 1),
     ),
     PatternEntry(
@@ -117,7 +116,7 @@ _ENTRIES: tuple[PatternEntry, ...] = (
         key="hirayama_michi", display_name="hirayama michi",
         meaning="mountain pass road",
         row_text="10", col_text="1", default_window=(4, 8),
-        self_dual=True, dual_key="hirayama_michi",
+        self_dual=True,
     ),
     PatternEntry(
         key="kawari_hirayama", display_name="kawari hirayama michi",
@@ -129,14 +128,14 @@ _ENTRIES: tuple[PatternEntry, ...] = (
         key="yamagata", display_name="yamagata",
         meaning="mountain form, after the kanji for mountain",
         row_text="01", col_text="01:3,10", default_window=(12, 8),
-        self_dual=True, dual_key="yamagata",
+        self_dual=True,
         builder=_yamagata_builder,
     ),
     PatternEntry(
         key="niju_yamagata", display_name="nijū yamagata",
         meaning="double mountain form",
         row_text="10", col_text="10101", default_window=(20, 8),
-        self_dual=True, dual_key="niju_yamagata",
+        self_dual=True,
     ),
     PatternEntry(
         key="kakinohanazashi", display_name="kakinohanazashi",

@@ -39,11 +39,8 @@ def trace_turtle(word: TurnWord) -> LatticeCycle:
         y += heading[1]
         points.append((x, y))
         heading = _LEFT[heading] if letter == "L" else _RIGHT[heading]
-    if points[-1] != (0, 0):
+    if points.pop() != (0, 0):
         raise ValueError("open boundary")
-    points.pop()
-    if len(set(points)) != len(points):
-        raise ValueError("self-intersecting boundary")
     return LatticeCycle(points)
 
 
@@ -111,7 +108,8 @@ def conjecture_report(order: int) -> dict:
     cycle = _largest_cycle(build_grid(spec))
     if cycle is None:
         raise ValueError("window too small")
-    tile = snowflake_cycle(order)
+    boundary = snowflake_boundary(order)
+    tile = trace_turtle(boundary)
     return {
         "order": order,
         "window": [spec.width, spec.height],
@@ -120,6 +118,5 @@ def conjecture_report(order: int) -> dict:
             "perimeter": tile.perimeter,
             "area": tile.shoelace_area(),
         },
-        "match": congruent_words(cycle.turn_word(),
-                                 str(snowflake_boundary(order))),
+        "match": congruent_words(cycle.turn_word(), str(boundary)),
     }

@@ -63,6 +63,33 @@ def components_from_segments(segments):
     return cycles, paths
 
 
+def presence_vertex_degree(grid, x, y):
+    """Present segments meeting (x, y), from four bounds-checked presence
+    queries."""
+    if not (0 <= x <= grid.width and 0 <= y <= grid.height):
+        raise IndexError("out of bounds")
+    degree = 0
+    if x > 0 and grid.horizontal_present(x - 1, y):
+        degree += 1
+    if x < grid.width and grid.horizontal_present(x, y):
+        degree += 1
+    if y > 0 and grid.vertical_present(x, y - 1):
+        degree += 1
+    if y < grid.height and grid.vertical_present(x, y):
+        degree += 1
+    return degree
+
+
+def vertex_loop_is_fully_packed(grid):
+    """True when every strictly interior vertex has degree exactly 2, by
+    visiting each one."""
+    return all(
+        presence_vertex_degree(grid, x, y) == 2
+        for x in range(1, grid.width)
+        for y in range(1, grid.height)
+    )
+
+
 def ranked_loops(cycles):
     """Every cycle filled and canonicalised, ranked by greatest area, then
     greatest perimeter, then least canonical form (stable)."""

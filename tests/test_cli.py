@@ -9,7 +9,11 @@ import pytest
 
 from hitomezashi import cli
 from hitomezashi.cli import main
-from hitomezashi.tiles import snowflake, snowflake_boundary, snowflake_cycle
+from hitomezashi.grid import build_grid
+from hitomezashi.registry import export_catalog, lookup
+from hitomezashi.render import RenderOptions, render_ascii
+from hitomezashi.tiles import (persimmon_spec, snowflake, snowflake_boundary,
+                               snowflake_cycle)
 
 TABLE1_TEXT = """\
 pattern                      perimeter  area  height  width
@@ -176,6 +180,20 @@ def test_registry_single_entry(capsys):
     assert "perimeter=4 area=1" in out
 
 
+@pytest.mark.parametrize("key", ["kuchizashi", "jujizashi", "yokogushi"])
+def test_registry_entry_json(capsys, key):
+    code, out, _ = run(capsys, "registry", key, "--json")
+    assert code == 0
+    assert json.loads(out) == lookup(key).to_dict()
+    assert lookup(key).display_name in out  # not ASCII-escaped
+
+
+def test_registry_catalog_json(capsys):
+    code, out, _ = run(capsys, "registry", "--json")
+    assert code == 0
+    assert json.loads(out) == export_catalog()
+
+
 def test_registry_unknown_key_is_domain_error(capsys):
     code, _, err = run(capsys, "registry", "nope")
     assert code == 1
@@ -239,6 +257,15 @@ def test_persimmon_json(capsys):
     assert data["self_dual_shift"] == [2, 2]
 
 
+def test_persimmon_ascii(capsys):
+    code, out, _ = run(capsys, "persimmon", "--order", "2", "--ascii")
+    assert code == 0
+    summary, _, art = out.partition("self-dual shift: (2, 2)\n")
+    assert summary.startswith("persimmon pattern order 2\n")
+    assert art == render_ascii(build_grid(persimmon_spec(2)),
+                               RenderOptions()) + "\n"
+
+
 def test_verify_conjecture(capsys):
     code, out, _ = run(capsys, "verify-conjecture", "--max-order", "2")
     assert code == 0
@@ -267,6 +294,14 @@ def test_malformed_word_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["self-dual", "--rows", "012", "--cols", "1"])
     assert excinfo.value.code == 2
+
+
+def test_bad_repeat_count_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["render", "--rows", "01:x", "--cols", "1",
+              "--width", "4", "--height", "4"])
+    assert excinfo.value.code == 2
+    assert "bad repeat count 'x'" in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_usage_error(capsys):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hitomezashi.grid import (MAX_CELLS, PatternSpec, ProgramSegment,
-                              WordProgram, build_grid, expand_program,
-                              is_self_dual)
+                              StitchGrid, WordProgram, build_grid,
+                              expand_program, is_self_dual)
 from hitomezashi.registry import list_all
 from hitomezashi.tiles import persimmon_word
 from hitomezashi.words import BinaryWord, pell
@@ -53,6 +53,11 @@ def test_expand_underflow():
         expand_program(prog("01:2"), 7)
     with pytest.raises(ValueError, match="program underflow"):
         expand_program(WordProgram(), 3)
+
+
+def test_expand_needs_a_positive_count():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        expand_program(prog("01"), 0)
 
 
 def test_expand_empty_fill_word():
@@ -125,6 +130,15 @@ def test_kuchizashi_grid_bits_and_presence():
     assert grid.col_bits == (1, 1, 1, 1, 1)
     assert grid.horizontal_present(0, 0)
     assert not grid.horizontal_present(1, 0)
+
+
+def test_grid_shape_validation():
+    with pytest.raises(ValueError, match="at least 1x1"):
+        StitchGrid(0, 1)
+    with pytest.raises(ValueError, match="row_bits must hold height\\+1"):
+        StitchGrid(2, 3, row_bits=(0, 1, 0))
+    with pytest.raises(ValueError, match="col_bits must hold width\\+1"):
+        StitchGrid(2, 3, col_bits=(0, 1, 0, 1))
 
 
 def test_missing_line_family_has_no_stitches():

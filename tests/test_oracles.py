@@ -1,8 +1,9 @@
-"""The grid-native loop kernel, the loop census and its column-period
-search, the turn-word congruence test, the one-fill-per-class loop report,
-the closed-form two-coloring, the per-axis self-duality search, the
-line-by-line ASCII render and the table-driven SVG render against the slow
-oracles in oracles.py; the `analyze --json` writer against json.dumps."""
+"""The grid-native loop kernel, the phase-bit vertex degree and packing
+test, the loop census and its column-period search, the turn-word
+congruence test, the one-fill-per-class loop report, the closed-form
+two-coloring, the per-axis self-duality search, the line-by-line ASCII
+render and the table-driven SVG render against the slow oracles in
+oracles.py; the `analyze --json` writer against json.dumps."""
 
 import json
 
@@ -20,7 +21,8 @@ from hitomezashi.tiles import persimmon_spec
 from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_even_period, brute_is_self_dual,
                      brute_largest_loop, components_from_segments,
-                     fill_all_analyze_grid, segment_render_svg,
+                     fill_all_analyze_grid, presence_vertex_degree,
+                     segment_render_svg, vertex_loop_is_fully_packed,
                      vertex_render_ascii)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
@@ -72,8 +74,38 @@ def assert_matches_oracle(grid):
 @example(grid_of("10", "", 1, 9))
 @example(grid_of("", "0110", 9, 1))
 @example(grid_of("0110:1,1", "01:2,10", 1, 1))
+@example(grid_of("01", "0110", 1, 9))   # path ends at the corners
+@example(grid_of("0110", "10", 9, 1))
 def test_components_match_segment_oracle(grid):
     assert_matches_oracle(grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))
+@example(grid_of("10", "", 1, 9))
+@example(grid_of("", "0110", 9, 1))
+@example(grid_of("0", "1", 1, 1))
+def test_vertex_degree_matches_presence_queries(grid):
+    W, H = grid.width, grid.height
+    for x in range(W + 1):
+        for y in range(H + 1):
+            assert grid.vertex_degree(x, y) == \
+                presence_vertex_degree(grid, x, y)
+    for x, y in ((-1, 0), (0, -1), (W + 1, H), (W, H + 1)):
+        with pytest.raises(IndexError, match="out of bounds"):
+            grid.vertex_degree(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))
+@example(grid_of("", "", 1, 3))
+@example(grid_of("10", "", 2, 2))
+@example(grid_of("", "0110", 9, 1))
+@example(grid_of("", "0110", 9, 2))
+def test_is_fully_packed_matches_vertex_loop(grid):
+    assert grid.is_fully_packed() == vertex_loop_is_fully_packed(grid)
 
 
 # two loops tie at the top on area and perimeter and the first is not the

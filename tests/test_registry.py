@@ -129,6 +129,8 @@ def test_catalog_is_json_serializable():
     by_key = {item["key"]: item for item in parsed}
     assert by_key["kuchizashi"]["expected_stats"] == [4, 1, 1, 1]
     assert by_key["yokogushi"]["cols"] == ""
+    for item in parsed:
+        assert item["dual_key"] == (item["key"] if item["self_dual"] else None)
 
 
 def test_table1_requires_a_closed_loop(uncached_table1, monkeypatch):

@@ -82,6 +82,8 @@ def test_pell_values():
 
 
 def test_pell_word_values():
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        pell_word(-1)
     assert str(pell_word(0)) == ""
     assert str(pell_word(1)) == "1"
     assert str(pell_word(2)) == "01"
@@ -113,6 +115,8 @@ def test_odd_index_pell_is_one_mod_four(k):
 
 
 def test_turtle_word_values():
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        fib_turtle_word(-1)
     assert str(fib_turtle_word(0)) == ""
     assert str(fib_turtle_word(1)) == "R"
     assert str(fib_turtle_word(3)) == "RL"
