@@ -88,13 +88,19 @@ def _options_from_args(args) -> RenderOptions:
                          fill_two_coloring=args.fill)
 
 
+def _write_svg(path: str, text: str) -> None:
+    """Write an SVG built in full beforehand, so that a render that fails
+    leaves an existing file at path as it was."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"wrote {path}")
+
+
 def _emit_grid(grid, args) -> int:
     if args.svg:
         options = _options_from_args(args)
         coloring = two_color(grid) if options.fill_two_coloring else None
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(grid, options, coloring=coloring))
-        print(f"wrote {args.svg}")
+        _write_svg(args.svg, render_svg(grid, options, coloring=coloring))
     else:
         print(render_ascii(grid, _options_from_args(args)))
     return 0
@@ -208,10 +214,8 @@ def _cmd_snowflake(args) -> int:
     boundary = snowflake_boundary(order)
     cycle = trace_turtle(boundary)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_cycle_svg(
-                cycle, RenderOptions(cell_size=args.cell_size)))
-        print(f"wrote {args.svg}")
+        _write_svg(args.svg, render_cycle_svg(
+            cycle, RenderOptions(cell_size=args.cell_size)))
         return 0
     width, height = cycle.cell_box()
     area = cycle.shoelace_area()

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
+from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -427,10 +428,43 @@ def largest_loop(
     return cycle, poly, loop_stats(poly, cycle)
 
 
-def two_color(grid: StitchGrid) -> dict[Point, int]:
+class ColumnColoring(Mapping):
+    """two_color's cell -> color Mapping over one color list per column.
+
+    ``columns[x][y]`` is the color of cell (x, y) for 0 <= x < width and
+    0 <= y < height; the columns are at most four distinct lists, shared by
+    identity (render_svg builds one run of rects per distinct list).  Any
+    other key is missing, as it would be from the equal dict.
+    """
+
+    __slots__ = ("columns", "width", "height")
+
+    def __init__(self, columns: Sequence[Sequence[int]], width: int,
+                 height: int):
+        self.columns, self.width, self.height = columns, width, height
+
+    def __getitem__(self, cell: Point) -> int:
+        try:
+            x, y = cell
+            if 0 <= x < self.width and 0 <= y < self.height:
+                return self.columns[x][y]
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(cell)
+
+    def __iter__(self) -> Iterator[Point]:
+        return product(range(self.width), range(self.height))
+
+    def __len__(self) -> int:
+        return self.width * self.height
+
+
+def two_color(grid: StitchGrid) -> ColumnColoring:
     """Assign 0/1 to every window cell so that distinct regions separated by
-    a present stitch get different colors; cell (0, 0) gets 0.  The keys
-    iterate in sorted (x, y) order: column by column, bottom up.
+    a present stitch get different colors; cell (0, 0) gets 0.  The result
+    is a read-only Mapping from cell to color whose keys iterate in sorted
+    (x, y) order: column by column, bottom up.  Call dict() on it for a
+    mutable copy.
 
     With both families every interior vertex has degree 2, so a cell's color
     is the parity of the stitches crossed on a path from (0, 0), which is
@@ -438,10 +472,7 @@ def two_color(grid: StitchGrid) -> dict[Point, int]:
     bits.  With one family the window is one region unless it is one cell
     wide across the lines, where each stitch cuts the strip.
     """
-    coloring: dict[Point, int] = {}
-    for x, column in enumerate(_color_columns(grid)):
-        coloring.update(zip(zip(repeat(x), range(grid.height)), column))
-    return coloring
+    return ColumnColoring(_color_columns(grid), grid.width, grid.height)
 
 
 def _color_columns(grid: StitchGrid) -> list[list[int]]:

@@ -7,11 +7,12 @@ identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .grid import Point, StitchGrid
-from .loops import LatticeCycle
+from .loops import ColumnColoring, LatticeCycle
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class RenderOptions:
             raise ValueError("cell_size must be >= 1")
         if self.stroke_width <= 0:
             raise ValueError("stroke_width must be positive")
+        if not math.isfinite(self.stroke_width):
+            raise ValueError("stroke_width must be finite")
 
 
 DEFAULT_OPTIONS = RenderOptions()
@@ -93,9 +96,12 @@ def render_svg(
     """SVG document with one line element per present segment.
 
     ``coloring`` (cell -> 0/1, as produced by two_color) paints unit squares
-    beneath the strokes when fill_two_coloring is set; ``highlight`` draws
-    one closed cycle on top with a heavier contrasting stroke.  Each
-    coordinate of the window is formatted once.
+    beneath the strokes when fill_two_coloring is set, one rect per key in
+    sorted order; ``highlight`` draws one closed cycle on top with a heavier
+    contrasting stroke.  Each coordinate of the window is formatted once.
+    two_color's ColumnColoring of this grid's window has each distinct
+    column's rects built once, as a template joined on the column's x;
+    any other Mapping is painted cell by cell.
     """
     s = options.cell_size
     W, H = grid.width, grid.height
@@ -114,9 +120,21 @@ def render_svg(
         parts.append('  <g stroke="none">')
         tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{fill}"/>'
                           for fill in (fill_a, fill_b))
-        parts += [f'    <rect x="{X[cell[0]]}" y="{Y[cell[1] + 1]}'
-                  f'{tail_b if coloring[cell] else tail_a}'
-                  for cell in sorted(coloring)]
+        if (isinstance(coloring, ColumnColoring)
+                and (coloring.width, coloring.height) == (W, H)):
+            # Column x's rects differ from any other column's with the same
+            # color list only in x: one template per distinct list.
+            runs: dict[int, list[str]] = {}
+            for x, column in zip(xs, coloring.columns):
+                if id(column) not in runs:
+                    runs[id(column)] = "\n".join(
+                        f'    <rect x="\0" y="{y}{tail_b if c else tail_a}'
+                        for y, c in zip(ys[1:], column)).split("\0")
+                parts.append(x.join(runs[id(column)]))
+        else:
+            parts += [f'    <rect x="{X[cell[0]]}" y="{Y[cell[1] + 1]}'
+                      f'{tail_b if coloring[cell] else tail_a}'
+                      for cell in sorted(coloring)]
         parts.append("  </g>")
 
     if options.show_grid:

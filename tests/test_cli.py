@@ -91,6 +91,39 @@ def test_render_svg_file(tmp_path, capsys):
     assert str(target) in out
 
 
+@pytest.mark.parametrize("width", ["inf", "nan", "-inf"])
+def test_non_finite_stroke_width_is_domain_error(tmp_path, capsys, width):
+    # inf used to end in an OverflowError traceback, nan in a message about
+    # converting NaN to an integer
+    target = tmp_path / "out.svg"
+    code, out, err = run(capsys, "render", "--rows", "1", "--cols", "1",
+                         "--width", "4", "--height", "4", "--svg", str(target),
+                         f"--stroke-width={width}")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: stroke_width must be positive\n" if width == "-inf"
+                   else "error: stroke_width must be finite\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--rows", "1", "--cols", "1", "--width", "4", "--height", "4",
+     "--fill", "--stroke-width", "inf"],
+    ["dual", "--rows", "1", "--cols", "1", "--width", "4", "--height", "4",
+     "--cell-size", "0"],
+    ["persimmon", "--order", "2", "--stroke-width", "nan"],
+    ["snowflake", "--order", "2", "--cell-size", "0"],
+])
+def test_failed_svg_render_leaves_an_existing_file_as_it_was(tmp_path, capsys,
+                                                             argv):
+    target = tmp_path / "out.svg"
+    target.write_text("earlier drawing\n")
+    code, _, err = run(capsys, *argv, "--svg", str(target))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_text() == "earlier drawing\n"
+
+
 def test_analyze_json(capsys):
     code, out, _ = run(capsys, "analyze", "--rows", "0110", "--cols", "011",
                        "--width", "12", "--height", "12", "--json")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi.cli import _dumps_report
-from hitomezashi.grid import PatternSpec, WordProgram, build_grid, is_self_dual
+from hitomezashi.grid import (PatternSpec, StitchGrid, WordProgram, build_grid,
+                            is_self_dual)
 from hitomezashi.loops import (LatticeCycle, _even_period, _loop_census,
                                analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
@@ -308,9 +309,22 @@ def test_high_degree_vertex_rejected():
 @example(grid_of("0110:1,1", "01:2,10", 1, 1))
 def test_two_color_matches_bfs_oracle(grid):
     coloring = two_color(grid)
-    assert coloring == bfs_two_color(grid)
-    assert len(coloring) == grid.width * grid.height
-    assert list(coloring) == sorted(coloring)
+    expected = bfs_two_color(grid)
+    W, H = grid.width, grid.height
+    assert list(coloring) == sorted(expected)
+    assert len(coloring) == W * H
+    assert coloring == expected and expected == coloring
+    assert dict(coloring) == expected
+    assert all(cell in coloring and coloring[cell] == color
+               for cell, color in expected.items())
+    for cell in [(-1, 0), (0, -1), (-1, -1), (W, 0), (0, H), (W, H),
+                 (-W, H - 1), (W - 1, -H)]:
+        assert cell not in coloring
+        with pytest.raises(KeyError):
+            coloring[cell]
+    assert not any(key in coloring for key in (None, "ab", (0,), (0, 0, 0)))
+    with pytest.raises(TypeError):
+        coloring[(0, 0)] = 1
 
 
 def test_one_wide_strip_alternates_at_every_stitch():
@@ -360,16 +374,20 @@ def test_render_ascii_matches_vertex_by_vertex_render(grid, show_grid):
 
 
 def svg_coloring(grid, kind):
-    """No coloring, the grid's two-coloring, a part of it, or all of it plus
-    cells off the window on every side (2 is a truthy color)."""
+    """No coloring, the grid's two-coloring, a part of it, all of it plus
+    cells off the window on every side (2 is a truthy color), or the
+    two-coloring of the H x W window with the transposed phase bits."""
     if kind is None:
         return None
-    coloring = two_color(grid)
     W, H = grid.width, grid.height
+    if kind == "other-window":
+        return two_color(StitchGrid(H, W, grid.col_bits, grid.row_bits))
+    coloring = two_color(grid)
     if kind == "partial":
         return {(x, y): c for (x, y), c in coloring.items()
                 if (2 * x + y) % 3}
     if kind == "off-window":
+        coloring = dict(coloring)
         coloring.update({(-1, 0): 1, (W, H - 1): 2, (0, H): 1, (W - 1, -1): 0,
                          (-W - 2, H + 3): 2, (W + 5, -2): 0})
     return coloring
@@ -391,11 +409,21 @@ def svg_highlight(grid, kind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grids(), st.sampled_from([None, "full", "partial", "off-window"]),
+@given(grids(), st.sampled_from([None, "full", "partial", "off-window",
+                                 "other-window"]),
        st.booleans(), st.booleans(),
        st.sampled_from([None, "loop", "shifted"]),
        st.sampled_from([1, 7, 20]), st.sampled_from([2.0, 1.25]))
 @example(grid_of("", "", 5, 3), "full", True, True, "shifted", 7, 1.25)
+@example(grid_of("", "", 1, 6), "full", True, False, None, 20, 2.0)
+@example(grid_of("10", "0110", 1, 9), "full", True, True, "loop", 7, 2.0)
+@example(grid_of("0110", "01", 9, 1), "full", True, False, None, 1, 1.25)
+@example(grid_of("0110", "", 6, 5), "full", True, True, None, 7, 2.0)
+@example(grid_of("", "0110:1,1", 5, 6), "full", True, False, None, 20, 1.25)
+@example(grid_of("0110", "011", 12, 12), "full", True, True, "loop", 7, 2.0)
+@example(grid_of("01:2,1", "0110", 7, 4), "other-window", True, False, None,
+         20, 2.0)
+@example(grid_of("1", "", 1, 4), "other-window", True, True, None, 7, 1.25)
 @example(grid_of("10", "", 1, 9), "off-window", True, False, "shifted", 1, 2.0)
 @example(grid_of("", "0110", 9, 1), "partial", True, True, None, 20, 1.25)
 @example(grid_of("1", "", 1, 4), "off-window", True, True, "loop", 7, 2.0)

@@ -103,3 +103,6 @@ def test_options_validation():
         RenderOptions(cell_size=0)
     with pytest.raises(ValueError):
         RenderOptions(stroke_width=0)
+    for width in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="must be finite"):
+            RenderOptions(stroke_width=width)
