@@ -34,8 +34,8 @@ class RenderOptions:
 
 DEFAULT_OPTIONS = RenderOptions()
 # one stitch of a row or column line; NUL stands for the line's own coordinate
-_ROW_STITCH = '    <line x1="{}" y1="\0" x2="{}" y2="\0"/>'
-_COL_STITCH = '    <line x1="\0" y1="{}" x2="\0" y2="{}"/>'
+_ROW_STITCH = '    <line x1="{}" y1="\0" x2="{}" y2="\0"/>\n'
+_COL_STITCH = '    <line x1="\0" y1="{}" x2="\0" y2="{}"/>\n'
 
 
 def render_ascii(grid: StitchGrid, options: RenderOptions = DEFAULT_OPTIONS) -> str:
@@ -75,6 +75,14 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}".rstrip("0").rstrip(".")
 
 
+def _filled(template: list[str], coord: str) -> list[str]:
+    """The fragments of ``coord.join(template)``, to be joined by the
+    caller: the whole document is joined once, with no per-line copy."""
+    run = [coord] * (2 * len(template) - 1)
+    run[::2] = template
+    return run
+
+
 class _Axis(dict):
     """Coordinate strings by lattice coordinate: 0..n formatted up front,
     any other coordinate (off the window) when it is looked up."""
@@ -100,8 +108,9 @@ def render_svg(
     sorted order; ``highlight`` draws one closed cycle on top with a heavier
     contrasting stroke.  Each coordinate of the window is formatted once.
     two_color's ColumnColoring of this grid's window has each distinct
-    column's rects built once, as a template joined on the column's x;
-    any other Mapping is painted cell by cell.
+    column's rects built once, as a template filled with the column's x;
+    any other Mapping is painted cell by cell.  The document is one join of
+    fragments, so its size is the only large allocation.
     """
     s = options.cell_size
     W, H = grid.width, grid.height
@@ -110,15 +119,15 @@ def render_svg(
     Y = _Axis(lambda y: _fmt((H - y) * s), H)
     xs, ys = list(X.values()), list(Y.values())
 
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W * s}" '
-        f'height="{H * s}" viewBox="0 0 {W * s} {H * s}">'
+        f'height="{H * s}" viewBox="0 0 {W * s} {H * s}">\n'
     )
 
     if options.fill_two_coloring and coloring is not None:
-        parts.append('  <g stroke="none">')
-        tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{fill}"/>'
+        parts.append('  <g stroke="none">\n')
+        tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{fill}"/>\n'
                           for fill in (fill_a, fill_b))
         if (isinstance(coloring, ColumnColoring)
                 and (coloring.width, coloring.height) == (W, H)):
@@ -127,29 +136,29 @@ def render_svg(
             runs: dict[int, list[str]] = {}
             for x, column in zip(xs, coloring.columns):
                 if id(column) not in runs:
-                    runs[id(column)] = "\n".join(
+                    runs[id(column)] = "".join(
                         f'    <rect x="\0" y="{y}{tail_b if c else tail_a}'
                         for y, c in zip(ys[1:], column)).split("\0")
-                parts.append(x.join(runs[id(column)]))
+                parts += _filled(runs[id(column)], x)
         else:
             parts += [f'    <rect x="{X[cell[0]]}" y="{Y[cell[1] + 1]}'
                       f'{tail_b if coloring[cell] else tail_a}'
                       for cell in sorted(coloring)]
-        parts.append("  </g>")
+        parts.append("  </g>\n")
 
     if options.show_grid:
         parts.append(
-            f'  <g stroke="{stroke}" stroke-opacity="0.15" stroke-width="1">'
+            f'  <g stroke="{stroke}" stroke-opacity="0.15" stroke-width="1">\n'
         )
-        parts += [f'    <line x1="{x}" y1="{ys[0]}" x2="{x}" y2="{ys[H]}"/>'
+        parts += [f'    <line x1="{x}" y1="{ys[0]}" x2="{x}" y2="{ys[H]}"/>\n'
                   for x in xs]
-        parts += [f'    <line x1="{xs[0]}" y1="{y}" x2="{xs[W]}" y2="{y}"/>'
+        parts += [f'    <line x1="{xs[0]}" y1="{y}" x2="{xs[W]}" y2="{y}"/>\n'
                   for y in ys]
-        parts.append("  </g>")
+        parts.append("  </g>\n")
 
     parts.append(
         f'  <g stroke="{stroke}" stroke-width="{_fmt(options.stroke_width)}" '
-        f'stroke-linecap="square">'
+        f'stroke-linecap="square">\n'
     )
     # A line with phase bit b is stitched on the steps k -> k + 1 for k in
     # range(1 - (b & 1), n, 2): one template per parity serves every line.
@@ -157,23 +166,22 @@ def render_svg(
             (grid.row_bits, xs, ys, _ROW_STITCH),
             (grid.col_bits, ys, xs, _COL_STITCH)):
         if bits is not None:
-            templates = ["\n".join(element.format(a, b) for a, b in
-                                   zip(along[p::2], along[p + 1::2]))
+            templates = ["".join(element.format(a, b) for a, b in
+                                 zip(along[p::2], along[p + 1::2]))
                          .split("\0") for p in (1, 0)]
-            parts += filter(None, (coord.join(templates[b & 1])
-                                   for coord, b in zip(across, bits)))
-    parts.append("  </g>")
+            for coord, b in zip(across, bits):
+                parts += _filled(templates[b & 1], coord)
+    parts.append("  </g>\n")
 
     if highlight is not None:
         points = " ".join(f"{X[x]},{Y[y]}" for x, y in highlight.vertices)
         parts.append(
             f'  <polygon points="{points}" fill="none" stroke="{fill_b}" '
-            f'stroke-width="{_fmt(options.stroke_width * 2)}"/>'
+            f'stroke-width="{_fmt(options.stroke_width * 2)}"/>\n'
         )
 
-    parts.append("</svg>")
-    parts.append("")
-    return "\n".join(parts)
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def render_cycle_svg(
