@@ -363,6 +363,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # so that the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # args[0] is the bare errno; str names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

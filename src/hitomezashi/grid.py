@@ -179,16 +179,10 @@ def expand_program(program: WordProgram, count: int) -> tuple[int, ...]:
             raise ValueError("empty fill word")
     out: list[int] = []
     for seg in program.segments:
-        if len(out) >= count:
-            break
-        if seg.is_fill:
-            while len(out) < count:
-                out.extend(seg.word.bits)
-        else:
-            for _ in range(seg.repeats):
-                out.extend(seg.word.bits)
-                if len(out) >= count:
-                    break
+        if seg.word.bits and len(out) < count:
+            need = -(-(count - len(out)) // len(seg.word))  # ceiling division
+            out += seg.word.bits * (need if seg.is_fill
+                                    else min(seg.repeats, need))
     if len(out) < count:
         raise ValueError("program underflow")
     return tuple(out[:count])
@@ -311,16 +305,14 @@ def is_self_dual(row_word: BinaryWord,
 
     # The row condition depends only on dy and the parity of dx, the column
     # condition only on dx and the parity of dy, so each axis is solved
-    # once per parity.
+    # once per parity.  Shifts that fit differ by periods of the word, so the
+    # first two in dxs[q] are the least dx of each parity in it.
     dys = [set(_dual_shifts(row, p)) for p in (0, 1)]  # by dx % 2
     dxs = [_dual_shifts(col, q) for q in (0, 1)]  # by dy % 2
-    least_dx = [[min((dx for dx in dxs[q] if dx % 2 == p), default=None)
-                 for p in (0, 1)] for q in (0, 1)]
     for dy in range(2 * len(row)) if row else range(2):
-        fits = [dx for p, dx in enumerate(least_dx[dy % 2])
-                if dx is not None and dy in dys[p]]
-        if fits:
-            return (min(fits), dy)
+        for dx in dxs[dy % 2][:2]:
+            if dy in dys[dx % 2]:
+                return (dx, dy)
     return None
 
 

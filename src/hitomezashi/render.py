@@ -30,6 +30,8 @@ class RenderOptions:
             raise ValueError("stroke_width must be positive")
         if not math.isfinite(self.stroke_width):
             raise ValueError("stroke_width must be finite")
+        if not math.isfinite(2 * self.stroke_width):  # the highlight's width
+            raise ValueError("stroke_width is too large")
 
 
 DEFAULT_OPTIONS = RenderOptions()
@@ -83,18 +85,6 @@ def _filled(template: list[str], coord: str) -> list[str]:
     return run
 
 
-class _Axis(dict):
-    """Coordinate strings by lattice coordinate: 0..n formatted up front,
-    any other coordinate (off the window) when it is looked up."""
-
-    def __init__(self, coord, n: int):
-        super().__init__((i, coord(i)) for i in range(n + 1))
-        self.coord = coord
-
-    def __missing__(self, value):
-        return self.coord(value)
-
-
 def render_svg(
     grid: StitchGrid,
     options: RenderOptions = DEFAULT_OPTIONS,
@@ -115,9 +105,8 @@ def render_svg(
     s = options.cell_size
     W, H = grid.width, grid.height
     fill_a, fill_b, stroke = options.palette
-    X = _Axis(lambda x: _fmt(x * s), W)
-    Y = _Axis(lambda y: _fmt((H - y) * s), H)
-    xs, ys = list(X.values()), list(Y.values())
+    xs = [_fmt(x * s) for x in range(W + 1)]
+    ys = [_fmt((H - y) * s) for y in range(H + 1)]
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     parts.append(
@@ -141,9 +130,9 @@ def render_svg(
                         for y, c in zip(ys[1:], column)).split("\0")
                 parts += _filled(runs[id(column)], x)
         else:
-            parts += [f'    <rect x="{X[cell[0]]}" y="{Y[cell[1] + 1]}'
-                      f'{tail_b if coloring[cell] else tail_a}'
-                      for cell in sorted(coloring)]
+            parts += [f'    <rect x="{_fmt(x * s)}" y="{_fmt((H - y - 1) * s)}'
+                      f'{tail_b if coloring[x, y] else tail_a}'
+                      for x, y in sorted(coloring)]
         parts.append("  </g>\n")
 
     if options.show_grid:
@@ -174,7 +163,8 @@ def render_svg(
     parts.append("  </g>\n")
 
     if highlight is not None:
-        points = " ".join(f"{X[x]},{Y[y]}" for x, y in highlight.vertices)
+        points = " ".join(f"{_fmt(x * s)},{_fmt((H - y) * s)}"
+                          for x, y in highlight.vertices)
         parts.append(
             f'  <polygon points="{points}" fill="none" stroke="{fill_b}" '
             f'stroke-width="{_fmt(options.stroke_width * 2)}"/>\n'

@@ -229,6 +229,31 @@ def bfs_two_color(grid):
     return {cell: colors[region] for cell, region in region_of.items()}
 
 
+def brute_expand_program(program, count):
+    """Phase bits of a program, appending each fixed segment's word one
+    repeat at a time and the fill word until ``count`` bits are out."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    for seg in program.segments:
+        if seg.is_fill and len(seg.word) == 0:
+            raise ValueError("empty fill word")
+    out = []
+    for seg in program.segments:
+        if len(out) >= count:
+            break
+        if seg.is_fill:
+            while len(out) < count:
+                out.extend(seg.word.bits)
+        else:
+            for _ in range(seg.repeats):
+                out.extend(seg.word.bits)
+                if len(out) >= count:
+                    break
+    if len(out) < count:
+        raise ValueError("program underflow")
+    return tuple(out[:count])
+
+
 def brute_is_self_dual(row_word, col_word):
     """The first (dx, dy), dy-major, whose translation maps the periodic
     pattern onto its dual, trying every pair of shifts in two word periods.

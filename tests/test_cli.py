@@ -113,6 +113,8 @@ def test_non_finite_stroke_width_is_domain_error(tmp_path, capsys, width):
      "--cell-size", "0"],
     ["persimmon", "--order", "2", "--stroke-width", "nan"],
     ["snowflake", "--order", "2", "--cell-size", "0"],
+    ["render", "--rows", "1", "--cols", "1", "--width", "4", "--height", "4",
+     "--stroke-width", "1e308"],
 ])
 def test_failed_svg_render_leaves_an_existing_file_as_it_was(tmp_path, capsys,
                                                              argv):
@@ -348,6 +350,33 @@ def test_domain_error_exit_code(capsys):
                        "--width", "4", "--height", "8")
     assert code == 1
     assert "program underflow" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--rows", "1", "--cols", "1", "--width", "2", "--height", "2",
+     "--svg", "{tmp}/missing-dir/x.svg"],
+    ["snowflake", "--order", "2", "--svg", "{tmp}"],
+])
+def test_unwritable_output_path_is_domain_error(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[-1] in err and "Traceback" not in err
+
+
+def test_empty_fixed_word_with_a_huge_count_returns_at_once():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for rows, code, err in ((":1000000000", 1, b"error: program underflow\n"),
+                            (":1000000000,1", 0, b"")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hitomezashi.cli", "render", "--rows", rows,
+             "--cols", "1", "--width", "2", "--height", "2"],
+            capture_output=True, env=env, timeout=10)
+        assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def test_empty_encoding_is_domain_error(capsys):

@@ -48,6 +48,11 @@ def test_expand_truncates_fixed_overshoot():
     assert expand_program(prog("1001100110:1"), 4) == (1, 0, 0, 1)
 
 
+def test_expand_huge_repeat_counts_return_at_once():
+    assert expand_program(prog(":1000000000,1"), 3) == (1, 1, 1)
+    assert expand_program(prog("01:1000000000"), 5) == (0, 1, 0, 1, 0)
+
+
 def test_expand_underflow():
     with pytest.raises(ValueError, match="program underflow"):
         expand_program(prog("01:2"), 7)

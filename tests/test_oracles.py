@@ -1,9 +1,9 @@
-"""The grid-native loop kernel, the phase-bit vertex degree and packing
-test, the loop census and its column-period search, the turn-word
-congruence test, the one-fill-per-class loop report, the closed-form
-two-coloring, the per-axis self-duality search, the line-by-line ASCII
-render and the table-driven SVG render against the slow oracles in
-oracles.py; the `analyze --json` writer against json.dumps."""
+"""The program decoder, the grid-native loop kernel, the phase-bit vertex
+degree and packing test, the loop census and its column-period search, the
+turn-word congruence test, the one-fill-per-class loop report, the
+closed-form two-coloring, the per-axis self-duality search, the
+line-by-line ASCII render and the table-driven SVG render against the slow
+oracles in oracles.py; the `analyze --json` writer against json.dumps."""
 
 import json
 
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi.cli import _dumps_report
-from hitomezashi.grid import (PatternSpec, StitchGrid, WordProgram, build_grid,
+from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
+                            WordProgram, build_grid, expand_program,
                             is_self_dual)
 from hitomezashi.loops import (LatticeCycle, _even_period, _loop_census,
                                analyze_grid, congruent_words,
@@ -20,11 +21,11 @@ from hitomezashi.loops import (LatticeCycle, _even_period, _loop_census,
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import persimmon_spec
 from hitomezashi.words import BinaryWord
-from oracles import (bfs_two_color, brute_even_period, brute_is_self_dual,
-                     brute_largest_loop, components_from_segments,
-                     fill_all_analyze_grid, presence_vertex_degree,
-                     segment_render_svg, vertex_loop_is_fully_packed,
-                     vertex_render_ascii)
+from oracles import (bfs_two_color, brute_even_period, brute_expand_program,
+                     brute_is_self_dual, brute_largest_loop,
+                     components_from_segments, fill_all_analyze_grid,
+                     presence_vertex_degree, segment_render_svg,
+                     vertex_loop_is_fully_packed, vertex_render_ascii)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -350,6 +351,8 @@ encoding_words = st.one_of(
 @example("", "01")
 @example("1", "1")
 @example("0101", "01")
+@example("", "011")     # dy = 1 admits dx = 0 and dx = 3
+@example("0", "001")    # at dy = 1, dx = 0 does not fit and dx = 3 does
 def test_is_self_dual_matches_double_loop(row_text, col_text):
     row, col = BinaryWord(row_text), BinaryWord(col_text)
     if not row_text and not col_text:
@@ -358,6 +361,40 @@ def test_is_self_dual_matches_double_loop(row_text, col_text):
                 search(row, col)
         return
     assert is_self_dual(row, col) == brute_is_self_dual(row, col)
+
+
+@st.composite
+def word_programs(draw):
+    """Fixed segments, some with empty words, then maybe a fill segment,
+    whose word may be empty; repeat counts stay small for the oracle."""
+    fixed = draw(st.lists(st.tuples(st.text(alphabet="01", max_size=4),
+                                    st.integers(1, 4)), max_size=4))
+    segments = [ProgramSegment(BinaryWord(w), k) for w, k in fixed]
+    fill = draw(st.none() | st.text(alphabet="01", max_size=3))
+    if fill is not None:
+        segments.append(ProgramSegment(BinaryWord(fill)))
+    return WordProgram(tuple(segments))
+
+
+@settings(max_examples=500, deadline=None)
+@given(word_programs(), st.integers(0, 24))
+@example(WordProgram.parse(":3,1"), 3)           # empty fixed word
+@example(WordProgram.parse("0110:2,1"), 3)       # fixed overshoot
+@example(WordProgram.parse("011:2,1"), 4)        # two repeats for 4 bits
+@example(WordProgram.parse("01:1,1"), 4)         # one repeat, then the fill
+@example(WordProgram.parse("01:5,10:2,1"), 4)    # segments after the count
+@example(WordProgram.parse("01:1,:4"), 3)        # underflow
+@example(WordProgram.parse("01:5,"), 3)          # empty fill after the count
+@example(WordProgram.parse("01"), 0)
+def test_expand_program_matches_repeat_by_repeat(program, count):
+    try:
+        expected = brute_expand_program(program, count)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            expand_program(program, count)
+        assert str(excinfo.value) == str(exc)
+    else:
+        assert expand_program(program, count) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,31 @@
+"""README examples against the command line that they describe."""
+
+import re
+from pathlib import Path
+
+from hitomezashi.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8")
+
+
+def run(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_table1_block_is_the_table1_output(capsys):
+    block = re.search(r"`table1` output, for reference:\n\n```\n(.*?)```",
+                      README, re.S)
+    assert block is not None
+    assert block.group(1) == run(capsys, ["table1"])
+
+
+def test_self_dual_examples_print_what_they_say(capsys):
+    examples = re.findall(
+        r'^hitomezashi self-dual --rows (\S+) --cols (\S+)\s+# prints "(.*)"$',
+        README, re.M)
+    assert [printed for _, _, printed in examples] == ["(1, 0)", "none"]
+    for rows, cols, printed in examples:
+        assert run(capsys, ["self-dual", "--rows", rows, "--cols", cols]) \
+            == printed + "\n"

@@ -106,3 +106,13 @@ def test_options_validation():
     for width in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="must be finite"):
             RenderOptions(stroke_width=width)
+    # the highlight is drawn at twice the stroke width
+    with pytest.raises(ValueError, match="stroke_width is too large"):
+        RenderOptions(stroke_width=1e308)
+
+
+def test_highlight_of_a_stroke_width_near_the_limit():
+    svg = render_svg(grid_of("1", "1", 4, 4),
+                     RenderOptions(stroke_width=8e307),
+                     highlight=snowflake_cycle(1))
+    assert f'stroke-width="{int(2 * 8e307)}"' in svg
