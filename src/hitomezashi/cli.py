@@ -26,10 +26,12 @@ from .words import BinaryWord, pell
 # `snowflake --json` would list 6.6 M cells and `persimmon --svg` write
 # 90.5 M <line> elements, both GB-scale.
 MAX_ORDER = 9
-# Highest order verify-conjecture checks.  Orders 1-10 take about 40 s and
-# 0.66 GB on a 2-vCPU VM, since the loop census walks only the first column
-# period of the 9512-cell-wide window and the winner is not filled.
-MAX_CONJECTURE_ORDER = 10
+# Highest order verify-conjecture checks.  The loops are found on the P x P
+# torus, P = 2*pell(n), without building the window of 2P cells a side,
+# whose 22964**2 cells at order 11 exceed MAX_CELLS.  Orders 1-11 take
+# about 70 s and 0.1 GB on a 2-vCPU VM; order 12's torus has 5.8 times as
+# many vertices as order 11's.
+MAX_CONJECTURE_ORDER = 11
 
 
 def _check_order(order: int, flag: str, limit: int = MAX_ORDER) -> None:

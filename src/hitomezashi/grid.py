@@ -96,7 +96,10 @@ class WordProgram:
         return not self.segments
 
 
-# Largest window a spec may ask for; order 10's persimmon has 9512**2 cells.
+# Largest window a spec may ask for.  Order 10's two-period persimmon
+# window, 9512**2 cells, fits, and its loop census took about 0.66 GB;
+# order 11's, 22964**2 cells, does not, so its conjecture check runs on
+# the torus without building the window.
 MAX_CELLS = 10 ** 8
 
 
@@ -318,10 +321,24 @@ def is_self_dual(row_word: BinaryWord,
 
 def _dual_shifts(bits: tuple[int, ...], parity: int) -> list[int]:
     """Shifts d in 0..2|bits|-1, ascending, with bits[(i + d) % |bits|] ==
-    (1 - bits[i]) ^ parity for every i; both of 0, 1 for no bits."""
+    (1 - bits[i]) ^ parity for every i; both of 0, 1 for no bits.
+
+    The rotation by d is the target exactly when the target occurs at d in
+    bits + bits.  The occurrences are the ends of the borders of the
+    target's length in target + separator + text, found with the prefix
+    function in linear time.
+    """
     n = len(bits)
     if not n:
         return [0, 1]
     target = tuple((1 - b) ^ parity for b in bits)
-    found = [d for d in range(n) if bits[d:] + bits[:d] == target]
+    text = target + (2,) + bits + bits[:-1]
+    border = [0] * len(text)  # border[i]: longest border of text[:i + 1]
+    k = 0
+    for i in range(1, len(text)):
+        while k and text[i] != text[k]:
+            k = border[k - 1]
+        k += text[i] == text[k]
+        border[i] = k
+    found = [i - 2 * n for i in range(2 * n, len(text)) if border[i] == n]
     return found + [d + n for d in found]

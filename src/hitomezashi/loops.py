@@ -5,7 +5,8 @@ component is either a simple closed loop or an open path.  Closed loops mark
 out polyominoes; this module fills them, measures them, compares them by
 their cyclic turn words, checks the known loop congruences (area 1 mod 4,
 perimeter 4 mod 8, odd bounding box) and two-colors the regions a grid cuts
-the window into.
+the window into.  The largest loop of a pattern that repeats with even
+periods on both axes is also found on its torus, without a window.
 """
 
 from __future__ import annotations
@@ -212,10 +213,9 @@ def _walker(grid: StitchGrid):
       at most once.
     - paths walks every open path from its lesser end, in order of that
       end, and yields its vertices.
-    - starts(stop), called once paths is exhausted, yields the least
-      vertex of each loop not yet walked, in (x, y) order, up to column
-      x = stop (exclusive; by default every column); walk it heading up
-      before asking for the next.
+    - starts(), called once paths is exhausted, yields the least vertex of
+      each loop not yet walked, in (x, y) order; walk it heading up before
+      asking for the next.
     """
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
@@ -267,10 +267,10 @@ def _walker(grid: StitchGrid):
                 if walk(x, y, True, trail)[1] or walk(x, y, False, trail)[1]:
                     yield tuple(trail)
 
-    def starts(stop: int = W + 1) -> Iterator[Point]:
+    def starts() -> Iterator[Point]:
         # Every stitch left unwalked lies on a closed loop, whose first
         # vertical stitch in (x, y) order starts at the loop's least vertex.
-        for x in range(stop):
+        for x in range(W + 1):
             for y in range((cols[x] + 1) & 1, H, 2):
                 if not v_seen[x * VS + y + 1]:
                     yield x, y
@@ -307,26 +307,17 @@ def extract_components(
 def _loop_census(grid: StitchGrid,
                  ) -> Optional[tuple[tuple[int, int], list[Point]]]:
     """The greatest (shoelace area, perimeter) over the grid's closed loops
-    and the least vertex of every loop that has it and starts left of
-    column P, in extract_components order; None when there is no closed
-    loop.
-
-    P is the least even period of the column phase bits, if any.  A shift
-    by P maps the column lines onto themselves and, P being even, each
-    row's stitches too, so a loop whose least vertex has x >= P is a
-    translate of one that starts P columns to its left and need not be
-    walked.  (Rows are not cut short: a skipped loop
-    would leave stitches that starts reports from a non-least vertex.)
-    Each loop is walked once and only the running best is kept, so memory
-    does not grow with the number of loops.
-    """
+    and the least vertex of every loop that has it, in extract_components
+    order; None when there is no closed loop.  Each loop is walked once and
+    only the running best is kept, so memory does not grow with the number
+    of loops."""
     if grid.row_bits is None or grid.col_bits is None:
         return None
     walk, paths, starts = _walker(grid)
     for _ in paths:  # marks the open paths' stitches walked
         pass
     best, ties = (0, 0), []
-    for x, y in starts(_even_period(grid.col_bits)):
+    for x, y in starts():
         area, perimeter = walk(x, y, True)
         size = (abs(area), perimeter)
         if size > best:
@@ -334,24 +325,6 @@ def _loop_census(grid: StitchGrid,
         elif size == best:
             ties.append((x, y))
     return (best, ties) if ties else None
-
-
-def _even_period(bits: Sequence[int]) -> int:
-    """The least even p with bits[p:] == bits[:-p], or len(bits) if there
-    is none.  Each period is len(bits) minus a border (a proper prefix that
-    is also a suffix); the prefix function lists the borders longest first,
-    in linear time."""
-    n = len(bits)
-    border = [0] * (n + 1)  # border[i]: longest border of bits[:i]
-    for i in range(1, n):
-        k = border[i]
-        while k and bits[i] != bits[k]:
-            k = border[k]
-        border[i + 1] = k + (bits[i] == bits[k])
-    k = border[n]
-    while k and (n - k) % 2:
-        k = border[k]
-    return n - k
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -393,12 +366,10 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
 
 
 def _largest_cycle(grid: StitchGrid) -> Optional[LatticeCycle]:
-    """largest_loop's cycle, unfilled.  A census walks every loop of the
-    first column period once for its (shoelace area, perimeter); only the
-    loops tied at the top there are built, one at a time.  Every tie left
-    out is a translate of one kept, later in walk order, so the answer is
-    that of all ties.  If all are congruent to the first by turn word, it
-    wins; otherwise they are built again and filled to rank by canonical
+    """largest_loop's cycle, unfilled.  A census walks every loop once for
+    its (shoelace area, perimeter); only the loops tied at the top are
+    built, one at a time.  If all are congruent to the first by turn word,
+    it wins; otherwise they are built again and filled to rank by canonical
     form."""
     census = _loop_census(grid)
     if census is None:
@@ -426,6 +397,140 @@ def largest_loop(
         return None
     poly = cycle_to_polyomino(cycle)
     return cycle, poly, loop_stats(poly, cycle)
+
+
+def _torus_largest(rows: Sequence[int], cols: Sequence[int],
+                   ) -> Optional[tuple[LoopStats, str]]:
+    """The stats and turn word of the largest loop of a window two periods
+    wide and two high over the pattern whose phase bits repeat ``rows`` and
+    ``cols``, found on the torus; None when the torus cannot vouch for it.
+
+    The answer is _largest_cycle's on that window whenever both periods
+    are even, the torus has a single loop of the greatest (area,
+    perimeter), and that loop spans at most one period of vertices on each
+    axis.  Every loop of the window is a bounded loop of the plane pattern
+    and so appears on the torus: the torus best is at least the window's.
+    A loop spanning at most a period has a translate by whole periods
+    inside the window: the window best is at least the torus's.  With a
+    single torus tie every window tie is a translate of it, with its box
+    and, up to rotation and direction, its turn word.
+    """
+    if len(rows) % 2 or len(cols) % 2:
+        return None
+    (area, perimeter), ties = _torus_census(rows, cols)
+    if len(ties) != 1:
+        return None
+    width, height, word = _torus_loop(rows, cols, ties[0], perimeter)
+    if width > len(cols) or height > len(rows):
+        return None
+    return LoopStats(perimeter, area, height, width), word
+
+
+def _torus_census(rows: Sequence[int], cols: Sequence[int],
+                  ) -> tuple[tuple[int, int], list[Point]]:
+    """The greatest (shoelace area, perimeter) over the bounded loops of
+    the pattern whose phase bits repeat ``rows`` and ``cols``, both of even
+    length, and the start of each torus loop that has it; ((0, 0), []) when
+    there is no bounded loop.
+
+    A shift by a period maps every line onto one with the same phase bit,
+    and, the period being even, every stitch onto a stitch.  So the
+    stitches form a 2-regular graph on the len(cols) x len(rows) torus,
+    whose components are cycles.  Each is walked once, from the lower end
+    of its first unmarked vertical stitch heading up, in unwrapped
+    coordinates, marking its vertical stitches.  A walk that ends back on
+    its start is a bounded loop of the plane; one that ends displaced from
+    it by whole periods is an infinite path, and skipped.
+    """
+    px, py = len(cols), len(rows)
+    half = py // 2
+    # Column x of the torus holds py / 2 vertical stitches, whose lower
+    # ends y all have the parity q = 1 - cols[x]; stitch (x, y)-(x, y+1) is
+    # mark x * half + (y + q) % py // 2, which either end of it gives.
+    qs = [1 - c for c in cols]
+    marks = bytearray(px * half)
+    best, ties = (0, 0), []
+    start = marks.find(0)
+    while start >= 0:
+        x0, j = divmod(start, half)
+        x, y = x0, y0 = x0, 2 * j - qs[x0]
+        area = steps = 0
+        while True:
+            xm = x % px
+            t = y + qs[xm]
+            i = xm * half + t % py // 2
+            if marks[i]:
+                break
+            marks[i] = 1
+            if t & 1:
+                y -= 1
+                area -= x
+            else:
+                y += 1
+                area += x
+            if (x + rows[y % py]) & 1:
+                x += 1
+            else:
+                x -= 1
+            steps += 2
+        if x == x0 and y == y0:
+            size = (abs(area), steps)
+            if size > best:
+                best, ties = size, [(x0, y0)]
+            elif size == best:
+                ties.append((x0, y0))
+        start = marks.find(0, start + 1)
+    return best, ties
+
+
+def _torus_loop(rows: Sequence[int], cols: Sequence[int], start: Point,
+                perimeter: int) -> tuple[int, int, str]:
+    """Width and height of the vertex box, and the turn word, of the
+    bounded loop of ``perimeter`` steps that leaves ``start`` heading up."""
+    px, py = len(cols), len(rows)
+    x, y = start
+    min_x = max_x = x
+    min_y = max_y = y
+    steps = bytearray()
+    for _ in range(perimeter // 2):
+        up = (y + cols[x % px]) & 1
+        y += up + up - 1
+        right = (x + rows[y % py]) & 1
+        x += right + right - 1
+        steps.append(up)
+        steps.append(right)
+        if y < min_y:
+            min_y = y
+        elif y > max_y:
+            max_y = y
+        if x < min_x:
+            min_x = x
+        elif x > max_x:
+            max_x = x
+    return max_x - min_x, max_y - min_y, _turn_word(steps)
+
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TURN_LETTERS = str.maketrans("01", "RL")
+
+
+def _turn_word(steps: bytes) -> str:
+    """The turn word of a loop walked in alternating vertical and
+    horizontal unit steps, vertical first, one letter per vertex from the
+    end of the first step on; steps[i] is 1 for a step up or right, 0 for
+    one down or left.
+
+    Up then right is a right (clockwise) turn: a vertical step v followed by
+    a horizontal step h turns R when v == h, and a horizontal step h
+    followed by a vertical step v turns L when h == v.  So the letter after
+    step i is L exactly when steps[i] ^ steps[i + 1] ^ (i odd) is 1, and the
+    word is that XOR of three bit strings (the second rotated by one step),
+    taken as integers.
+    """
+    digits = steps.translate(_BIT_DIGITS)
+    turns = (int(digits, 2) ^ int(digits[1:] + digits[:1], 2)
+             ^ int(b"01" * (len(steps) // 2), 2))
+    return format(turns, f"0{len(steps)}b").translate(_TURN_LETTERS)
 
 
 class ColumnColoring(Mapping):

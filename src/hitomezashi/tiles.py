@@ -7,13 +7,21 @@ pattern stitches both directions with the word pell_word(n) followed by its
 reversal; its largest closed loop is conjectured to be the order-n snowflake,
 which verify_conjecture checks by comparing the loop's cyclic turn word with
 the snowflake's boundary word up to rotation, reversal and complement.
+
+The loop is that of a window of two word periods per axis, but it is found
+on the P x P torus, P = 2*pell(n), without building the window: every loop
+of the window appears on the torus, and a single largest torus loop that
+spans at most P vertices per axis has a translate inside the window.  When
+either condition fails, conjecture_report searches the window itself.
 """
 
 from __future__ import annotations
 
-from .grid import PatternSpec, WordProgram, build_grid
+from typing import Iterator
+
+from .grid import PatternSpec, Point, WordProgram, build_grid
 from .loops import (LatticeCycle, Polyomino, _cycle_stats, _largest_cycle,
-                    congruent_words, cycle_to_polyomino,
+                    _torus_largest, congruent_words, cycle_to_polyomino,
                     largest_loop)  # largest_loop is re-exported
 from .words import TurnWord, fib_turtle_word, pell, pell_word
 
@@ -31,17 +39,34 @@ def trace_turtle(word: TurnWord) -> LatticeCycle:
     """
     if len(word) == 0:
         raise ValueError("empty boundary word")
-    x = y = 0
-    heading = (1, 0)
-    points = [(0, 0)]
-    for letter in word:
-        x += heading[0]
-        y += heading[1]
-        points.append((x, y))
-        heading = _LEFT[heading] if letter == "L" else _RIGHT[heading]
+    points = [(0, 0), *_turtle(word)]
     if points.pop() != (0, 0):
         raise ValueError("open boundary")
     return LatticeCycle(points)
+
+
+def _turtle(word: TurnWord) -> Iterator[Point]:
+    """The vertex reached by each letter's step, from the origin heading
+    +x."""
+    x = y = 0
+    heading = (1, 0)
+    for letter in str(word):
+        x += heading[0]
+        y += heading[1]
+        yield x, y
+        heading = _LEFT[heading] if letter == "L" else _RIGHT[heading]
+
+
+def _turtle_area(word: TurnWord) -> int:
+    """trace_turtle(word).shoelace_area() without building the cycle or
+    checking that it is simple: the sum of x * dy over the steps."""
+    area = x = y = 0
+    for x, y1 in _turtle(word):
+        area += x * (y1 - y)
+        y = y1
+    if (x, y) != (0, 0):
+        raise ValueError("open boundary")
+    return abs(area)
 
 
 def snowflake_boundary(order: int) -> TurnWord:
@@ -102,21 +127,39 @@ def verify_conjecture(order: int) -> bool:
 
 
 def conjecture_report(order: int) -> dict:
-    """Structured comparison of the order-n persimmon's largest loop with
-    the order-n snowflake tile; the loop is measured, not filled."""
-    spec = persimmon_spec(order, periods=2)
-    cycle = _largest_cycle(build_grid(spec))
-    if cycle is None:
-        raise ValueError("window too small")
+    """Structured comparison of the order-n persimmon's largest loop, in a
+    window of two word periods per axis, with the order-n snowflake tile.
+
+    The loop is measured, not filled, and found on the P x P torus, where P
+    is the word's length (see loops._torus_largest): every loop of the
+    window appears on the torus, and a torus loop spanning at most P
+    vertices per axis has a translate inside the window, so the two agree
+    when the torus has a single largest loop that spans at most P.  Both
+    conditions are checked on every call; when one fails, the window is
+    built and searched instead, which from order 11 on exceeds MAX_CELLS
+    (ValueError).  The tile's boundary is traced as a cycle, to check that
+    it is simple, only when it does not match: a word congruent to a traced
+    loop's turn word traces a simple loop.
+    """
+    word = persimmon_word(order)
+    largest = _torus_largest(word.bits, word.bits)
+    if largest is None:
+        cycle = _largest_cycle(build_grid(persimmon_spec(order, periods=2)))
+        if cycle is None:
+            raise ValueError("window too small")
+        largest = _cycle_stats(cycle), cycle.turn_word()
+    stats, turns = largest
     boundary = snowflake_boundary(order)
-    tile = trace_turtle(boundary)
+    match = congruent_words(turns, str(boundary))
+    if not match:
+        trace_turtle(boundary)
     return {
         "order": order,
-        "window": [spec.width, spec.height],
-        "largest_loop": _cycle_stats(cycle)._asdict(),
+        "window": [2 * len(word)] * 2,
+        "largest_loop": stats._asdict(),
         "snowflake": {
-            "perimeter": tile.perimeter,
-            "area": tile.shoelace_area(),
+            "perimeter": len(boundary),
+            "area": _turtle_area(boundary),
         },
-        "match": congruent_words(cycle.turn_word(), str(boundary)),
+        "match": match,
     }

@@ -106,14 +106,6 @@ def brute_largest_loop(cycles):
     return cycle, poly, loop_stats(poly, cycle)
 
 
-def brute_even_period(bits):
-    """The least even p with bits[x] == bits[x + p] for every x, tried
-    one by one; None when there is none."""
-    return next((p for p in range(2, len(bits), 2)
-                 if all(bits[x] == bits[x + p] for x in range(len(bits) - p))),
-                None)
-
-
 def fill_all_analyze_grid(grid):
     """analyze_grid's report with every loop filled and canonicalised, its
     area and box read off the fill, and the two-coloring from the region
@@ -284,6 +276,17 @@ def brute_is_self_dual(row_word, col_word):
             if (not row or rows_ok(dy, dx)) and (not col or cols_ok(dy, dx)):
                 return (dx, dy)
     return None
+
+
+def brute_dual_shifts(bits, parity):
+    """grid._dual_shifts by comparing every rotation of the bits with the
+    target."""
+    n = len(bits)
+    if not n:
+        return [0, 1]
+    target = tuple((1 - b) ^ parity for b in bits)
+    found = [d for d in range(n) if bits[d:] + bits[:d] == target]
+    return found + [d + n for d in found]
 
 
 def vertex_render_ascii(grid, options=DEFAULT_OPTIONS):

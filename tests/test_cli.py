@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hitomezashi import cli
+from hitomezashi import cli, tiles
 from hitomezashi.cli import main
 from hitomezashi.grid import build_grid
 from hitomezashi.registry import export_catalog, lookup
@@ -405,7 +405,7 @@ def test_verify_conjecture_max_order_out_of_range(capsys):
     code, out, err = run(capsys, "verify-conjecture", "--max-order", "0")
     assert code == 1
     assert out == ""
-    assert err == "error: --max-order must be between 1 and 10\n"
+    assert err == "error: --max-order must be between 1 and 11\n"
 
 
 def stub_reports(monkeypatch, on_call=None):
@@ -423,17 +423,36 @@ def stub_reports(monkeypatch, on_call=None):
     return orders
 
 
-def test_verify_conjecture_runs_up_to_order_10(capsys, monkeypatch):
+def test_verify_conjecture_runs_up_to_order_11(capsys, monkeypatch):
     orders = stub_reports(monkeypatch)
-    code, out, _ = run(capsys, "verify-conjecture", "--max-order", "10")
+    code, out, _ = run(capsys, "verify-conjecture", "--max-order", "11")
     assert code == 0
-    assert orders == list(range(1, 11))
+    assert orders == list(range(1, 12))
     assert out.splitlines()[-1] == \
-        "order 10: largest persimmon loop is the snowflake: false"
+        "order 11: largest persimmon loop is the snowflake: false"
     orders.clear()
-    code, out, err = run(capsys, "verify-conjecture", "--max-order", "11")
+    code, out, err = run(capsys, "verify-conjecture", "--max-order", "12")
     assert (code, out, orders) == (1, "", [])
-    assert err == "error: --max-order must be between 1 and 10\n"
+    assert err == "error: --max-order must be between 1 and 11\n"
+
+
+def test_order_11_window_fallback_is_a_domain_error(capsys, monkeypatch):
+    # orders 1-10 are stubbed; order 11 runs with the torus census failing
+    # its conditions, so the report falls back to the window, which is
+    # refused before it is built
+    real = cli.conjecture_report
+
+    def report(order):
+        return {"match": True} if order < 11 else real(order)
+
+    monkeypatch.setattr(cli, "conjecture_report", report)
+    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
+    monkeypatch.setattr(tiles, "build_grid", refuse_to_build)
+    code, out, err = run(capsys, "verify-conjecture", "--max-order", "11")
+    assert code == 1
+    assert len(out.splitlines()) == 10
+    assert err == "error: window of 22964x22964 cells exceeds " \
+        "100000000 cells\n"
 
 
 def test_verify_conjecture_prints_each_order_once_checked(capsys,
@@ -451,6 +470,10 @@ def test_verify_conjecture_prints_each_order_once_checked(capsys,
     assert out == "order 2: largest persimmon loop is the snowflake: false\n"
 
 
+def refuse_to_build(spec):
+    raise AssertionError("the window was built")
+
+
 HUGE = ["--rows", "01", "--cols", "1", "--width", "100000",
         "--height", "100001"]
 
@@ -464,10 +487,7 @@ HUGE = ["--rows", "01", "--cols", "1", "--width", "100000",
 ])
 def test_oversized_window_is_refused_before_it_is_built(capsys, monkeypatch,
                                                         argv):
-    def refuse(spec):
-        raise AssertionError("the window was built")
-
-    monkeypatch.setattr(cli, "build_grid", refuse)
+    monkeypatch.setattr(cli, "build_grid", refuse_to_build)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 
+from hitomezashi import loops
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                analyze_grid, centred_square_check,
@@ -136,6 +137,18 @@ def test_triple_persimmon_stats():
 
 def test_largest_loop_absent():
     assert largest_loop(grid_of("10", "", 8, 8)) is None
+
+
+@pytest.mark.parametrize("width,height,vouched", [
+    (10, 10, True), (11, 10, False), (10, 11, False)])
+def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
+                                                  vouched):
+    # the order-3 persimmon word has period 10; its snowflake spans 9
+    bits = tuple(map(int, "1000110001"))
+    monkeypatch.setattr(loops, "_torus_loop",
+                        lambda rows, cols, start, perimeter:
+                        (width, height, "RLL" * 4))
+    assert (loops._torus_largest(bits, bits) is not None) == vouched
 
 
 def test_canonical_form_invariant_under_all_symmetries():

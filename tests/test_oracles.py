@@ -1,9 +1,10 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
-degree and packing test, the loop census and its column-period search, the
-turn-word congruence test, the one-fill-per-class loop report, the
-closed-form two-coloring, the per-axis self-duality search, the
-line-by-line ASCII render and the table-driven SVG render against the slow
-oracles in oracles.py; the `analyze --json` writer against json.dumps."""
+degree and packing test, the loop census, the torus census against the
+census of a two-period window, the turn-word congruence test, the
+one-fill-per-class loop report, the closed-form two-coloring, the per-axis
+self-duality search and its rotation search, the line-by-line ASCII render
+and the table-driven SVG render against the slow oracles in oracles.py; the
+`analyze --json` writer against json.dumps."""
 
 import json
 
@@ -12,16 +13,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
-                            WordProgram, build_grid, expand_program,
-                            is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _even_period, _loop_census,
+                            WordProgram, _dual_shifts, build_grid,
+                            expand_program, is_self_dual)
+from hitomezashi.loops import (LatticeCycle, _cycle_stats, _largest_cycle,
+                               _loop_census, _torus_census, _torus_largest,
                                analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import persimmon_spec
 from hitomezashi.words import BinaryWord
-from oracles import (bfs_two_color, brute_even_period, brute_expand_program,
+from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
                      components_from_segments, fill_all_analyze_grid,
                      presence_vertex_degree, segment_render_svg,
@@ -174,28 +176,7 @@ def census_of_components(grid):
 @example(grid_of("1", "1", 1, 7))
 @example(grid_of(*TIED_TOP))
 def test_loop_census_matches_ranked_components(grid):
-    # the census walks only the loops that start left of the first even
-    # period of the column bits; the rest are translates of those
-    expected = census_of_components(grid)
-    period = brute_even_period(grid.col_bits or ())
-    if expected is not None and period is not None:
-        top, ties = expected
-        expected = top, [(x, y) for x, y in ties if x < period]
-    assert _loop_census(grid) == expected
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(st.text(alphabet="01", max_size=40),
-                 st.builds(lambda w, n: (w * n)[:n], words,
-                           st.integers(0, 40))))
-@example("")
-@example("0")
-@example("010")        # period 2
-@example("0110110")    # least period 3, least even period 6
-@example("01101")      # period 3 only: no even period
-def test_even_period_matches_brute_force(text):
-    bits = tuple(map(int, text))
-    assert _even_period(bits) == (brute_even_period(bits) or len(bits))
+    assert _loop_census(grid) == census_of_components(grid)
 
 
 def test_order_3_persimmon_census_keeps_the_four_snowflakes_in_order():
@@ -204,10 +185,47 @@ def test_order_3_persimmon_census_keeps_the_four_snowflakes_in_order():
     snowflakes = [c.vertices[0] for c in cycles
                   if (c.shoelace_area(), c.perimeter) == (29, 52)]
     assert len(snowflakes) == 4
-    # the column word has length 10; later snowflakes are its translates
-    first_period = [s for s in snowflakes if s[0] < 10]
-    assert first_period
-    assert _loop_census(grid) == ((29, 52), first_period)
+    assert _loop_census(grid) == ((29, 52), snowflakes)
+
+
+def same_traversal(word, other):
+    """Is word a rotation of other, read in either direction?"""
+    back = other[::-1].translate(str.maketrans("LR", "RL"))
+    return len(word) == len(other) and (word in other + other
+                                        or word in back + back)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01", min_size=1, max_size=8),
+       st.text(alphabet="01", min_size=1, max_size=8))
+@example("1000110001", "1000110001")   # the order-3 persimmon
+@example("0110", "01101001")
+def test_torus_largest_loop_matches_the_two_period_window(row_text,
+                                                           col_text):
+    rows, cols = tuple(map(int, row_text)), tuple(map(int, col_text))
+    got = _torus_largest(rows, cols)
+    if len(rows) % 2 or len(cols) % 2:  # the plane repeats only every 2P
+        assert got is None
+        return
+    grid = grid_of(row_text, col_text, 2 * len(cols), 2 * len(rows))
+    window = _loop_census(grid)
+    best, ties = _torus_census(rows, cols)
+    # every loop of the window is a loop of the torus
+    assert window is None or best >= window[0]
+    if got is None:
+        return
+    # one torus tie, which fits the window: the window ties are its
+    # translates, each walked from its least vertex heading up
+    assert len(ties) == 1
+    assert window[0] == best
+    tied = [c for c in extract_components(grid)[0]
+            if c.vertices[0] in window[1]]
+    assert len({(_cycle_stats(c), c.turn_word()) for c in tied}) == 1
+    cycle = _largest_cycle(grid)
+    stats, word = got
+    assert stats == _cycle_stats(cycle)
+    assert (stats.area, stats.perimeter) == best
+    assert same_traversal(word, cycle.turn_word())
 
 
 # two non-congruent loop classes share (area, perimeter) = (17, 28)
@@ -353,6 +371,8 @@ encoding_words = st.one_of(
 @example("0101", "01")
 @example("", "011")     # dy = 1 admits dx = 0 and dx = 3
 @example("0", "001")    # at dy = 1, dx = 0 does not fit and dx = 3 does
+@example("0" * 2000, "0" * 2000)
+@example("01" * 1000, "0" * 2001)
 def test_is_self_dual_matches_double_loop(row_text, col_text):
     row, col = BinaryWord(row_text), BinaryWord(col_text)
     if not row_text and not col_text:
@@ -361,6 +381,18 @@ def test_is_self_dual_matches_double_loop(row_text, col_text):
                 search(row, col)
         return
     assert is_self_dual(row, col) == brute_is_self_dual(row, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoding_words, st.integers(0, 1))
+@example("0" * 2000, 1)           # every odd shift
+@example("0" * 2001, 0)           # none
+@example("01" * 1000, 0)          # every odd shift
+@example("0011" * 600, 1)         # shifts 2 mod 4
+@example("0" * 1999 + "1", 0)     # none, after long partial matches
+def test_dual_shifts_match_every_rotation(text, parity):
+    bits = tuple(map(int, text))
+    assert _dual_shifts(bits, parity) == brute_dual_shifts(bits, parity)
 
 
 @st.composite

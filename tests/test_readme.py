@@ -3,6 +3,9 @@
 import re
 from pathlib import Path
 
+import pytest
+
+from hitomezashi import cli
 from hitomezashi.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -29,3 +32,12 @@ def test_self_dual_examples_print_what_they_say(capsys):
     for rows, cols, printed in examples:
         assert run(capsys, ["self-dual", "--rows", rows, "--cols", cols]) \
             == printed + "\n"
+
+
+@pytest.mark.parametrize("flag,limit", [
+    ("--order", cli.MAX_ORDER),
+    ("--max-order", cli.MAX_CONJECTURE_ORDER),
+])
+def test_stated_order_ranges_are_the_cli_limits(flag, limit):
+    stated = re.findall(rf"`{flag}` outside 1-(\d+)", README)
+    assert stated == [str(limit)]

@@ -2,8 +2,8 @@ import pytest
 
 from hitomezashi import tiles
 from hitomezashi.grid import build_grid
-from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
-                               largest_loop, loop_stats)
+from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle_stats,
+                               check_loop_theorems, largest_loop, loop_stats)
 from hitomezashi.tiles import (conjecture_report, persimmon_spec,
                                persimmon_word, snowflake, snowflake_boundary,
                                snowflake_cycle, snowflake_width_check,
@@ -134,6 +134,21 @@ def test_conjecture_report_contents():
 
 
 @pytest.mark.parametrize("order", range(1, 8))
+def test_conjecture_report_is_that_of_the_window_when_the_torus_fails(
+        order, monkeypatch):
+    report = conjecture_report(order)
+    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
+    assert conjecture_report(order) == report
+
+
+def test_boundary_that_does_not_match_is_checked_to_be_simple(monkeypatch):
+    monkeypatch.setattr(tiles, "snowflake_boundary",
+                        lambda order: TurnWord("LLLLRRRR"))
+    with pytest.raises(ValueError, match="self-intersecting boundary"):
+        conjecture_report(2)
+
+
+@pytest.mark.parametrize("order", range(1, 8))
 def test_conjecture_report_matches_the_filled_largest_loop(order):
     _, _, stats = largest_loop(build_grid(persimmon_spec(order)))
     assert conjecture_report(order)["largest_loop"] == {
@@ -142,6 +157,8 @@ def test_conjecture_report_matches_the_filled_largest_loop(order):
 
 
 def test_conjecture_requires_a_closed_loop(monkeypatch):
+    # neither the torus nor the window holds a loop
+    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
     monkeypatch.setattr(tiles, "_largest_cycle", lambda grid: None)
     with pytest.raises(ValueError, match="window too small"):
         verify_conjecture(1)
@@ -151,7 +168,8 @@ def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
     # the I-pentomino has the plus pentomino's area 5 and perimeter 12
     bar = LatticeCycle([(0, 0), (1, 0)] + [(1, y) for y in range(1, 6)]
                        + [(0, y) for y in range(5, 0, -1)])
-    monkeypatch.setattr(tiles, "_largest_cycle", lambda grid: bar)
+    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: (
+        _cycle_stats(bar), bar.turn_word()))
     report = conjecture_report(2)
     assert report["largest_loop"]["perimeter"] == \
         report["snowflake"]["perimeter"] == 12
@@ -187,3 +205,15 @@ def test_order_10_largest_persimmon_loop_is_the_snowflake():
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
         == pell(19)
     assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(28))
+
+
+@pytest.mark.slow
+def test_order_11_largest_persimmon_loop_is_the_snowflake():
+    # the window (22964 cells a side) exceeds MAX_CELLS: only the torus
+    # census can check this order
+    report = conjecture_report(11)
+    assert report["match"] is True
+    assert report["window"] == [22964, 22964]
+    assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
+        == pell(21) == 38_613_965
+    assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(31))
