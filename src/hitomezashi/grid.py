@@ -97,9 +97,8 @@ class WordProgram:
 
 
 # Largest window a spec may ask for.  Order 10's two-period persimmon
-# window, 9512**2 cells, fits, and its loop census took about 0.66 GB;
-# order 11's, 22964**2 cells, does not, so its conjecture check runs on
-# the torus without building the window.
+# window, 9512**2 cells, fits; order 11's, 22964**2 cells, does not.  The
+# conjecture check builds neither: it runs on the torus.
 MAX_CELLS = 10 ** 8
 
 
@@ -324,21 +323,18 @@ def _dual_shifts(bits: tuple[int, ...], parity: int) -> list[int]:
     (1 - bits[i]) ^ parity for every i; both of 0, 1 for no bits.
 
     The rotation by d is the target exactly when the target occurs at d in
-    bits + bits.  The occurrences are the ends of the borders of the
-    target's length in target + separator + text, found with the prefix
-    function in linear time.
+    bits + bits.  Two rotations equal the target exactly when they differ
+    by a multiple of the word's least rotation period, the first d > 0 at
+    which the word occurs in itself doubled; so the fits run from the
+    first by that period.
     """
     n = len(bits)
     if not n:
         return [0, 1]
-    target = tuple((1 - b) ^ parity for b in bits)
-    text = target + (2,) + bits + bits[:-1]
-    border = [0] * len(text)  # border[i]: longest border of text[:i + 1]
-    k = 0
-    for i in range(1, len(text)):
-        while k and text[i] != text[k]:
-            k = border[k - 1]
-        k += text[i] == text[k]
-        border[i] = k
-    found = [i - 2 * n for i in range(2 * n, len(text)) if border[i] == n]
-    return found + [d + n for d in found]
+    word = bytes(bits)
+    target = bytes((1 - b) ^ parity for b in bits)
+    first = (word + word[:-1]).find(target)
+    if first < 0:
+        return []
+    found = range(first, n, (word + word).find(word, 1))
+    return [*found, *(d + n for d in found)]

@@ -16,7 +16,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, product
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
@@ -204,13 +203,11 @@ def _walker(grid: StitchGrid):
     phase bit of each line says on which side, so a walk alternates between
     the two families and reads each step off a parity.
 
-    - walk(x, y, vertical, trail=None) follows the stitches not yet walked
-      from (x, y), vertical first if ``vertical``, and marks them walked.
-      It returns (sum of x * dy over its vertical steps, step count); for a
-      closed walk the sum is the signed area inside.  It appends each
-      vertex after (x, y) to ``trail`` if one is given.  A walk cannot
-      cross itself: every vertex has one vertical stitch, which it walks
-      at most once.
+    - walk(x, y, vertical, trail) follows the stitches not yet walked
+      from (x, y), vertical first if ``vertical``, marks them walked and
+      appends each vertex after (x, y) to ``trail``.  A walk cannot cross
+      itself: every vertex has one vertical stitch, which it walks at most
+      once.
     - paths walks every open path from its lesser end, in order of that
       end, and yields its vertices.
     - starts(), called once paths is exhausted, yields the least vertex of
@@ -228,43 +225,36 @@ def _walker(grid: StitchGrid):
     h_seen[::HS] = h_seen[W + 1::HS] = b"\1" * (H + 1)
     v_seen[::VS] = v_seen[H + 1::VS] = b"\1" * (W + 1)
 
-    def walk(x: int, y: int, vertical: bool,
-             trail: Optional[list[Point]] = None) -> tuple[int, int]:
-        area = steps = 0
+    def walk(x: int, y: int, vertical: bool, trail: list[Point]) -> None:
         while True:
             if vertical:
                 up = (y + cols[x]) & 1
                 i = x * VS + y + up
                 if v_seen[i]:
-                    break
+                    return
                 v_seen[i] = 1
-                if up:
-                    y += 1
-                    area += x
-                else:
-                    y -= 1
-                    area -= x
+                y += up + up - 1
             else:
                 right = (x + rows[y]) & 1
                 i = y * HS + x + right
                 if h_seen[i]:
-                    break
+                    return
                 h_seen[i] = 1
                 x += right + right - 1
-            if trail is not None:
-                trail.append((x, y))
-            steps += 1
+            trail.append((x, y))
             vertical = not vertical
-        return area, steps
 
     def paths() -> Iterator[tuple[Point, ...]]:
         # Every interior vertex has degree 2, so paths end on the window edge.
+        # An end has one stitch, so one of the two walks from it is empty.
         for x in range(W + 1):
             for y in range(H + 1) if x in (0, W) else (0, H):
                 if grid.vertex_degree(x, y) != 1:
                     continue
                 trail = [(x, y)]
-                if walk(x, y, True, trail)[1] or walk(x, y, False, trail)[1]:
+                walk(x, y, True, trail)
+                walk(x, y, False, trail)
+                if len(trail) > 1:
                     yield tuple(trail)
 
     def starts() -> Iterator[Point]:
@@ -302,29 +292,6 @@ def extract_components(
     walk, paths, starts = _walker(grid)
     paths = list(paths)
     return [_closed_trail(walk, x, y) for x, y in starts()], paths
-
-
-def _loop_census(grid: StitchGrid,
-                 ) -> Optional[tuple[tuple[int, int], list[Point]]]:
-    """The greatest (shoelace area, perimeter) over the grid's closed loops
-    and the least vertex of every loop that has it, in extract_components
-    order; None when there is no closed loop.  Each loop is walked once and
-    only the running best is kept, so memory does not grow with the number
-    of loops."""
-    if grid.row_bits is None or grid.col_bits is None:
-        return None
-    walk, paths, starts = _walker(grid)
-    for _ in paths:  # marks the open paths' stitches walked
-        pass
-    best, ties = (0, 0), []
-    for x, y in starts():
-        area, perimeter = walk(x, y, True)
-        size = (abs(area), perimeter)
-        if size > best:
-            best, ties = size, [(x, y)]
-        elif size == best:
-            ties.append((x, y))
-    return (best, ties) if ties else None
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -365,38 +332,48 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-def _largest_cycle(grid: StitchGrid) -> Optional[LatticeCycle]:
-    """largest_loop's cycle, unfilled.  A census walks every loop once for
-    its (shoelace area, perimeter); only the loops tied at the top are
-    built, one at a time.  If all are congruent to the first by turn word,
-    it wins; otherwise they are built again and filled to rank by canonical
-    form."""
-    census = _loop_census(grid)
-    if census is None:
-        return None
-    starts = census[1]
-    walk = _walker(grid)[0]
-    cycle = _closed_trail(walk, *starts[0])
-    word = cycle.turn_word()
-    if all(congruent_words(word, _closed_trail(walk, x, y).turn_word())
-           for x, y in starts[1:]):
-        return cycle
-    walk = _walker(grid)[0]  # the first walk marked the ties walked
-    return min((_closed_trail(walk, x, y) for x, y in starts),
-               key=lambda c: cycle_to_polyomino(c).canonical_form)
+def _ranked(cycles: Iterable[LatticeCycle],
+            ) -> list[tuple[LatticeCycle, LoopStats,
+                            tuple[str, Polyomino, str]]]:
+    """The loop ranking of analyze_grid and largest_loop: each cycle with
+    its stats and its congruence class (turn word, fill, canonical hash),
+    by greatest area, then greatest perimeter, then least canonical form,
+    equal keys in the given order.
+
+    Area is the shoelace area, width and height each loop's own vertex box.
+    Loops of equal area and perimeter fall into congruence classes by turn
+    word; only the first loop of a class is filled, and its fill and
+    canonical hash serve all.
+    """
+    classes: dict[tuple[int, int], list[tuple[str, Polyomino, str]]] = {}
+    ranked = []
+    for cycle in cycles:
+        stats = _cycle_stats(cycle)
+        word = cycle.turn_word()
+        bucket = classes.setdefault((stats.area, stats.perimeter), [])
+        rep = next((r for r in bucket if congruent_words(r[0], word)), None)
+        if rep is None:
+            poly = cycle_to_polyomino(cycle)
+            rep = (word, poly, poly.canonical_hash())
+            bucket.append(rep)
+        ranked.append((cycle, stats, rep))
+    ranked.sort(key=lambda entry: (-entry[1].area, -entry[1].perimeter,
+                                   entry[2][1].canonical_form))
+    return ranked
 
 
 def largest_loop(
     grid: StitchGrid,
 ) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
-    """The closed loop of greatest area (ties: greatest perimeter, then
-    least canonical form) with its fill and stats, or None when the grid
-    has no closed loop."""
-    cycle = _largest_cycle(grid)
-    if cycle is None:
+    """The closed loop at the head of analyze_grid's ranking (greatest
+    area, then greatest perimeter, then least canonical form) with its fill
+    and stats, or None when the grid has no closed loop."""
+    ranked = _ranked(extract_components(grid)[0])
+    if not ranked:
         return None
-    poly = cycle_to_polyomino(cycle)
-    return cycle, poly, loop_stats(poly, cycle)
+    # the head is the first member of its class, so the class fill is its own
+    cycle, stats, (_, poly, _) = ranked[0]
+    return cycle, poly, stats
 
 
 def _torus_largest(rows: Sequence[int], cols: Sequence[int],
@@ -405,7 +382,7 @@ def _torus_largest(rows: Sequence[int], cols: Sequence[int],
     wide and two high over the pattern whose phase bits repeat ``rows`` and
     ``cols``, found on the torus; None when the torus cannot vouch for it.
 
-    The answer is _largest_cycle's on that window whenever both periods
+    The answer is largest_loop's on that window whenever both periods
     are even, the torus has a single loop of the greatest (area,
     perimeter), and that loop spans at most one period of vertices on each
     axis.  Every loop of the window is a bounded loop of the plane pattern
@@ -609,28 +586,13 @@ def analyze_grid(grid: StitchGrid) -> dict:
     path count, and the two-coloring as a bottom-up cell matrix.
 
     Loops rank by greatest area, then greatest perimeter, then least
-    canonical form, equal keys in extract_components order.  Area is the
-    shoelace area, width and height each loop's own vertex box.  Loops of
-    equal area and perimeter fall into congruence classes by turn word; only
-    the first loop of a class is filled, and its canonical hash serves all.
+    canonical form, equal keys in extract_components order; largest_loop
+    returns the head of this ranking (see _ranked).
     """
     cycles, paths = extract_components(grid)
-    classes: dict[tuple[int, int], list[tuple[str, tuple, str]]] = {}
-    ranked = []
-    for cycle in cycles:
-        stats = _cycle_stats(cycle)
-        word = cycle.turn_word()
-        bucket = classes.setdefault((stats.area, stats.perimeter), [])
-        rep = next((r for r in bucket if congruent_words(r[0], word)), None)
-        if rep is None:
-            poly = cycle_to_polyomino(cycle)
-            rep = (word, poly.canonical_form, poly.canonical_hash())
-            bucket.append(rep)
-        ranked.append(((-stats.area, -stats.perimeter, rep[1]), {
-            **stats._asdict(), "canonical_hash": rep[2],
-            "theorems": check_loop_theorems(stats)._asdict()}))
-    ranked.sort(key=itemgetter(0))
-    loops_report = [entry for _, entry in ranked]
+    loops_report = [{**stats._asdict(), "canonical_hash": canonical_hash,
+                     "theorems": check_loop_theorems(stats)._asdict()}
+                    for _, stats, (_, _, canonical_hash) in _ranked(cycles)]
 
     return {
         "width": grid.width,

@@ -12,16 +12,17 @@ The loop is that of a window of two word periods per axis, but it is found
 on the P x P torus, P = 2*pell(n), without building the window: every loop
 of the window appears on the torus, and a single largest torus loop that
 spans at most P vertices per axis has a translate inside the window.  When
-either condition fails, conjecture_report searches the window itself.
+either condition fails, conjecture_report raises ValueError instead of
+searching the window.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .grid import PatternSpec, Point, WordProgram, build_grid
-from .loops import (LatticeCycle, Polyomino, _cycle_stats, _largest_cycle,
-                    _torus_largest, congruent_words, cycle_to_polyomino,
+from .grid import PatternSpec, Point, WordProgram
+from .loops import (LatticeCycle, Polyomino, _torus_largest, congruent_words,
+                    cycle_to_polyomino,
                     largest_loop)  # largest_loop is re-exported
 from .words import TurnWord, fib_turtle_word, pell, pell_word
 
@@ -135,19 +136,17 @@ def conjecture_report(order: int) -> dict:
     window appears on the torus, and a torus loop spanning at most P
     vertices per axis has a translate inside the window, so the two agree
     when the torus has a single largest loop that spans at most P.  Both
-    conditions are checked on every call; when one fails, the window is
-    built and searched instead, which from order 11 on exceeds MAX_CELLS
-    (ValueError).  The tile's boundary is traced as a cycle, to check that
-    it is simple, only when it does not match: a word congruent to a traced
-    loop's turn word traces a simple loop.
+    conditions are checked on every call; when one fails, the report
+    raises ValueError rather than search the window.  The tile's boundary
+    is traced as a cycle, to check that it is simple, only when it does
+    not match: a word congruent to a traced loop's turn word traces a
+    simple loop.
     """
     word = persimmon_word(order)
     largest = _torus_largest(word.bits, word.bits)
     if largest is None:
-        cycle = _largest_cycle(build_grid(persimmon_spec(order, periods=2)))
-        if cycle is None:
-            raise ValueError("window too small")
-        largest = _cycle_stats(cycle), cycle.turn_word()
+        raise ValueError(f"order {order}: the torus census cannot vouch for "
+                         "the largest loop")
     stats, turns = largest
     boundary = snowflake_boundary(order)
     match = congruent_words(turns, str(boundary))

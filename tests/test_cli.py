@@ -436,10 +436,10 @@ def test_verify_conjecture_runs_up_to_order_11(capsys, monkeypatch):
     assert err == "error: --max-order must be between 1 and 11\n"
 
 
-def test_order_11_window_fallback_is_a_domain_error(capsys, monkeypatch):
+def test_order_the_torus_cannot_vouch_for_is_a_domain_error(capsys,
+                                                            monkeypatch):
     # orders 1-10 are stubbed; order 11 runs with the torus census failing
-    # its conditions, so the report falls back to the window, which is
-    # refused before it is built
+    # its conditions
     real = cli.conjecture_report
 
     def report(order):
@@ -447,12 +447,13 @@ def test_order_11_window_fallback_is_a_domain_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "conjecture_report", report)
     monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
-    monkeypatch.setattr(tiles, "build_grid", refuse_to_build)
     code, out, err = run(capsys, "verify-conjecture", "--max-order", "11")
     assert code == 1
-    assert len(out.splitlines()) == 10
-    assert err == "error: window of 22964x22964 cells exceeds " \
-        "100000000 cells\n"
+    assert out.splitlines() == [
+        f"order {order}: largest persimmon loop is the snowflake: true"
+        for order in range(1, 11)]
+    assert err == "error: order 11: the torus census cannot vouch for the " \
+        "largest loop\n"
 
 
 def test_verify_conjecture_prints_each_order_once_checked(capsys,

@@ -1,6 +1,6 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
-degree and packing test, the loop census, the torus census against the
-census of a two-period window, the turn-word congruence test, the
+degree and packing test, the torus census against the census of a
+two-period window, the turn-word congruence test, the
 one-fill-per-class loop report, the closed-form two-coloring, the per-axis
 self-duality search and its rotation search, the line-by-line ASCII render
 and the table-driven SVG render against the slow oracles in oracles.py; the
@@ -15,9 +15,8 @@ from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _cycle_stats, _largest_cycle,
-                               _loop_census, _torus_census, _torus_largest,
-                               analyze_grid, congruent_words,
+from hitomezashi.loops import (LatticeCycle, _cycle_stats, _torus_census,
+                               _torus_largest, analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
@@ -159,33 +158,15 @@ def assert_largest_loop_matches_brute_force(grid):
 
 
 def census_of_components(grid):
-    """The census's answer, ranked from extract_components."""
+    """The greatest (shoelace area, perimeter) over the grid's closed loops
+    and the least vertex of every loop that has it, in extract_components
+    order; None when there is no closed loop."""
     sized = [((c.shoelace_area(), c.perimeter), c.vertices[0])
              for c in extract_components(grid)[0]]
     if not sized:
         return None
     top = max(size for size, _ in sized)
     return top, [start for size, start in sized if size == top]
-
-
-@settings(max_examples=300, deadline=None)
-@given(grids())
-@example(grid_of("", "", 5, 3))
-@example(grid_of("10", "", 1, 9))
-@example(grid_of("", "0110", 9, 1))
-@example(grid_of("1", "1", 1, 7))
-@example(grid_of(*TIED_TOP))
-def test_loop_census_matches_ranked_components(grid):
-    assert _loop_census(grid) == census_of_components(grid)
-
-
-def test_order_3_persimmon_census_keeps_the_four_snowflakes_in_order():
-    grid = build_grid(persimmon_spec(3))
-    cycles = extract_components(grid)[0]
-    snowflakes = [c.vertices[0] for c in cycles
-                  if (c.shoelace_area(), c.perimeter) == (29, 52)]
-    assert len(snowflakes) == 4
-    assert _loop_census(grid) == ((29, 52), snowflakes)
 
 
 def same_traversal(word, other):
@@ -208,7 +189,7 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
         assert got is None
         return
     grid = grid_of(row_text, col_text, 2 * len(cols), 2 * len(rows))
-    window = _loop_census(grid)
+    window = census_of_components(grid)
     best, ties = _torus_census(rows, cols)
     # every loop of the window is a loop of the torus
     assert window is None or best >= window[0]
@@ -221,7 +202,7 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
     tied = [c for c in extract_components(grid)[0]
             if c.vertices[0] in window[1]]
     assert len({(_cycle_stats(c), c.turn_word()) for c in tied}) == 1
-    cycle = _largest_cycle(grid)
+    cycle = largest_loop(grid)[0]
     stats, word = got
     assert stats == _cycle_stats(cycle)
     assert (stats.area, stats.perimeter) == best

@@ -3,7 +3,8 @@ import pytest
 from hitomezashi import tiles
 from hitomezashi.grid import build_grid
 from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle_stats,
-                               check_loop_theorems, largest_loop, loop_stats)
+                               check_loop_theorems, cycle_to_polyomino,
+                               largest_loop, loop_stats)
 from hitomezashi.tiles import (conjecture_report, persimmon_spec,
                                persimmon_word, snowflake, snowflake_boundary,
                                snowflake_cycle, snowflake_width_check,
@@ -133,14 +134,6 @@ def test_conjecture_report_contents():
     assert report["largest_loop"]["perimeter"] == 12
 
 
-@pytest.mark.parametrize("order", range(1, 8))
-def test_conjecture_report_is_that_of_the_window_when_the_torus_fails(
-        order, monkeypatch):
-    report = conjecture_report(order)
-    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
-    assert conjecture_report(order) == report
-
-
 def test_boundary_that_does_not_match_is_checked_to_be_simple(monkeypatch):
     monkeypatch.setattr(tiles, "snowflake_boundary",
                         lambda order: TurnWord("LLLLRRRR"))
@@ -150,18 +143,21 @@ def test_boundary_that_does_not_match_is_checked_to_be_simple(monkeypatch):
 
 @pytest.mark.parametrize("order", range(1, 8))
 def test_conjecture_report_matches_the_filled_largest_loop(order):
-    _, _, stats = largest_loop(build_grid(persimmon_spec(order)))
-    assert conjecture_report(order)["largest_loop"] == {
+    # the window's largest loop, found without the torus
+    cycle, _, stats = largest_loop(build_grid(persimmon_spec(order)))
+    report = conjecture_report(order)
+    assert report["largest_loop"] == {
         "perimeter": stats.perimeter, "area": stats.area,
         "height": stats.height, "width": stats.width}
+    assert report["match"] == (cycle_to_polyomino(cycle).canonical_form
+                               == snowflake(order).canonical_form)
 
 
-def test_conjecture_requires_a_closed_loop(monkeypatch):
-    # neither the torus nor the window holds a loop
+def test_conjecture_report_raises_when_the_torus_cannot_vouch(monkeypatch):
     monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
-    monkeypatch.setattr(tiles, "_largest_cycle", lambda grid: None)
-    with pytest.raises(ValueError, match="window too small"):
-        verify_conjecture(1)
+    with pytest.raises(ValueError, match="^order 3: the torus census "
+                       "cannot vouch for the largest loop$"):
+        conjecture_report(3)
 
 
 def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
