@@ -40,7 +40,7 @@ for order in range(1, 5):
 print()
 
 print("the largest loop of each persimmon pattern is the matching")
-print("snowflake tile (canonical-form comparison, desk scale):")
+print("snowflake tile (turn-word congruence, found on the P x P torus):")
 for order in range(1, 6):
     verdict = verify_conjecture(order)
     window = 4 * pell(order)

@@ -199,8 +199,7 @@ def _cmd_table1(args) -> int:
     rows = registry.table1()
     if args.json:
         print(json.dumps(
-            [{"pattern": name, "perimeter": s.perimeter, "area": s.area,
-              "height": s.height, "width": s.width} for name, s in rows],
+            [{"pattern": name, **s._asdict()} for name, s in rows],
             indent=2, ensure_ascii=False))
         return 0
     print(f"{'pattern':<28}{'perimeter':>10}{'area':>6}{'height':>8}{'width':>7}")

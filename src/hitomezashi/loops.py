@@ -2,11 +2,12 @@
 
 Present segments form a graph of maximum degree two, so every connected
 component is either a simple closed loop or an open path.  Closed loops mark
-out polyominoes; this module fills them, measures them, compares them by
-their cyclic turn words, checks the known loop congruences (area 1 mod 4,
-perimeter 4 mod 8, odd bounding box) and two-colors the regions a grid cuts
-the window into.  The largest loop of a pattern that repeats with even
-periods on both axes is also found on its torus, without a window.
+out polyominoes; this module measures each in one walk over the phase bits
+(_loop), compares them by their cyclic turn words, fills one per congruence
+class, checks the known loop congruences (area 1 mod 4, perimeter 4 mod 8,
+odd bounding box) and two-colors the regions a grid cuts the window into.
+The largest loop of a pattern that repeats with even periods on both axes
+is found on its torus, without a window, by the same walk.
 """
 
 from __future__ import annotations
@@ -197,22 +198,19 @@ class TheoremReport(NamedTuple):
 
 def _walker(grid: StitchGrid):
     """The stitch rule of a grid with both families present, shared by every
-    trace: returns (walk, paths, starts).
+    trace: returns (paths, loops).
 
     A vertex meets at most one horizontal and one vertical stitch, and the
     phase bit of each line says on which side, so a walk alternates between
-    the two families and reads each step off a parity.
+    the two families and reads each step off a parity.  A walk marks the
+    stitches it follows and cannot cross itself: every vertex has one
+    vertical stitch, which it walks at most once.
 
-    - walk(x, y, vertical, trail) follows the stitches not yet walked
-      from (x, y), vertical first if ``vertical``, marks them walked and
-      appends each vertex after (x, y) to ``trail``.  A walk cannot cross
-      itself: every vertex has one vertical stitch, which it walks at most
-      once.
     - paths walks every open path from its lesser end, in order of that
       end, and yields its vertices.
-    - starts(), called once paths is exhausted, yields the least vertex of
-      each loop not yet walked, in (x, y) order; walk it heading up before
-      asking for the next.
+    - loops(), called once paths is exhausted, walks each loop not yet
+      walked from its least vertex heading up, in order of that vertex, and
+      yields its vertices (the LatticeCycle.normalized() order).
     """
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
@@ -226,6 +224,7 @@ def _walker(grid: StitchGrid):
     v_seen[::VS] = v_seen[H + 1::VS] = b"\1" * (W + 1)
 
     def walk(x: int, y: int, vertical: bool, trail: list[Point]) -> None:
+        # from (x, y), vertical first if ``vertical``, onto ``trail``
         while True:
             if vertical:
                 up = (y + cols[x]) & 1
@@ -257,23 +256,18 @@ def _walker(grid: StitchGrid):
                 if len(trail) > 1:
                     yield tuple(trail)
 
-    def starts() -> Iterator[Point]:
+    def loops() -> Iterator[list[Point]]:
         # Every stitch left unwalked lies on a closed loop, whose first
         # vertical stitch in (x, y) order starts at the loop's least vertex.
         for x in range(W + 1):
             for y in range((cols[x] + 1) & 1, H, 2):
                 if not v_seen[x * VS + y + 1]:
-                    yield x, y
+                    trail = [(x, y)]
+                    walk(x, y, True, trail)
+                    trail.pop()  # the walk ends back at (x, y)
+                    yield trail
 
-    return walk, paths(), starts
-
-
-def _closed_trail(walk, x: int, y: int) -> LatticeCycle:
-    """The loop through its least vertex (x, y), walked heading up."""
-    trail = [(x, y)]
-    walk(x, y, True, trail)
-    trail.pop()  # the walk ends back at (x, y)
-    return LatticeCycle(trail)
+    return paths(), loops
 
 
 def extract_components(
@@ -289,9 +283,9 @@ def extract_components(
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
-    walk, paths, starts = _walker(grid)
+    paths, loops = _walker(grid)
     paths = list(paths)
-    return [_closed_trail(walk, x, y) for x, y in starts()], paths
+    return list(map(LatticeCycle, loops())), paths
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -310,18 +304,8 @@ def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
 
 
 def loop_stats(polyomino: Polyomino, cycle: LatticeCycle) -> LoopStats:
-    return LoopStats(
-        perimeter=cycle.perimeter,
-        area=polyomino.area,
-        height=polyomino.height,
-        width=polyomino.width,
-    )
-
-
-def _cycle_stats(cycle: LatticeCycle) -> LoopStats:
-    """loop_stats without the fill: the shoelace area and the vertex box."""
-    width, height = cycle.cell_box()
-    return LoopStats(cycle.perimeter, cycle.shoelace_area(), height, width)
+    return LoopStats(cycle.perimeter, polyomino.area, polyomino.height,
+                     polyomino.width)
 
 
 def check_loop_theorems(stats: LoopStats) -> TheoremReport:
@@ -332,34 +316,41 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-def _ranked(cycles: Iterable[LatticeCycle],
-            ) -> list[tuple[LatticeCycle, LoopStats,
-                            tuple[str, Polyomino, str]]]:
-    """The loop ranking of analyze_grid and largest_loop: each cycle with
-    its stats and its congruence class (turn word, fill, canonical hash),
-    by greatest area, then greatest perimeter, then least canonical form,
-    equal keys in the given order.
+_Class = tuple[str, LatticeCycle, Polyomino, str]
 
-    Area is the shoelace area, width and height each loop's own vertex box.
-    Loops of equal area and perimeter fall into congruence classes by turn
-    word; only the first loop of a class is filled, and its fill and
-    canonical hash serve all.
+
+def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
+    """The loop ranking of analyze_grid and largest_loop, and the grid's
+    open path count.  The ranking holds each loop's stats and class (turn
+    word, cycle, fill, canonical hash), by greatest area, then greatest
+    perimeter, then least canonical form, equal keys in extract_components
+    order.
+
+    Each loop is measured by _loop and joins a class by turn word among the
+    loops of its area and perimeter.  Only the first loop of a class is
+    built into a LatticeCycle and filled; its cycle, fill and canonical hash
+    serve all.
     """
-    classes: dict[tuple[int, int], list[tuple[str, Polyomino, str]]] = {}
+    rows, cols = grid.row_bits, grid.col_bits
+    if rows is None or cols is None:
+        return [], grid.segment_count()
+    paths, loops = _walker(grid)
+    open_paths = sum(1 for _ in paths)
+    classes: dict[tuple[int, int], list[_Class]] = {}
     ranked = []
-    for cycle in cycles:
-        stats = _cycle_stats(cycle)
-        word = cycle.turn_word()
+    for trail in loops():
+        stats, word = _loop(rows, cols, trail[0], len(trail))
         bucket = classes.setdefault((stats.area, stats.perimeter), [])
         rep = next((r for r in bucket if congruent_words(r[0], word)), None)
         if rep is None:
+            cycle = LatticeCycle(trail)
             poly = cycle_to_polyomino(cycle)
-            rep = (word, poly, poly.canonical_hash())
+            rep = (word, cycle, poly, poly.canonical_hash())
             bucket.append(rep)
-        ranked.append((cycle, stats, rep))
-    ranked.sort(key=lambda entry: (-entry[1].area, -entry[1].perimeter,
-                                   entry[2][1].canonical_form))
-    return ranked
+        ranked.append((stats, rep))
+    ranked.sort(key=lambda entry: (-entry[0].area, -entry[0].perimeter,
+                                   entry[1][2].canonical_form))
+    return ranked, open_paths
 
 
 def largest_loop(
@@ -367,12 +358,14 @@ def largest_loop(
 ) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
     """The closed loop at the head of analyze_grid's ranking (greatest
     area, then greatest perimeter, then least canonical form) with its fill
-    and stats, or None when the grid has no closed loop."""
-    ranked = _ranked(extract_components(grid)[0])
+    and stats, or None when the grid has no closed loop; only one loop per
+    congruence class is built and filled (see _ranked)."""
+    ranked, _ = _ranked(grid)
     if not ranked:
         return None
-    # the head is the first member of its class, so the class fill is its own
-    cycle, stats, (_, poly, _) = ranked[0]
+    # the head is the first member of its class, so the class cycle and
+    # fill are its own
+    stats, (_, cycle, poly, _) = ranked[0]
     return cycle, poly, stats
 
 
@@ -394,13 +387,13 @@ def _torus_largest(rows: Sequence[int], cols: Sequence[int],
     """
     if len(rows) % 2 or len(cols) % 2:
         return None
-    (area, perimeter), ties = _torus_census(rows, cols)
+    (_, perimeter), ties = _torus_census(rows, cols)
     if len(ties) != 1:
         return None
-    width, height, word = _torus_loop(rows, cols, ties[0], perimeter)
-    if width > len(cols) or height > len(rows):
+    stats, word = _loop(rows, cols, ties[0], perimeter)
+    if stats.width > len(cols) or stats.height > len(rows):
         return None
-    return LoopStats(perimeter, area, height, width), word
+    return stats, word
 
 
 def _torus_census(rows: Sequence[int], cols: Sequence[int],
@@ -460,31 +453,44 @@ def _torus_census(rows: Sequence[int], cols: Sequence[int],
     return best, ties
 
 
-def _torus_loop(rows: Sequence[int], cols: Sequence[int], start: Point,
-                perimeter: int) -> tuple[int, int, str]:
-    """Width and height of the vertex box, and the turn word, of the
-    bounded loop of ``perimeter`` steps that leaves ``start`` heading up."""
+def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
+          perimeter: int) -> tuple[LoopStats, str]:
+    """The stats (shoelace area as the sum of x·dy, vertex box) and turn
+    word of the bounded loop of ``perimeter`` steps that leaves ``start``
+    heading up.  Line x has phase bit cols[x % len(cols)], line y
+    rows[y % len(rows)]: that wraps on the torus, and never in a window,
+    whose closed loops do not reach a line's end."""
     px, py = len(cols), len(rows)
     x, y = start
     min_x = max_x = x
     min_y = max_y = y
+    area = 0
     steps = bytearray()
     for _ in range(perimeter // 2):
         up = (y + cols[x % px]) & 1
-        y += up + up - 1
+        if up:
+            y += 1
+            area += x
+            if y > max_y:
+                max_y = y
+        else:
+            y -= 1
+            area -= x
+            if y < min_y:
+                min_y = y
         right = (x + rows[y % py]) & 1
-        x += right + right - 1
+        if right:
+            x += 1
+            if x > max_x:
+                max_x = x
+        else:
+            x -= 1
+            if x < min_x:
+                min_x = x
         steps.append(up)
         steps.append(right)
-        if y < min_y:
-            min_y = y
-        elif y > max_y:
-            max_y = y
-        if x < min_x:
-            min_x = x
-        elif x > max_x:
-            max_x = x
-    return max_x - min_x, max_y - min_y, _turn_word(steps)
+    return (LoopStats(perimeter, abs(area), max_y - min_y, max_x - min_x),
+            _turn_word(steps))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -589,17 +595,17 @@ def analyze_grid(grid: StitchGrid) -> dict:
     canonical form, equal keys in extract_components order; largest_loop
     returns the head of this ranking (see _ranked).
     """
-    cycles, paths = extract_components(grid)
+    ranked, open_paths = _ranked(grid)
     loops_report = [{**stats._asdict(), "canonical_hash": canonical_hash,
                      "theorems": check_loop_theorems(stats)._asdict()}
-                    for _, stats, (_, _, canonical_hash) in _ranked(cycles)]
+                    for stats, (_, _, _, canonical_hash) in ranked]
 
     return {
         "width": grid.width,
         "height": grid.height,
         "segment_count": grid.segment_count(),
         "loops": loops_report,
-        "open_path_count": len(paths),
+        "open_path_count": open_paths,
         "theorems_all_hold": all(all(entry["theorems"].values())
                                  for entry in loops_report),
         "two_coloring": [list(row) for row in zip(*_color_columns(grid))],

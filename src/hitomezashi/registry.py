@@ -28,19 +28,13 @@ class PatternEntry:
     expected_stats: Optional[LoopStats] = None
     builder: Optional[Callable[[int, int], PatternSpec]] = None
 
-    def spec(self, width: Optional[int] = None,
-             height: Optional[int] = None) -> PatternSpec:
-        w = width if width is not None else self.default_window[0]
-        h = height if height is not None else self.default_window[1]
+    def spec(self) -> PatternSpec:
+        """The pattern on its default window."""
         if self.builder is not None:
-            return self.builder(w, h)
-        return PatternSpec(
-            name=self.key,
-            row_program=WordProgram.parse(self.row_text),
-            col_program=WordProgram.parse(self.col_text),
-            width=w,
-            height=h,
-        )
+            return self.builder(*self.default_window)
+        return PatternSpec(self.key, WordProgram.parse(self.row_text),
+                           WordProgram.parse(self.col_text),
+                           *self.default_window)
 
     def to_dict(self) -> dict:
         spec = self.spec()

@@ -3,7 +3,7 @@ against."""
 
 from collections import defaultdict
 
-from hitomezashi.loops import (LatticeCycle, check_loop_theorems,
+from hitomezashi.loops import (LatticeCycle, LoopStats, check_loop_theorems,
                                cycle_to_polyomino, extract_components,
                                loop_stats)
 from hitomezashi.render import DEFAULT_OPTIONS, _fmt
@@ -88,6 +88,13 @@ def vertex_loop_is_fully_packed(grid):
         for x in range(1, grid.width)
         for y in range(1, grid.height)
     )
+
+
+def vertex_cycle_stats(cycle):
+    """A loop's stats read off its vertex tuple: the shoelace area and the
+    vertex box, without the fill."""
+    width, height = cycle.cell_box()
+    return LoopStats(cycle.perimeter, cycle.shoelace_area(), height, width)
 
 
 def ranked_loops(cycles):

@@ -145,9 +145,9 @@ def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
                                                   vouched):
     # the order-3 persimmon word has period 10; its snowflake spans 9
     bits = tuple(map(int, "1000110001"))
-    monkeypatch.setattr(loops, "_torus_loop",
+    monkeypatch.setattr(loops, "_loop",
                         lambda rows, cols, start, perimeter:
-                        (width, height, "RLL" * 4))
+                        (LoopStats(perimeter, 5, height, width), "RLL" * 4))
     assert (loops._torus_largest(bits, bits) is not None) == vouched
 
 
@@ -268,6 +268,25 @@ def test_loop_congruences_on_random_grids(seed):
     for cycle in cycles:
         stats = loop_stats(cycle_to_polyomino(cycle), cycle)
         assert check_loop_theorems(stats).all_hold
+
+
+@pytest.mark.slow
+def test_loop_congruences_on_large_random_windows():
+    # every loop of four random windows of about 1000 x 1000 cells
+    rng = random.Random(1000)
+    loops_seen = 0
+    for _ in range(4):
+        rows = "".join(rng.choice("01") for _ in range(rng.randint(2, 8)))
+        cols = "".join(rng.choice("01") for _ in range(rng.randint(2, 8)))
+        report = analyze_grid(grid_of(rows, cols, rng.randint(950, 1050),
+                                      rng.randint(950, 1050)))
+        for entry in report["loops"]:
+            assert entry["area"] % 4 == 1
+            assert entry["perimeter"] % 8 == 4
+            assert entry["width"] % 2 == 1 and entry["height"] % 2 == 1
+        assert report["theorems_all_hold"]
+        loops_seen += len(report["loops"])
+    assert loops_seen > 10000
 
 
 # --- two-coloring ---

@@ -1,5 +1,6 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
-degree and packing test, the torus census against the census of a
+degree and packing test, the one-walk loop measure against each loop's
+vertex tuple, the torus census against the census of a
 two-period window, the turn-word congruence test, the
 one-fill-per-class loop report, the closed-form two-coloring, the per-axis
 self-duality search and its rotation search, the line-by-line ASCII render
@@ -15,7 +16,7 @@ from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _cycle_stats, _torus_census,
+from hitomezashi.loops import (LatticeCycle, _loop, _torus_census,
                                _torus_largest, analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, two_color)
@@ -26,7 +27,8 @@ from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
                      components_from_segments, fill_all_analyze_grid,
                      presence_vertex_degree, segment_render_svg,
-                     vertex_loop_is_fully_packed, vertex_render_ascii)
+                     vertex_cycle_stats, vertex_loop_is_fully_packed,
+                     vertex_render_ascii)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -184,11 +186,15 @@ def same_traversal(word, other):
 def test_torus_largest_loop_matches_the_two_period_window(row_text,
                                                            col_text):
     rows, cols = tuple(map(int, row_text)), tuple(map(int, col_text))
+    grid = grid_of(row_text, col_text, 2 * len(cols), 2 * len(rows))
+    # the window repeats the words, so _loop measures each of its loops
+    # from one period of them, wrapping past the first
+    for cycle in extract_components(grid)[0]:
+        assert_loop_walk_matches(rows, cols, cycle)
     got = _torus_largest(rows, cols)
     if len(rows) % 2 or len(cols) % 2:  # the plane repeats only every 2P
         assert got is None
         return
-    grid = grid_of(row_text, col_text, 2 * len(cols), 2 * len(rows))
     window = census_of_components(grid)
     best, ties = _torus_census(rows, cols)
     # every loop of the window is a loop of the torus
@@ -201,10 +207,10 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
     assert window[0] == best
     tied = [c for c in extract_components(grid)[0]
             if c.vertices[0] in window[1]]
-    assert len({(_cycle_stats(c), c.turn_word()) for c in tied}) == 1
+    assert len({(vertex_cycle_stats(c), c.turn_word()) for c in tied}) == 1
     cycle = largest_loop(grid)[0]
     stats, word = got
-    assert stats == _cycle_stats(cycle)
+    assert stats == vertex_cycle_stats(cycle)
     assert (stats.area, stats.perimeter) == best
     assert same_traversal(word, cycle.turn_word())
 
@@ -215,6 +221,24 @@ SHARED_SIZE = ("0:2,011:2,11101101:2,0111", "1000110:1,11110101:2,1", 12, 24)
 SHARED_AREA = ("011", "011:3,1:2,110", 24, 8)
 # one congruence class holds loops with 5x3 and with 3x5 boxes
 BOTH_ORIENTATIONS = ("10010000:2,0:3,10:1,1101", "1001111:2,0101", 17, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("0110", "011", 12, 12))
+@example(grid_of(*TIED_TOP))
+@example(grid_of(*BOTH_ORIENTATIONS))
+def test_loop_walk_matches_vertex_oracle(grid):
+    # _loop measures every ranked loop, and builds no LatticeCycle to check
+    for cycle in extract_components(grid)[0]:
+        assert_loop_walk_matches(grid.row_bits, grid.col_bits, cycle)
+
+
+def assert_loop_walk_matches(rows, cols, cycle):
+    stats, word = _loop(rows, cols, cycle.vertices[0], cycle.perimeter)
+    assert stats == vertex_cycle_stats(cycle)
+    turns = cycle.turn_word()
+    assert word == turns[1:] + turns[:1]
 
 
 @settings(max_examples=300, deadline=None)

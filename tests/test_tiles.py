@@ -2,14 +2,14 @@ import pytest
 
 from hitomezashi import tiles
 from hitomezashi.grid import build_grid
-from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle_stats,
-                               check_loop_theorems, cycle_to_polyomino,
-                               largest_loop, loop_stats)
+from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
+                               cycle_to_polyomino, largest_loop, loop_stats)
 from hitomezashi.tiles import (conjecture_report, persimmon_spec,
                                persimmon_word, snowflake, snowflake_boundary,
                                snowflake_cycle, snowflake_width_check,
                                trace_turtle, verify_conjecture)
 from hitomezashi.words import TurnWord, fib_turtle_word, pell
+from oracles import vertex_cycle_stats
 
 
 def test_four_right_turns_trace_the_unit_square():
@@ -165,7 +165,7 @@ def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
     bar = LatticeCycle([(0, 0), (1, 0)] + [(1, y) for y in range(1, 6)]
                        + [(0, y) for y in range(5, 0, -1)])
     monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: (
-        _cycle_stats(bar), bar.turn_word()))
+        vertex_cycle_stats(bar), bar.turn_word()))
     report = conjecture_report(2)
     assert report["largest_loop"]["perimeter"] == \
         report["snowflake"]["perimeter"] == 12
