@@ -26,12 +26,13 @@ from .words import BinaryWord, pell
 # `snowflake --json` would list 6.6 M cells and `persimmon --svg` write
 # 90.5 M <line> elements, both GB-scale.
 MAX_ORDER = 9
-# Highest order verify-conjecture checks.  The loops are found on the P x P
-# torus, P = 2*pell(n), without building the window of 2P cells a side,
-# whose 22964**2 cells at order 11 exceed MAX_CELLS.  Orders 1-11 take
-# about 70 s and 0.1 GB on a 2-vCPU VM; order 12's torus has 5.8 times as
-# many vertices as order 11's.
-MAX_CONJECTURE_ORDER = 11
+# Highest order verify-conjecture checks.  The loops are found from one
+# eighth of the P x P torus, P = 2*pell(n), without building the window of
+# 2P cells a side, whose 22964**2 cells at order 11 exceed MAX_CELLS.  On a
+# shared 2-vCPU VM orders 1-11 take about 12 s and 0.1 GB, and orders 1-12
+# about 70 s and 0.4 GB, of which 384 MB are order 12's P*P/2 bytes of
+# stitch marks; order 13's would take 2.2 GB.
+MAX_CONJECTURE_ORDER = 12
 
 
 def _check_order(order: int, flag: str, limit: int = MAX_ORDER) -> None:

@@ -6,8 +6,23 @@ out polyominoes; this module measures each in one walk over the phase bits
 (_loop), compares them by their cyclic turn words, fills one per congruence
 class, checks the known loop congruences (area 1 mod 4, perimeter 4 mod 8,
 odd bounding box) and two-colors the regions a grid cuts the window into.
-The largest loop of a pattern that repeats with even periods on both axes
-is found on its torus, without a window, by the same walk.
+
+The largest loop of a pattern whose rows and columns repeat one even
+palindrome w of length P (the persimmon patterns) is found on the P x P
+torus, without a window, from one eighth of it (_torus_largest).  A shift
+by P maps every stitch onto a stitch, so the stitches form cycles on the
+torus.  Since w[x] = w[P-1-x], P is even and the rows are the columns,
+x -> P-1-x, y -> P-1-y and (x, y) -> (y, x) map the stitches onto
+themselves and loops onto loops of the same area and perimeter; every
+vertex has an image in E = {x <= y < P/2}, so every torus cycle has an
+image through E.  The torus has a single largest loop exactly when the
+cycles through E hold one of the greatest (area, perimeter) and its vertex
+box, taken mod P, is fixed by the three maps.  A single largest loop is
+fixed by them.  Any other largest loop would be an image of the one
+through E, with the same box; but two distinct loops never share a box: a
+loop nested inside another cannot reach the other's box, and two loops
+with disjoint insides that both touch all four sides of one box would
+cross.
 """
 
 from __future__ import annotations
@@ -339,7 +354,7 @@ def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
     classes: dict[tuple[int, int], list[_Class]] = {}
     ranked = []
     for trail in loops():
-        stats, word = _loop(rows, cols, trail[0], len(trail))
+        stats, word, _ = _loop(rows, cols, trail[0], len(trail))
         bucket = classes.setdefault((stats.area, stats.perimeter), [])
         rep = next((r for r in bucket if congruent_words(r[0], word)), None)
         if rep is None:
@@ -373,93 +388,106 @@ def _torus_largest(rows: Sequence[int], cols: Sequence[int],
                    ) -> Optional[tuple[LoopStats, str]]:
     """The stats and turn word of the largest loop of a window two periods
     wide and two high over the pattern whose phase bits repeat ``rows`` and
-    ``cols``, found on the torus; None when the torus cannot vouch for it.
+    ``cols``, found from one eighth of the torus; None when the torus
+    cannot vouch for it.
 
-    The answer is largest_loop's on that window whenever both periods
-    are even, the torus has a single loop of the greatest (area,
-    perimeter), and that loop spans at most one period of vertices on each
-    axis.  Every loop of the window is a bounded loop of the plane pattern
-    and so appears on the torus: the torus best is at least the window's.
-    A loop spanning at most a period has a translate by whole periods
-    inside the window: the window best is at least the torus's.  With a
-    single torus tie every window tie is a translate of it, with its box
-    and, up to rotation and direction, its turn word.
+    The answer is largest_loop's on that window whenever the word is an
+    even palindrome used on both axes, the torus has a single loop of the
+    greatest (area, perimeter), and that loop spans at most one period of
+    vertices on each axis.  Every loop of the window is a bounded loop of
+    the plane pattern and so appears on the torus: the torus best is at
+    least the window's.  A loop spanning at most a period has a translate
+    by whole periods inside the window: the window best is at least the
+    torus's.  With a single torus tie every window tie is a translate of
+    it, with its box and, up to rotation and direction, its turn word.
+    The torus tie is single exactly when the walks from E find one and
+    the three symmetries fix its box (see the module docstring).
     """
-    if len(rows) % 2 or len(cols) % 2:
+    bits = tuple(cols)
+    p = len(bits)
+    if p % 2 or tuple(rows) != bits or bits != bits[::-1]:
         return None
-    (_, perimeter), ties = _torus_census(rows, cols)
+    (_, perimeter), ties = _eighth_census(bits)
     if len(ties) != 1:
         return None
-    stats, word = _loop(rows, cols, ties[0], perimeter)
-    if stats.width > len(cols) or stats.height > len(rows):
+    stats, word, (min_x, min_y) = _loop(bits, bits, ties[0], perimeter)
+    max_x, max_y = min_x + stats.width, min_y + stats.height
+    if (stats.width > p or stats.height > p
+            or (min_x + max_x + 1) % p or (min_y + max_y + 1) % p
+            or (min_x - min_y) % p or (max_x - max_y) % p):
         return None
     return stats, word
 
 
-def _torus_census(rows: Sequence[int], cols: Sequence[int],
-                  ) -> tuple[tuple[int, int], list[Point]]:
-    """The greatest (shoelace area, perimeter) over the bounded loops of
-    the pattern whose phase bits repeat ``rows`` and ``cols``, both of even
-    length, and the start of each torus loop that has it; ((0, 0), []) when
-    there is no bounded loop.
+def _eighth_census(bits: Sequence[int],
+                   ) -> tuple[tuple[int, int], list[Point]]:
+    """The greatest (shoelace area, perimeter) over the bounded loops
+    through E = {x <= y < P/2} of the pattern whose phase bits repeat the
+    even palindrome ``bits`` on both axes, P = len(bits), and the start of
+    each such torus loop that has it; ((0, 0), []) when no bounded loop
+    passes through E.
 
-    A shift by a period maps every line onto one with the same phase bit,
-    and, the period being even, every stitch onto a stitch.  So the
-    stitches form a 2-regular graph on the len(cols) x len(rows) torus,
-    whose components are cycles.  Each is walked once, from the lower end
-    of its first unmarked vertical stitch heading up, in unwrapped
-    coordinates, marking its vertical stitches.  A walk that ends back on
-    its start is a bounded loop of the plane; one that ends displaced from
-    it by whole periods is an infinite path, and skipped.
+    The loops through E are walked once each, from the lower end of their
+    first unmarked vertical stitch that touches E, heading up, in unwrapped
+    coordinates, marking vertical stitches.  A vertex of E meets the stitch
+    above or below it, so in column x0 < P/2 the starts are the lower ends
+    x0 - 1 <= y < P/2 of the column's parity: one run of marks per column.
+    A walk that ends back on its start is a bounded loop of the plane; one
+    that ends displaced from it by whole periods is an infinite path, and
+    skipped.
     """
-    px, py = len(cols), len(rows)
-    half = py // 2
-    # Column x of the torus holds py / 2 vertical stitches, whose lower
-    # ends y all have the parity q = 1 - cols[x]; stitch (x, y)-(x, y+1) is
-    # mark x * half + (y + q) % py // 2, which either end of it gives.
-    qs = [1 - c for c in cols]
-    marks = bytearray(px * half)
+    p = len(bits)
+    half = p // 2
+    # Column x of the torus holds P / 2 vertical stitches, whose lower
+    # ends y all have the parity q = 1 - bits[x]; stitch (x, y)-(x, y+1) is
+    # mark x * half + (y + q) % P // 2, which either end of it gives.
+    qs = [1 - c for c in bits]
+    marks = bytearray(p * half)
     best, ties = (0, 0), []
-    start = marks.find(0)
-    while start >= 0:
-        x0, j = divmod(start, half)
-        x, y = x0, y0 = x0, 2 * j - qs[x0]
-        area = steps = 0
-        while True:
-            xm = x % px
-            t = y + qs[xm]
-            i = xm * half + t % py // 2
-            if marks[i]:
-                break
-            marks[i] = 1
-            if t & 1:
-                y -= 1
-                area -= x
-            else:
-                y += 1
-                area += x
-            if (x + rows[y % py]) & 1:
-                x += 1
-            else:
-                x -= 1
-            steps += 2
-        if x == x0 and y == y0:
-            size = (abs(area), steps)
-            if size > best:
-                best, ties = size, [(x0, y0)]
-            elif size == best:
-                ties.append((x0, y0))
-        start = marks.find(0, start + 1)
+    for x0 in range(half):
+        q = qs[x0]
+        base = x0 * half
+        stop = base + (half + q + 1) // 2
+        start = marks.find(0, base + (x0 + q) // 2, stop)
+        while start >= 0:
+            x, y = x0, y0 = x0, 2 * (start - base) - q
+            area = steps = 0
+            while True:
+                xm = x % p
+                t = y + qs[xm]
+                i = xm * half + t % p // 2
+                if marks[i]:
+                    break
+                marks[i] = 1
+                if t & 1:
+                    y -= 1
+                    area -= x
+                else:
+                    y += 1
+                    area += x
+                if (x + bits[y % p]) & 1:
+                    x += 1
+                else:
+                    x -= 1
+                steps += 2
+            if x == x0 and y == y0:
+                size = (abs(area), steps)
+                if size > best:
+                    best, ties = size, [(x0, y0)]
+                elif size == best:
+                    ties.append((x0, y0))
+            start = marks.find(0, start + 1, stop)
     return best, ties
 
 
 def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
-          perimeter: int) -> tuple[LoopStats, str]:
-    """The stats (shoelace area as the sum of x·dy, vertex box) and turn
-    word of the bounded loop of ``perimeter`` steps that leaves ``start``
-    heading up.  Line x has phase bit cols[x % len(cols)], line y
-    rows[y % len(rows)]: that wraps on the torus, and never in a window,
-    whose closed loops do not reach a line's end."""
+          perimeter: int) -> tuple[LoopStats, str, Point]:
+    """The stats (shoelace area as the sum of x·dy, vertex box), turn word
+    and least corner (min x, min y) of the vertex box of the bounded loop
+    of ``perimeter`` steps that leaves ``start`` heading up.  Line x has
+    phase bit cols[x % len(cols)], line y rows[y % len(rows)]: that wraps
+    on the torus, and never in a window, whose closed loops do not reach a
+    line's end."""
     px, py = len(cols), len(rows)
     x, y = start
     min_x = max_x = x
@@ -490,7 +518,7 @@ def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
         steps.append(up)
         steps.append(right)
     return (LoopStats(perimeter, abs(area), max_y - min_y, max_x - min_x),
-            _turn_word(steps))
+            _turn_word(steps), (min_x, min_y))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")

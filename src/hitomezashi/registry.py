@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .grid import PatternSpec, WordProgram, build_grid
 from .loops import LoopStats, largest_loop
@@ -26,12 +26,9 @@ class PatternEntry:
     default_window: tuple[int, int]  # (width, height) in cells
     self_dual: bool
     expected_stats: Optional[LoopStats] = None
-    builder: Optional[Callable[[int, int], PatternSpec]] = None
 
     def spec(self) -> PatternSpec:
         """The pattern on its default window."""
-        if self.builder is not None:
-            return self.builder(*self.default_window)
         return PatternSpec(self.key, WordProgram.parse(self.row_text),
                            WordProgram.parse(self.col_text),
                            *self.default_window)
@@ -50,21 +47,6 @@ class PatternEntry:
                                if self.expected_stats else None),
             "dual_key": self.key if self.self_dual else None,
         }
-
-
-def _yamagata_builder(width: int, height: int) -> PatternSpec:
-    # peak on the window midline; the column word mirrors there
-    lines = width + 1
-    peak = lines // 2
-    rising = max(1, (peak + 1) // 2)
-    col = f"01:{rising},10"
-    return PatternSpec(
-        name="yamagata",
-        row_program=WordProgram.parse("01"),
-        col_program=WordProgram.parse(col),
-        width=width,
-        height=height,
-    )
 
 
 _ENTRIES: tuple[PatternEntry, ...] = (
@@ -123,7 +105,6 @@ _ENTRIES: tuple[PatternEntry, ...] = (
         meaning="mountain form, after the kanji for mountain",
         row_text="01", col_text="01:3,10", default_window=(12, 8),
         self_dual=True,
-        builder=_yamagata_builder,
     ),
     PatternEntry(
         key="niju_yamagata", display_name="nijū yamagata",

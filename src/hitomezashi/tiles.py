@@ -9,11 +9,12 @@ which verify_conjecture checks by comparing the loop's cyclic turn word with
 the snowflake's boundary word up to rotation, reversal and complement.
 
 The loop is that of a window of two word periods per axis, but it is found
-on the P x P torus, P = 2*pell(n), without building the window: every loop
-of the window appears on the torus, and a single largest torus loop that
-spans at most P vertices per axis has a translate inside the window.  When
-either condition fails, conjecture_report raises ValueError instead of
-searching the window.
+from one eighth of the P x P torus, P = 2*pell(n), without building the
+window: the persimmon word is an even palindrome used on both axes, so the
+pattern's symmetries carry every torus loop through that eighth (see
+loops).  When the torus cannot vouch for the window's largest loop,
+conjecture_report raises ValueError instead of searching the window.  The
+tile's area comes from one trace of a quarter of its boundary.
 """
 
 from __future__ import annotations
@@ -58,24 +59,48 @@ def _turtle(word: TurnWord) -> Iterator[Point]:
         heading = _LEFT[heading] if letter == "L" else _RIGHT[heading]
 
 
-def _turtle_area(word: TurnWord) -> int:
-    """trace_turtle(word).shoelace_area() without building the cycle or
-    checking that it is simple: the sum of x * dy over the steps."""
-    area = x = y = 0
-    for x, y1 in _turtle(word):
-        area += x * (y1 - y)
-        y = y1
-    if (x, y) != (0, 0):
+def _fourfold_area(quarter: TurnWord) -> int:
+    """trace_turtle(quarter.repeat(4)).shoelace_area() from one trace of
+    the quarter, without building the cycle or checking that it is simple.
+
+    Copy k of the quarter starts at p_k, turned by R^k, where d is the
+    quarter's displacement, R the heading it ends on, p_0 = 0 and
+    p_{k+1} = p_k + R^k d.  Its shoelace sum from the origin is the
+    quarter's own, C, plus cross(p_k, R^k d), so twice the area is
+    |4C + sum_k cross(p_k, R^k d)|; the boundary is open unless p_4 = 0.
+    """
+    twice = x = y = 0
+    for x1, y1 in _turtle(quarter):
+        twice += x * y1 - x1 * y
+        x, y = x1, y1
+    twice *= 4
+    # (x, y) is d; R is the net turn of the letters, a quarter left per L
+    # and a quarter right per R
+    letters = str(quarter)
+    turns = (letters.count("L") - letters.count("R")) % 4
+    px = py = 0
+    for _ in range(4):
+        twice += px * y - py * x
+        px, py = px + x, py + y
+        for _ in range(turns):
+            x, y = -y, x
+    if (px, py) != (0, 0):
         raise ValueError("open boundary")
-    return abs(area)
+    return abs(twice) // 2
+
+
+def _snowflake_quarter(order: int) -> TurnWord:
+    """The turn word of index 3(n-1)+1: a quarter of the order-n snowflake's
+    boundary."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return fib_turtle_word(3 * (order - 1) + 1)
 
 
 def snowflake_boundary(order: int) -> TurnWord:
     """Boundary word of the order-n snowflake: four copies of the turn word
     of index 3(n-1)+1."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return fib_turtle_word(3 * (order - 1) + 1).repeat(4)
+    return _snowflake_quarter(order).repeat(4)
 
 
 def snowflake_cycle(order: int) -> LatticeCycle:
@@ -131,16 +156,16 @@ def conjecture_report(order: int) -> dict:
     """Structured comparison of the order-n persimmon's largest loop, in a
     window of two word periods per axis, with the order-n snowflake tile.
 
-    The loop is measured, not filled, and found on the P x P torus, where P
-    is the word's length (see loops._torus_largest): every loop of the
-    window appears on the torus, and a torus loop spanning at most P
-    vertices per axis has a translate inside the window, so the two agree
-    when the torus has a single largest loop that spans at most P.  Both
-    conditions are checked on every call; when one fails, the report
-    raises ValueError rather than search the window.  The tile's boundary
-    is traced as a cycle, to check that it is simple, only when it does
-    not match: a word congruent to a traced loop's turn word traces a
-    simple loop.
+    The loop is measured, not filled, and found from the loops through one
+    eighth of the P x P torus, P the word's length (see loops and
+    loops._torus_largest).  They vouch for the window's largest loop when
+    one of them is the single largest torus loop, which its box shows, and
+    spans at most P vertices per axis.  Every condition is checked on
+    every call; when one fails, the report raises ValueError rather than
+    search the window.  The tile's area is traced from a quarter of its
+    boundary, and the whole boundary is traced as a cycle, to check that
+    it is simple, only when it does not match: a word congruent to a
+    traced loop's turn word traces a simple loop.
     """
     word = persimmon_word(order)
     largest = _torus_largest(word.bits, word.bits)
@@ -158,7 +183,7 @@ def conjecture_report(order: int) -> dict:
         "largest_loop": stats._asdict(),
         "snowflake": {
             "perimeter": len(boundary),
-            "area": _turtle_area(boundary),
+            "area": _fourfold_area(_snowflake_quarter(order)),
         },
         "match": match,
     }

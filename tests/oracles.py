@@ -3,9 +3,9 @@ against."""
 
 from collections import defaultdict
 
-from hitomezashi.loops import (LatticeCycle, LoopStats, check_loop_theorems,
-                               cycle_to_polyomino, extract_components,
-                               loop_stats)
+from hitomezashi.loops import (LatticeCycle, LoopStats, _loop,
+                               check_loop_theorems, cycle_to_polyomino,
+                               extract_components, loop_stats)
 from hitomezashi.render import DEFAULT_OPTIONS, _fmt
 
 
@@ -95,6 +95,75 @@ def vertex_cycle_stats(cycle):
     vertex box, without the fill."""
     width, height = cycle.cell_box()
     return LoopStats(cycle.perimeter, cycle.shoelace_area(), height, width)
+
+
+def full_torus_largest(rows, cols):
+    """loops._torus_largest for any two words, from every cycle of the
+    torus: the stats and turn word of the largest loop of a window two
+    periods wide and two high over the pattern whose phase bits repeat
+    ``rows`` and ``cols``; None unless both periods are even, the torus has
+    a single loop of the greatest (area, perimeter), and that loop spans at
+    most one period of vertices on each axis."""
+    if len(rows) % 2 or len(cols) % 2:
+        return None
+    (_, perimeter), ties = full_torus_census(rows, cols)
+    if len(ties) != 1:
+        return None
+    stats, word, _ = _loop(rows, cols, ties[0], perimeter)
+    if stats.width > len(cols) or stats.height > len(rows):
+        return None
+    return stats, word
+
+
+def full_torus_census(rows, cols):
+    """The greatest (shoelace area, perimeter) over the bounded loops of
+    the pattern whose phase bits repeat ``rows`` and ``cols``, both of even
+    length, and the start of each torus loop that has it; ((0, 0), []) when
+    there is no bounded loop.
+
+    Each cycle of the len(cols) x len(rows) torus is walked once, from the
+    lower end of its first unmarked vertical stitch heading up, in
+    unwrapped coordinates, marking its vertical stitches; a walk that ends
+    back on its start is a bounded loop of the plane.
+    """
+    px, py = len(cols), len(rows)
+    half = py // 2
+    # stitch (x, y)-(x, y+1) of column x, whose lower ends have the parity
+    # q = 1 - cols[x], is mark x * half + (y + q) % py // 2
+    qs = [1 - c for c in cols]
+    marks = bytearray(px * half)
+    best, ties = (0, 0), []
+    start = marks.find(0)
+    while start >= 0:
+        x0, j = divmod(start, half)
+        x, y = x0, y0 = x0, 2 * j - qs[x0]
+        area = steps = 0
+        while True:
+            xm = x % px
+            t = y + qs[xm]
+            i = xm * half + t % py // 2
+            if marks[i]:
+                break
+            marks[i] = 1
+            if t & 1:
+                y -= 1
+                area -= x
+            else:
+                y += 1
+                area += x
+            if (x + rows[y % py]) & 1:
+                x += 1
+            else:
+                x -= 1
+            steps += 2
+        if x == x0 and y == y0:
+            size = (abs(area), steps)
+            if size > best:
+                best, ties = size, [(x0, y0)]
+            elif size == best:
+                ties.append((x0, y0))
+        start = marks.find(0, start + 1)
+    return best, ties
 
 
 def ranked_loops(cycles):

@@ -405,7 +405,7 @@ def test_verify_conjecture_max_order_out_of_range(capsys):
     code, out, err = run(capsys, "verify-conjecture", "--max-order", "0")
     assert code == 1
     assert out == ""
-    assert err == "error: --max-order must be between 1 and 11\n"
+    assert err == "error: --max-order must be between 1 and 12\n"
 
 
 def stub_reports(monkeypatch, on_call=None):
@@ -423,17 +423,17 @@ def stub_reports(monkeypatch, on_call=None):
     return orders
 
 
-def test_verify_conjecture_runs_up_to_order_11(capsys, monkeypatch):
+def test_verify_conjecture_runs_up_to_order_12(capsys, monkeypatch):
     orders = stub_reports(monkeypatch)
-    code, out, _ = run(capsys, "verify-conjecture", "--max-order", "11")
+    code, out, _ = run(capsys, "verify-conjecture", "--max-order", "12")
     assert code == 0
-    assert orders == list(range(1, 12))
+    assert orders == list(range(1, 13))
     assert out.splitlines()[-1] == \
-        "order 11: largest persimmon loop is the snowflake: false"
+        "order 12: largest persimmon loop is the snowflake: false"
     orders.clear()
-    code, out, err = run(capsys, "verify-conjecture", "--max-order", "12")
+    code, out, err = run(capsys, "verify-conjecture", "--max-order", "13")
     assert (code, out, orders) == (1, "", [])
-    assert err == "error: --max-order must be between 1 and 11\n"
+    assert err == "error: --max-order must be between 1 and 12\n"
 
 
 def test_order_the_torus_cannot_vouch_for_is_a_domain_error(capsys,

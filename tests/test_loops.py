@@ -139,16 +139,38 @@ def test_largest_loop_absent():
     assert largest_loop(grid_of("10", "", 8, 8)) is None
 
 
-@pytest.mark.parametrize("width,height,vouched", [
-    (10, 10, True), (11, 10, False), (10, 11, False)])
-def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
-                                                  vouched):
-    # the order-3 persimmon word has period 10; its snowflake spans 9
-    bits = tuple(map(int, "1000110001"))
+# the order-3 persimmon word has period 10; its snowflake spans 9
+PERSIMMON_3 = tuple(map(int, "1000110001"))
+
+
+def patch_winner(monkeypatch, width, height, corner):
     monkeypatch.setattr(loops, "_loop",
                         lambda rows, cols, start, perimeter:
-                        (LoopStats(perimeter, 5, height, width), "RLL" * 4))
-    assert (loops._torus_largest(bits, bits) is not None) == vouched
+                        (LoopStats(perimeter, 5, height, width), "RLL" * 4,
+                         corner))
+
+
+@pytest.mark.parametrize("width,height,vouched", [
+    (9, 9, True), (11, 9, False), (9, 11, False)])
+def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
+                                                  vouched):
+    # each box is centred on the torus's centre, so the symmetries fix it
+    patch_winner(monkeypatch, width, height,
+                 ((9 - width) // 2, (9 - height) // 2))
+    assert (loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is not None) \
+        == vouched
+
+
+@pytest.mark.parametrize("min_x,min_y,vouched", [
+    (0, 0, True), (10, -20, True), (-5, -5, True),
+    (1, 1, False), (0, 1, False), (1, 0, False), (5, 0, False)])
+def test_torus_winner_box_must_be_fixed_by_the_symmetries(monkeypatch, min_x,
+                                                           min_y, vouched):
+    # a 9 x 9 box is fixed by x -> 9 - x and y -> 9 - y when it is centred
+    # mod 10, and by (x, y) -> (y, x) when min_x = min_y mod 10
+    patch_winner(monkeypatch, 9, 9, (min_x, min_y))
+    assert (loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is not None) \
+        == vouched
 
 
 def test_canonical_form_invariant_under_all_symmetries():

@@ -1,31 +1,34 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
 degree and packing test, the one-walk loop measure against each loop's
-vertex tuple, the torus census against the census of a
-two-period window, the turn-word congruence test, the
-one-fill-per-class loop report, the closed-form two-coloring, the per-axis
-self-duality search and its rotation search, the line-by-line ASCII render
-and the table-driven SVG render against the slow oracles in oracles.py; the
-`analyze --json` writer against json.dumps."""
+vertex tuple, the full-torus census against the census of a two-period
+window, the one-eighth torus census against the full torus, the turn-word
+congruence test, the one-fill-per-class loop report, the closed-form
+two-coloring, the per-axis self-duality search and its rotation search, the
+line-by-line ASCII render and the table-driven SVG render against the slow
+oracles in oracles.py; the `analyze --json` writer against json.dumps."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hitomezashi import tiles
 from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _loop, _torus_census,
-                               _torus_largest, analyze_grid, congruent_words,
+from hitomezashi.loops import (LatticeCycle, _loop, _torus_largest,
+                               analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
-from hitomezashi.tiles import persimmon_spec
+from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
                      components_from_segments, fill_all_analyze_grid,
+                     full_torus_census, full_torus_largest,
                      presence_vertex_degree, segment_render_svg,
                      vertex_cycle_stats, vertex_loop_is_fully_packed,
                      vertex_render_ascii)
@@ -191,12 +194,12 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
     # from one period of them, wrapping past the first
     for cycle in extract_components(grid)[0]:
         assert_loop_walk_matches(rows, cols, cycle)
-    got = _torus_largest(rows, cols)
+    got = full_torus_largest(rows, cols)
     if len(rows) % 2 or len(cols) % 2:  # the plane repeats only every 2P
         assert got is None
         return
     window = census_of_components(grid)
-    best, ties = _torus_census(rows, cols)
+    best, ties = full_torus_census(rows, cols)
     # every loop of the window is a loop of the torus
     assert window is None or best >= window[0]
     if got is None:
@@ -213,6 +216,50 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
     assert stats == vertex_cycle_stats(cycle)
     assert (stats.area, stats.perimeter) == best
     assert same_traversal(word, cycle.turn_word())
+
+
+def halves(min_size, max_size):
+    return st.text(alphabet="01", min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(halves(1, 8), halves(9, 40)).map(lambda u: u + u[::-1]))
+@example("1000110001")      # the order-3 persimmon
+@example("00")              # E is (0, 0), whose stitch runs down
+@example("0000")            # four tied loops through E
+@example("10011001")        # two tied loops through E
+@example("1111")            # one loop through E, whose box is not fixed
+@example("01100110")        # likewise
+@example("000001100" "001100000")
+def test_eighth_of_the_torus_matches_the_full_torus(text):
+    bits = tuple(map(int, text))
+    expected = full_torus_largest(bits, bits)
+    got = _torus_largest(bits, bits)
+    with mock.patch.object(tiles, "persimmon_word",
+                           lambda order: BinaryWord(text)):
+        if expected is None:
+            assert got is None
+            with pytest.raises(ValueError, match="cannot vouch"):
+                conjecture_report(1)
+            return
+        report = conjecture_report(1)
+    assert got[0] == expected[0]
+    assert same_traversal(got[1], expected[1])
+    assert report["largest_loop"] == expected[0]._asdict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, words)
+@example("0110", "1001")    # two even palindromes, each vouched for
+@example("1001", "0110")
+@example("010", "010")      # odd period
+@example("0100", "0100")    # not palindromes, vouched for on the full torus
+@example("10000110", "10000110")
+def test_eighth_of_the_torus_needs_one_even_palindrome(row_text, col_text):
+    rows, cols = tuple(map(int, row_text)), tuple(map(int, col_text))
+    if len(cols) % 2 == 0 and rows == cols == cols[::-1]:
+        return
+    assert _torus_largest(rows, cols) is None
 
 
 # two non-congruent loop classes share (area, perimeter) = (17, 28)
@@ -235,8 +282,10 @@ def test_loop_walk_matches_vertex_oracle(grid):
 
 
 def assert_loop_walk_matches(rows, cols, cycle):
-    stats, word = _loop(rows, cols, cycle.vertices[0], cycle.perimeter)
+    stats, word, corner = _loop(rows, cols, cycle.vertices[0],
+                                cycle.perimeter)
     assert stats == vertex_cycle_stats(cycle)
+    assert corner == tuple(map(min, zip(*cycle.vertices)))
     turns = cycle.turn_word()
     assert word == turns[1:] + turns[:1]
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from hitomezashi import registry
-from hitomezashi.grid import build_grid, is_self_dual
+from hitomezashi.grid import (PatternSpec, WordProgram, build_grid,
+                            is_self_dual)
 from hitomezashi.loops import LoopStats, largest_loop
 from hitomezashi.registry import export_catalog, list_all, lookup, table1
 from hitomezashi.words import BinaryWord
@@ -61,6 +62,18 @@ def test_self_dual_flags_match_word_search():
         shift = is_self_dual(BinaryWord(entry.row_text),
                              BinaryWord(entry.col_text))
         assert entry.self_dual == (shift is not None), entry.key
+
+
+def test_yamagata_spec_and_dict_are_its_parsed_programs():
+    # the column program peaks on the midline of the default 12 x 8 window
+    entry = lookup("yamagata")
+    assert entry.spec() == PatternSpec("yamagata", WordProgram.parse("01"),
+                                       WordProgram.parse("01:3,10"), 12, 8)
+    assert entry.to_dict() == {
+        "key": "yamagata", "display_name": "yamagata",
+        "meaning": "mountain form, after the kanji for mountain",
+        "rows": "01", "cols": "01:3,10", "default_window": [12, 8],
+        "self_dual": True, "expected_stats": None, "dual_key": "yamagata"}
 
 
 def test_yamagata_is_self_dual_on_its_window():

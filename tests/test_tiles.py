@@ -4,10 +4,11 @@ from hitomezashi import tiles
 from hitomezashi.grid import build_grid
 from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
                                cycle_to_polyomino, largest_loop, loop_stats)
-from hitomezashi.tiles import (conjecture_report, persimmon_spec,
-                               persimmon_word, snowflake, snowflake_boundary,
-                               snowflake_cycle, snowflake_width_check,
-                               trace_turtle, verify_conjecture)
+from hitomezashi.tiles import (_fourfold_area, conjecture_report,
+                               persimmon_spec, persimmon_word, snowflake,
+                               snowflake_boundary, snowflake_cycle,
+                               snowflake_width_check, trace_turtle,
+                               verify_conjecture)
 from hitomezashi.words import TurnWord, fib_turtle_word, pell
 from oracles import vertex_cycle_stats
 
@@ -64,6 +65,22 @@ def test_snowflake_area_and_perimeter(order, area, perimeter):
 @pytest.mark.parametrize("order", range(1, 8))
 def test_snowflake_shoelace_area_is_the_filled_area(order):
     assert snowflake_cycle(order).shoelace_area() == snowflake(order).area
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_quarter_trace_gives_the_snowflake_area(order):
+    quarter = fib_turtle_word(3 * (order - 1) + 1)
+    assert _fourfold_area(quarter) == \
+        trace_turtle(snowflake_boundary(order)).shoelace_area()
+
+
+# a quarter that ends on its first heading, displaced
+@pytest.mark.parametrize("quarter", ["LR", "RL", "LLRR", "RRLRLL"])
+def test_quarter_that_does_not_close_in_four_copies_is_open(quarter):
+    with pytest.raises(ValueError, match="open boundary"):
+        trace_turtle(TurnWord(quarter).repeat(4))
+    with pytest.raises(ValueError, match="open boundary"):
+        _fourfold_area(TurnWord(quarter))
 
 
 @pytest.mark.parametrize("order", range(1, 6))
@@ -213,3 +230,15 @@ def test_order_11_largest_persimmon_loop_is_the_snowflake():
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
         == pell(21) == 38_613_965
     assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(31))
+
+
+@pytest.mark.slow
+def test_order_12_largest_persimmon_loop_is_the_snowflake():
+    # the census walks only the loops through one eighth of the 27720 x
+    # 27720 torus
+    report = conjecture_report(12)
+    assert report["match"] is True
+    assert report["window"] == [55440, 55440]
+    assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
+        == pell(23)
+    assert report["largest_loop"]["perimeter"] == 4 * len(fib_turtle_word(34))
