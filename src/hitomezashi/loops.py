@@ -7,6 +7,21 @@ out polyominoes; this module measures each in one walk over the phase bits
 class, checks the known loop congruences (area 1 mod 4, perimeter 4 mod 8,
 odd bounding box) and two-colors the regions a grid cuts the window into.
 
+One census rule finds the loops of a window (_window_loops) and of the
+torus (_eighth_census).  Every line's stitching is fixed by its phase bit
+and every vertex meets one horizontal and one vertical stitch, so a walk
+alternates between the two families, reads each step off a parity, and
+has to mark only its vertical stitches.  Each unmarked vertical stitch is
+walked from its lower end, heading up, in (x, y) order, marking vertical
+stitches until the next one is marked.  A loop's stitches stay unmarked
+until its first walk, which goes all the way round: a walk that stops
+back on its start has traced a closed loop, and any other walk is a piece
+of a path that is not closed, and is skipped.  In a window the stitches
+past the ends of the column lines and the columns just outside it are
+marked, so a walk stops where its path leaves the window, and a loop is
+first met at its least vertex.  On the torus the marks wrap, and a walk
+along an infinite path stops displaced from its start by whole periods.
+
 The largest loop of a pattern whose rows and columns repeat one even
 palindrome w of length P (the persimmon patterns) is found on the P x P
 torus, without a window, from one eighth of it (_torus_largest).  A shift
@@ -86,23 +101,6 @@ class LatticeCycle:
             cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
             letters.append("L" if cross > 0 else "R" if cross < 0 else "S")
         return "".join(letters)
-
-    def normalized(self) -> "LatticeCycle":
-        """Rotate/orient so the smallest vertex comes first, then its
-        smaller neighbour; gives a deterministic representative."""
-        verts = list(self.vertices)
-        i = verts.index(min(verts))
-        verts = verts[i:] + verts[:i]
-        if verts[-1] < verts[1]:
-            verts = [verts[0]] + verts[:0:-1]
-        return LatticeCycle(verts)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LatticeCycle)
-                and self.normalized().vertices == other.normalized().vertices)
-
-    def __hash__(self) -> int:
-        return hash(self.normalized().vertices)
 
     def __repr__(self) -> str:
         return f"LatticeCycle({list(self.vertices)!r})"
@@ -211,78 +209,69 @@ class TheoremReport(NamedTuple):
         return self.area_1_mod_4 and self.perimeter_4_mod_8 and self.box_dimensions_odd
 
 
-def _walker(grid: StitchGrid):
-    """The stitch rule of a grid with both families present, shared by every
-    trace: returns (paths, loops).
-
-    A vertex meets at most one horizontal and one vertical stitch, and the
-    phase bit of each line says on which side, so a walk alternates between
-    the two families and reads each step off a parity.  A walk marks the
-    stitches it follows and cannot cross itself: every vertex has one
-    vertical stitch, which it walks at most once.
-
-    - paths walks every open path from its lesser end, in order of that
-      end, and yields its vertices.
-    - loops(), called once paths is exhausted, walks each loop not yet
-      walked from its least vertex heading up, in order of that vertex, and
-      yields its vertices (the LatticeCycle.normalized() order).
-    """
+def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, int]]:
+    """The least vertex and perimeter of each closed loop of a grid with
+    both families, in order of that vertex, by the census rule (see the
+    module docstring); a loop leaves its least vertex heading up."""
     W, H = grid.width, grid.height
-    rows, cols = grid.row_bits, grid.col_bits
-    # Stitch (x, y)-(x+1, y) is h_seen[y*(W+2) + x + 1] and (x, y)-(x, y+1)
-    # is v_seen[x*(H+2) + y + 1]; the ends of every line count as walked,
-    # so a walk stops there.
-    HS, VS = W + 2, H + 2
-    h_seen = bytearray(HS * (H + 1))
-    v_seen = bytearray(VS * (W + 1))
-    h_seen[::HS] = h_seen[W + 1::HS] = b"\1" * (H + 1)
-    v_seen[::VS] = v_seen[H + 1::VS] = b"\1" * (W + 1)
-
-    def walk(x: int, y: int, vertical: bool, trail: list[Point]) -> None:
-        # from (x, y), vertical first if ``vertical``, onto ``trail``
-        while True:
-            if vertical:
+    rows = grid.row_bits
+    # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
+    # the ends of every column line are marked, and so is the extra last
+    # column, which x = W + 1 and, through negative indices, x = -1 both
+    # read: a walk that leaves the window stops there.
+    cols = (*grid.col_bits, 0)
+    VS = H + 2
+    marks = bytearray(VS * (W + 2))
+    marks[::VS] = marks[H + 1::VS] = b"\1" * (W + 2)
+    marks[-VS:] = b"\1" * VS
+    for x0 in range(W + 1):
+        for y0 in range((cols[x0] + 1) & 1, H, 2):
+            if marks[x0 * VS + y0 + 1]:
+                continue
+            x, y, steps = x0, y0, 0
+            while True:
                 up = (y + cols[x]) & 1
                 i = x * VS + y + up
-                if v_seen[i]:
-                    return
-                v_seen[i] = 1
+                if marks[i]:
+                    break
+                marks[i] = 1
                 y += up + up - 1
-            else:
-                right = (x + rows[y]) & 1
-                i = y * HS + x + right
-                if h_seen[i]:
-                    return
-                h_seen[i] = 1
-                x += right + right - 1
-            trail.append((x, y))
-            vertical = not vertical
+                if (x + rows[y]) & 1:
+                    x += 1
+                else:
+                    x -= 1
+                steps += 2
+            if x == x0 and y == y0:
+                yield (x0, y0), steps
 
-    def paths() -> Iterator[tuple[Point, ...]]:
-        # Every interior vertex has degree 2, so paths end on the window edge.
-        # An end has one stitch, so one of the two walks from it is empty.
-        for x in range(W + 1):
-            for y in range(H + 1) if x in (0, W) else (0, H):
-                if grid.vertex_degree(x, y) != 1:
-                    continue
-                trail = [(x, y)]
-                walk(x, y, True, trail)
-                walk(x, y, False, trail)
-                if len(trail) > 1:
-                    yield tuple(trail)
 
-    def loops() -> Iterator[list[Point]]:
-        # Every stitch left unwalked lies on a closed loop, whose first
-        # vertical stitch in (x, y) order starts at the loop's least vertex.
-        for x in range(W + 1):
-            for y in range((cols[x] + 1) & 1, H, 2):
-                if not v_seen[x * VS + y + 1]:
-                    trail = [(x, y)]
-                    walk(x, y, True, trail)
-                    trail.pop()  # the walk ends back at (x, y)
-                    yield trail
+def _trail(grid: StitchGrid, start: Point, vertical: bool) -> list[Point]:
+    """The vertices of the walk along the stitches of a grid with both
+    families that leaves ``start``, vertically first if ``vertical``, to
+    the window edge or back to the start, which it does not repeat."""
+    W, H = grid.width, grid.height
+    rows, cols = grid.row_bits, grid.col_bits
+    x, y = start
+    trail = [start]
+    while True:
+        if vertical:
+            y += ((y + cols[x]) & 1) * 2 - 1
+        else:
+            x += ((x + rows[y]) & 1) * 2 - 1
+        if not (0 <= x <= W and 0 <= y <= H) or (x, y) == start:
+            return trail
+        trail.append((x, y))
+        vertical = not vertical
 
-    return paths(), loops
+
+def _path_ends(grid: StitchGrid) -> list[Point]:
+    """The vertices of degree 1 on the window edge, in (x, y) order.  With
+    both families every interior vertex has degree 2, so these are the ends
+    of the open paths, two per path."""
+    W, H = grid.width, grid.height
+    return [(x, y) for x in range(W + 1)
+            for y in (range(H + 1) if x in (0, W) else (0, H))
+            if grid.vertex_degree(x, y) == 1]
 
 
 def extract_components(
@@ -291,16 +280,26 @@ def extract_components(
     """Closed loops and open paths of a grid; every present segment lands in
     exactly one component.
 
-    Paths run from their lesser end, in order of that end; cycles start at
-    their least vertex heading up (the normalized() order) and come out
-    sorted.  A grid with one family missing has no loops, and each of its
-    stitches is an open path.
+    Cycles come out in order of their least vertex, each least vertex
+    first, heading up, from the starts _window_loops finds.  Paths run
+    from their lesser end, in order of that end: each path end is walked
+    from, and the walk is kept when its far end is the greater.  A grid
+    with one family missing has no loops, and each of its stitches is an
+    open path.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
-    paths, loops = _walker(grid)
-    paths = list(paths)
-    return list(map(LatticeCycle, loops())), paths
+    cycles = [LatticeCycle(_trail(grid, start, True))
+              for start, _ in _window_loops(grid)]
+    paths = []
+    for end in _path_ends(grid):
+        # an end has one stitch, so one of the two walks from it is empty
+        trail = _trail(grid, end, True)
+        if len(trail) == 1:
+            trail = _trail(grid, end, False)
+        if trail[-1] > end:
+            paths.append(tuple(trail))
+    return cycles, paths
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
@@ -341,31 +340,30 @@ def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
     perimeter, then least canonical form, equal keys in extract_components
     order.
 
-    Each loop is measured by _loop and joins a class by turn word among the
-    loops of its area and perimeter.  Only the first loop of a class is
-    built into a LatticeCycle and filled; its cycle, fill and canonical hash
-    serve all.
+    The loops come from _window_loops as (least vertex, perimeter); each
+    is measured by _loop and joins a class by turn word among the loops of
+    its area and perimeter.  Only the first loop of a class is walked into
+    a LatticeCycle and filled; its cycle, fill and canonical hash serve
+    all.  No open path is walked: they number half the path ends.
     """
     rows, cols = grid.row_bits, grid.col_bits
     if rows is None or cols is None:
         return [], grid.segment_count()
-    paths, loops = _walker(grid)
-    open_paths = sum(1 for _ in paths)
     classes: dict[tuple[int, int], list[_Class]] = {}
     ranked = []
-    for trail in loops():
-        stats, word, _ = _loop(rows, cols, trail[0], len(trail))
+    for start, perimeter in _window_loops(grid):
+        stats, word, _ = _loop(rows, cols, start, perimeter)
         bucket = classes.setdefault((stats.area, stats.perimeter), [])
         rep = next((r for r in bucket if congruent_words(r[0], word)), None)
         if rep is None:
-            cycle = LatticeCycle(trail)
+            cycle = LatticeCycle(_trail(grid, start, True))
             poly = cycle_to_polyomino(cycle)
             rep = (word, cycle, poly, poly.canonical_hash())
             bucket.append(rep)
         ranked.append((stats, rep))
     ranked.sort(key=lambda entry: (-entry[0].area, -entry[0].perimeter,
                                    entry[1][2].canonical_form))
-    return ranked, open_paths
+    return ranked, len(_path_ends(grid)) // 2
 
 
 def largest_loop(
@@ -427,14 +425,11 @@ def _eighth_census(bits: Sequence[int],
     each such torus loop that has it; ((0, 0), []) when no bounded loop
     passes through E.
 
-    The loops through E are walked once each, from the lower end of their
-    first unmarked vertical stitch that touches E, heading up, in unwrapped
-    coordinates, marking vertical stitches.  A vertex of E meets the stitch
-    above or below it, so in column x0 < P/2 the starts are the lower ends
-    x0 - 1 <= y < P/2 of the column's parity: one run of marks per column.
-    A walk that ends back on its start is a bounded loop of the plane; one
-    that ends displaced from it by whole periods is an infinite path, and
-    skipped.
+    The loops through E are found by the census rule (see the module
+    docstring), in unwrapped coordinates, from the vertical stitches that
+    touch E only.  A vertex of E meets the stitch above or below it, so in
+    column x0 < P/2 the starts are the lower ends x0 - 1 <= y < P/2 of the
+    column's parity: one run of marks per column.
     """
     p = len(bits)
     half = p // 2

@@ -55,12 +55,25 @@ def components_from_segments(segments):
             if frozenset((vertex, nbr)) not in visited:
                 trail = walk(vertex)
                 assert trail[-1] == vertex
-                cycles.append(LatticeCycle(trail[:-1]).normalized())
+                cycles.append(normalized(LatticeCycle(trail[:-1])))
                 break
 
     cycles.sort(key=lambda c: c.vertices)
     paths.sort()
     return cycles, paths
+
+
+def normalized(cycle):
+    """The cycle rotated and oriented to start at its least vertex, then
+    its lesser neighbour: a traced loop's least vertex first, heading up.
+    Two cycles trace the same loop exactly when their normalized vertices
+    are equal."""
+    verts = list(cycle.vertices)
+    i = verts.index(min(verts))
+    verts = verts[i:] + verts[:i]
+    if verts[-1] < verts[1]:
+        verts = [verts[0]] + verts[:0:-1]
+    return LatticeCycle(verts)
 
 
 def presence_vertex_degree(grid, x, y):

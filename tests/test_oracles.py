@@ -84,6 +84,7 @@ def assert_matches_oracle(grid):
 @example(grid_of("0110:1,1", "01:2,10", 1, 1))
 @example(grid_of("01", "0110", 1, 9))   # path ends at the corners
 @example(grid_of("0110", "10", 9, 1))
+@example(grid_of("0", "0", 1, 2))       # a walk off the side must stop there
 def test_components_match_segment_oracle(grid):
     assert_matches_oracle(grid)
 
