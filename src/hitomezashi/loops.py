@@ -2,10 +2,13 @@
 
 Present segments form a graph of maximum degree two, so every connected
 component is either a simple closed loop or an open path.  Closed loops mark
-out polyominoes; this module measures each in one walk over the phase bits
+out polyominoes; this module measures them in one walk over the phase bits
 (_loop), compares them by their cyclic turn words, fills one per congruence
 class, checks the known loop congruences (area 1 mod 4, perimeter 4 mod 8,
 odd bounding box) and two-colors the regions a grid cuts the window into.
+The census walk of a window reads each loop's up/right step bits off the
+phase bits; loops with equal step bits are translates, so a window
+measures each distinct step sequence once (_ranked).
 
 One census rule finds the loops of a window (_window_loops) and of the
 torus (_eighth_census).  Every line's stitching is fixed by its phase bit
@@ -209,10 +212,13 @@ class TheoremReport(NamedTuple):
         return self.area_1_mod_4 and self.perimeter_4_mod_8 and self.box_dimensions_odd
 
 
-def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, int]]:
-    """The least vertex and perimeter of each closed loop of a grid with
+def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
+    """The least vertex and step bits of each closed loop of a grid with
     both families, in order of that vertex, by the census rule (see the
-    module docstring); a loop leaves its least vertex heading up."""
+    module docstring).  A loop leaves its least vertex heading up, and its
+    steps alternate vertical and horizontal, one byte each: 1 for a step up
+    or right, 0 for one down or left.  Loops with equal step bits are
+    translates, with equal stats and turn word (see _ranked)."""
     W, H = grid.width, grid.height
     rows = grid.row_bits
     # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
@@ -228,7 +234,7 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, int]]:
         for y0 in range((cols[x0] + 1) & 1, H, 2):
             if marks[x0 * VS + y0 + 1]:
                 continue
-            x, y, steps = x0, y0, 0
+            x, y, steps = x0, y0, bytearray()
             while True:
                 up = (y + cols[x]) & 1
                 i = x * VS + y + up
@@ -236,19 +242,19 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, int]]:
                     break
                 marks[i] = 1
                 y += up + up - 1
-                if (x + rows[y]) & 1:
-                    x += 1
-                else:
-                    x -= 1
-                steps += 2
+                right = (x + rows[y]) & 1
+                x += right + right - 1
+                steps.append(up)
+                steps.append(right)
             if x == x0 and y == y0:
-                yield (x0, y0), steps
+                yield (x0, y0), bytes(steps)
 
 
 def _trail(grid: StitchGrid, start: Point, vertical: bool) -> list[Point]:
     """The vertices of the walk along the stitches of a grid with both
     families that leaves ``start``, vertically first if ``vertical``, to
-    the window edge or back to the start, which it does not repeat."""
+    the window edge or back to the start, which it does not repeat; the
+    open paths of extract_components."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     x, y = start
@@ -267,11 +273,29 @@ def _trail(grid: StitchGrid, start: Point, vertical: bool) -> list[Point]:
 def _path_ends(grid: StitchGrid) -> list[Point]:
     """The vertices of degree 1 on the window edge, in (x, y) order.  With
     both families every interior vertex has degree 2, so these are the ends
-    of the open paths, two per path."""
+    of the open paths, two per path.
+
+    A line's stitch at a window edge vertex is missing when it leads out of
+    the window: left from x = 0 when the line's bit is 0, right from x = W
+    when W plus the bit is odd, and likewise down from y = 0 and up from
+    y = H.  An edge vertex off the corners always has its other stitch, so
+    it is an end when its edge stitch is missing; a corner is one when
+    exactly one of its two stitches is.
+    """
     W, H = grid.width, grid.height
-    return [(x, y) for x in range(W + 1)
-            for y in (range(H + 1) if x in (0, W) else (0, H))
-            if grid.vertex_degree(x, y) == 1]
+    rows, cols = grid.row_bits, grid.col_bits
+    bottom = [(c + 1) & 1 for c in cols]
+    top = [(H + c) & 1 for c in cols]
+
+    def side(x: int, out: list[int]) -> list[Point]:
+        return ([(x, 0)] * (out[0] ^ bottom[x])
+                + [(x, y) for y in range(1, H) if out[y]]
+                + [(x, H)] * (out[H] ^ top[x]))
+
+    return (side(0, [(r + 1) & 1 for r in rows])
+            + [(x, y) for x in range(1, W)
+               for y, out in ((0, bottom[x]), (H, top[x])) if out]
+            + side(W, [(W + r) & 1 for r in rows]))
 
 
 def extract_components(
@@ -281,7 +305,8 @@ def extract_components(
     exactly one component.
 
     Cycles come out in order of their least vertex, each least vertex
-    first, heading up, from the starts _window_loops finds.  Paths run
+    first, heading up, built from the starts and step bits _window_loops
+    yields.  Paths run
     from their lesser end, in order of that end: each path end is walked
     from, and the walk is kept when its far end is the greater.  A grid
     with one family missing has no loops, and each of its stitches is an
@@ -289,8 +314,7 @@ def extract_components(
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
-    cycles = [LatticeCycle(_trail(grid, start, True))
-              for start, _ in _window_loops(grid)]
+    cycles = [_cycle(start, steps) for start, steps in _window_loops(grid)]
     paths = []
     for end in _path_ends(grid):
         # an end has one stitch, so one of the two walks from it is empty
@@ -340,27 +364,35 @@ def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
     perimeter, then least canonical form, equal keys in extract_components
     order.
 
-    The loops come from _window_loops as (least vertex, perimeter); each
-    is measured by _loop and joins a class by turn word among the loops of
-    its area and perimeter.  Only the first loop of a class is walked into
-    a LatticeCycle and filled; its cycle, fill and canonical hash serve
-    all.  No open path is walked: they number half the path ends.
+    The loops come from _window_loops as (least vertex, step bits).  Loops
+    with equal step bits are translates, so only the first loop of each
+    distinct step sequence is measured, by _loop, and joins a class by turn
+    word among the loops of its area and perimeter; every loop that repeats
+    the sequence shares its ranking entry.  Only the first loop of a class
+    is built into a LatticeCycle, from its steps, and filled; its cycle,
+    fill and canonical hash serve all.  No open path is walked: they number
+    half the path ends.
     """
     rows, cols = grid.row_bits, grid.col_bits
     if rows is None or cols is None:
         return [], grid.segment_count()
     classes: dict[tuple[int, int], list[_Class]] = {}
+    shapes: dict[bytes, tuple[LoopStats, _Class]] = {}
     ranked = []
-    for start, perimeter in _window_loops(grid):
-        stats, word, _ = _loop(rows, cols, start, perimeter)
-        bucket = classes.setdefault((stats.area, stats.perimeter), [])
-        rep = next((r for r in bucket if congruent_words(r[0], word)), None)
-        if rep is None:
-            cycle = LatticeCycle(_trail(grid, start, True))
-            poly = cycle_to_polyomino(cycle)
-            rep = (word, cycle, poly, poly.canonical_hash())
-            bucket.append(rep)
-        ranked.append((stats, rep))
+    for start, steps in _window_loops(grid):
+        entry = shapes.get(steps)
+        if entry is None:
+            stats, word, _ = _loop(rows, cols, start, len(steps))
+            bucket = classes.setdefault((stats.area, stats.perimeter), [])
+            rep = next((r for r in bucket if congruent_words(r[0], word)),
+                       None)
+            if rep is None:
+                cycle = _cycle(start, steps)
+                poly = cycle_to_polyomino(cycle)
+                rep = (word, cycle, poly, poly.canonical_hash())
+                bucket.append(rep)
+            entry = shapes[steps] = (stats, rep)
+        ranked.append(entry)
     ranked.sort(key=lambda entry: (-entry[0].area, -entry[0].perimeter,
                                    entry[1][2].canonical_form))
     return ranked, len(_path_ends(grid)) // 2
@@ -371,8 +403,10 @@ def largest_loop(
 ) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
     """The closed loop at the head of analyze_grid's ranking (greatest
     area, then greatest perimeter, then least canonical form) with its fill
-    and stats, or None when the grid has no closed loop; only one loop per
-    congruence class is built and filled (see _ranked)."""
+    and stats, or None when the grid has no closed loop.  Every loop is
+    walked once, by the census walk; each distinct step sequence is
+    measured once, and one loop per congruence class is built and filled
+    (see _ranked)."""
     ranked, _ = _ranked(grid)
     if not ranked:
         return None
@@ -516,6 +550,20 @@ def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
             _turn_word(steps), (min_x, min_y))
 
 
+def _cycle(start: Point, steps: bytes) -> LatticeCycle:
+    """The LatticeCycle of the closed loop that leaves ``start`` in
+    ``steps`` (see _window_loops)."""
+    x, y = start
+    vertices = []
+    pairs = iter(steps)
+    for up, right in zip(pairs, pairs):
+        vertices.append((x, y))
+        y += up + up - 1
+        vertices.append((x, y))
+        x += right + right - 1
+    return LatticeCycle(vertices)
+
+
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _TURN_LETTERS = str.maketrans("01", "RL")
 
@@ -619,9 +667,17 @@ def analyze_grid(grid: StitchGrid) -> dict:
     returns the head of this ranking (see _ranked).
     """
     ranked, open_paths = _ranked(grid)
-    loops_report = [{**stats._asdict(), "canonical_hash": canonical_hash,
-                     "theorems": check_loop_theorems(stats)._asdict()}
-                    for stats, (_, _, _, canonical_hash) in ranked]
+    # each distinct entry's fields are built once; every loop gets copies
+    fields: dict[tuple[LoopStats, str], tuple[dict, dict]] = {}
+    loops_report = []
+    for stats, (_, _, _, canonical_hash) in ranked:
+        key = stats, canonical_hash
+        if key not in fields:
+            fields[key] = ({**stats._asdict(),
+                            "canonical_hash": canonical_hash},
+                           check_loop_theorems(stats)._asdict())
+        loop, theorems = fields[key]
+        loops_report.append({**loop, "theorems": {**theorems}})
 
     return {
         "width": grid.width,
@@ -629,7 +685,7 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "segment_count": grid.segment_count(),
         "loops": loops_report,
         "open_path_count": open_paths,
-        "theorems_all_hold": all(all(entry["theorems"].values())
-                                 for entry in loops_report),
+        "theorems_all_hold": all(all(theorems.values())
+                                 for _, theorems in fields.values()),
         "two_coloring": [list(row) for row in zip(*_color_columns(grid))],
     }

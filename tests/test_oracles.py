@@ -1,11 +1,13 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
-degree and packing test, the one-walk loop measure against each loop's
-vertex tuple, the full-torus census against the census of a two-period
-window, the one-eighth torus census against the full torus, the turn-word
-congruence test, the one-fill-per-class loop report, the closed-form
-two-coloring, the per-axis self-duality search and its rotation search, the
-line-by-line ASCII render and the table-driven SVG render against the slow
-oracles in oracles.py; the `analyze --json` writer against json.dumps."""
+degree, path ends and packing test, the census walk's step bits and the
+one-walk loop measure against each loop's vertex tuple, the full-torus
+census against the census of a two-period window, the one-eighth torus
+census against the full torus, the turn-word congruence test, the loop
+report's one measure per step sequence and one fill per class, the
+closed-form two-coloring, the per-axis self-duality search and its rotation
+search, the line-by-line ASCII render and the table-driven SVG render
+against the slow oracles in oracles.py; the `analyze --json` writer against
+json.dumps."""
 
 import json
 from unittest import mock
@@ -18,10 +20,10 @@ from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _loop, _torus_largest,
-                               analyze_grid, congruent_words,
-                               cycle_to_polyomino, extract_components,
-                               largest_loop, two_color)
+from hitomezashi.loops import (LatticeCycle, _cycle, _loop, _path_ends,
+                               _torus_largest, _window_loops, analyze_grid,
+                               congruent_words, cycle_to_polyomino,
+                               extract_components, largest_loop, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
@@ -95,6 +97,7 @@ def test_components_match_segment_oracle(grid):
 @example(grid_of("10", "", 1, 9))
 @example(grid_of("", "0110", 9, 1))
 @example(grid_of("0", "1", 1, 1))
+@example(grid_of("0", "0", 3, 4))       # corners without a stitch
 def test_vertex_degree_matches_presence_queries(grid):
     W, H = grid.width, grid.height
     for x in range(W + 1):
@@ -104,6 +107,12 @@ def test_vertex_degree_matches_presence_queries(grid):
     for x, y in ((-1, 0), (0, -1), (W + 1, H), (W, H + 1)):
         with pytest.raises(IndexError, match="out of bounds"):
             grid.vertex_degree(x, y)
+    # the path ends, which _path_ends reads off the edge lines' bits
+    if grid.row_bits is not None and grid.col_bits is not None:
+        assert _path_ends(grid) == [
+            (x, y) for x in range(W + 1) for y in range(H + 1)
+            if (x in (0, W) or y in (0, H))
+            and presence_vertex_degree(grid, x, y) == 1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -276,9 +285,18 @@ BOTH_ORIENTATIONS = ("10010000:2,0:3,10:1,1101", "1001111:2,0101", 17, 10)
 @example(grid_of("0110", "011", 12, 12))
 @example(grid_of(*TIED_TOP))
 @example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of("0", "0", 1, 2))       # a walk off the side must stop there
 def test_loop_walk_matches_vertex_oracle(grid):
-    # _loop measures every ranked loop, and builds no LatticeCycle to check
-    for cycle in extract_components(grid)[0]:
+    # the census walk's step bits rebuild every loop, and _loop measures it
+    # from its start and perimeter, building no LatticeCycle to check
+    cycles, _ = components_from_segments(grid.segments())
+    if grid.row_bits is None or grid.col_bits is None:
+        assert cycles == []
+        return
+    assert [_cycle(start, steps).vertices
+            for start, steps in _window_loops(grid)] == \
+        [cycle.vertices for cycle in cycles]
+    for cycle in cycles:
         assert_loop_walk_matches(grid.row_bits, grid.col_bits, cycle)
 
 
@@ -329,6 +347,45 @@ def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
     assert len(fills) == len({e["canonical_hash"] for e in report["loops"]})
     # a loop meets only the classes of its own area and perimeter
     assert all(a == b for a, b in compared)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+@example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
+@example(grid_of(*TIED_TOP))
+@example(grid_of(*BOTH_ORIENTATIONS))
+def test_analyze_grid_measures_each_step_sequence_once(grid):
+    walked, measured, compared = [], [], []
+
+    def window_loops(grid):
+        for start, steps in _window_loops(grid):
+            walked.append(steps)
+            yield start, steps
+
+    def loop(rows, cols, start, perimeter):
+        measured.append(len(walked) - 1)
+        return _loop(rows, cols, start, perimeter)
+
+    def congruent(a, b):
+        compared.append(len(walked) - 1)
+        return congruent_words(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hitomezashi.loops._window_loops", window_loops)
+        patch.setattr("hitomezashi.loops._loop", loop)
+        patch.setattr("hitomezashi.loops.congruent_words", congruent)
+        report = analyze_grid(grid)
+    assert len(walked) == len(report["loops"])
+    first = {}
+    for i, steps in enumerate(walked):
+        first.setdefault(steps, i)
+    # the first loop of each step sequence is measured, and no other
+    assert measured == sorted(first.values())
+    assert set(compared) <= set(first.values())
+    # yet every loop gets dicts of its own
+    loops = report["loops"]
+    assert len({id(entry) for entry in loops}
+               | {id(entry["theorems"]) for entry in loops}) == 2 * len(loops)
 
 
 @settings(max_examples=300, deadline=None)
