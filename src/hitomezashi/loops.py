@@ -2,13 +2,12 @@
 
 Present segments form a graph of maximum degree two, so every connected
 component is either a simple closed loop or an open path.  Closed loops mark
-out polyominoes; this module measures them in one walk over the phase bits
-(_loop), compares them by their cyclic turn words, fills one per congruence
-class, checks the known loop congruences (area 1 mod 4, perimeter 4 mod 8,
-odd bounding box) and two-colors the regions a grid cuts the window into.
-The census walk of a window reads each loop's up/right step bits off the
-phase bits; loops with equal step bits are translates, so a window
-measures each distinct step sequence once (_ranked).
+out polyominoes; this module fills and measures them, classes them up to
+congruence by canonical form, checks the known loop congruences (area 1 mod
+4, perimeter 4 mod 8, odd bounding box) and two-colors the regions a grid
+cuts the window into.  The census walk of a window reads each loop's
+up/right step bits off the phase bits; loops with equal step bits are
+translates, so a window fills each distinct step sequence once (_ranked).
 
 One census rule finds the loops of a window (_window_loops) and of the
 torus (_eighth_census).  Every line's stitching is fixed by its phase bit
@@ -218,7 +217,7 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     module docstring).  A loop leaves its least vertex heading up, and its
     steps alternate vertical and horizontal, one byte each: 1 for a step up
     or right, 0 for one down or left.  Loops with equal step bits are
-    translates, with equal stats and turn word (see _ranked)."""
+    translates, with equal fills up to translation (see _ranked)."""
     W, H = grid.width, grid.height
     rows = grid.row_bits
     # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
@@ -306,23 +305,24 @@ def extract_components(
 
     Cycles come out in order of their least vertex, each least vertex
     first, heading up, built from the starts and step bits _window_loops
-    yields.  Paths run
-    from their lesser end, in order of that end: each path end is walked
-    from, and the walk is kept when its far end is the greater.  A grid
-    with one family missing has no loops, and each of its stitches is an
-    open path.
+    yields.  Paths run from their lesser end, in order of that end: each
+    path is walked once, from the first of its ends in _path_ends' (x, y)
+    order.  A grid with one family missing has no loops, and each of its
+    stitches is an open path.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
     cycles = [_cycle(start, steps) for start, steps in _window_loops(grid)]
-    paths = []
+    paths, far_ends = [], set()
     for end in _path_ends(grid):
+        if end in far_ends:
+            continue
         # an end has one stitch, so one of the two walks from it is empty
         trail = _trail(grid, end, True)
         if len(trail) == 1:
             trail = _trail(grid, end, False)
-        if trail[-1] > end:
-            paths.append(tuple(trail))
+        far_ends.add(trail[-1])
+        paths.append(tuple(trail))
     return cycles, paths
 
 
@@ -342,8 +342,10 @@ def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
 
 
 def loop_stats(polyomino: Polyomino, cycle: LatticeCycle) -> LoopStats:
-    return LoopStats(cycle.perimeter, polyomino.area, polyomino.height,
-                     polyomino.width)
+    """The stats of a cycle and its fill; the box is the cycle's vertex
+    span, which is its fill's cell span."""
+    width, height = cycle.cell_box()
+    return LoopStats(cycle.perimeter, polyomino.area, height, width)
 
 
 def check_loop_theorems(stats: LoopStats) -> TheoremReport:
@@ -354,47 +356,41 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-_Class = tuple[str, LatticeCycle, Polyomino, str]
+_Class = tuple[LatticeCycle, Polyomino, str]
 
 
 def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
     """The loop ranking of analyze_grid and largest_loop, and the grid's
-    open path count.  The ranking holds each loop's stats and class (turn
-    word, cycle, fill, canonical hash), by greatest area, then greatest
-    perimeter, then least canonical form, equal keys in extract_components
-    order.
+    open path count.  The ranking holds each loop's stats and class (cycle,
+    fill, canonical hash), by greatest area, then greatest perimeter, then
+    least canonical form, equal keys in extract_components order.
 
     The loops come from _window_loops as (least vertex, step bits).  Loops
     with equal step bits are translates, so only the first loop of each
-    distinct step sequence is measured, by _loop, and joins a class by turn
-    word among the loops of its area and perimeter; every loop that repeats
-    the sequence shares its ranking entry.  Only the first loop of a class
-    is built into a LatticeCycle, from its steps, and filled; its cycle,
-    fill and canonical hash serve all.  No open path is walked: they number
-    half the path ends.
+    distinct step sequence is built into a LatticeCycle, from its steps,
+    filled and measured; every loop that repeats the sequence shares its
+    ranking entry.  Its canonical form keys its class, whose first fill
+    represents it: that cycle, fill and canonical hash serve all.  No open
+    path is walked: they number half the path ends.
     """
-    rows, cols = grid.row_bits, grid.col_bits
-    if rows is None or cols is None:
+    if grid.row_bits is None or grid.col_bits is None:
         return [], grid.segment_count()
-    classes: dict[tuple[int, int], list[_Class]] = {}
+    classes: dict[tuple[Point, ...], _Class] = {}
     shapes: dict[bytes, tuple[LoopStats, _Class]] = {}
     ranked = []
     for start, steps in _window_loops(grid):
         entry = shapes.get(steps)
         if entry is None:
-            stats, word, _ = _loop(rows, cols, start, len(steps))
-            bucket = classes.setdefault((stats.area, stats.perimeter), [])
-            rep = next((r for r in bucket if congruent_words(r[0], word)),
-                       None)
+            cycle = _cycle(start, steps)
+            poly = cycle_to_polyomino(cycle)
+            rep = classes.get(poly.canonical_form)
             if rep is None:
-                cycle = _cycle(start, steps)
-                poly = cycle_to_polyomino(cycle)
-                rep = (word, cycle, poly, poly.canonical_hash())
-                bucket.append(rep)
-            entry = shapes[steps] = (stats, rep)
+                rep = classes[poly.canonical_form] = (
+                    cycle, poly, poly.canonical_hash())
+            entry = shapes[steps] = (loop_stats(poly, cycle), rep)
         ranked.append(entry)
     ranked.sort(key=lambda entry: (-entry[0].area, -entry[0].perimeter,
-                                   entry[1][2].canonical_form))
+                                   entry[1][1].canonical_form))
     return ranked, len(_path_ends(grid)) // 2
 
 
@@ -404,15 +400,15 @@ def largest_loop(
     """The closed loop at the head of analyze_grid's ranking (greatest
     area, then greatest perimeter, then least canonical form) with its fill
     and stats, or None when the grid has no closed loop.  Every loop is
-    walked once, by the census walk; each distinct step sequence is
-    measured once, and one loop per congruence class is built and filled
-    (see _ranked)."""
+    walked once, by the census walk, and the first loop of each distinct
+    step sequence is built, filled and classed by canonical form (see
+    _ranked)."""
     ranked, _ = _ranked(grid)
     if not ranked:
         return None
     # the head is the first member of its class, so the class cycle and
     # fill are its own
-    stats, (_, cycle, poly, _) = ranked[0]
+    stats, (cycle, poly, _) = ranked[0]
     return cycle, poly, stats
 
 
@@ -514,9 +510,8 @@ def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
     """The stats (shoelace area as the sum of x·dy, vertex box), turn word
     and least corner (min x, min y) of the vertex box of the bounded loop
     of ``perimeter`` steps that leaves ``start`` heading up.  Line x has
-    phase bit cols[x % len(cols)], line y rows[y % len(rows)]: that wraps
-    on the torus, and never in a window, whose closed loops do not reach a
-    line's end."""
+    phase bit cols[x % len(cols)], line y rows[y % len(rows)], wrapping on
+    the torus."""
     px, py = len(cols), len(rows)
     x, y = start
     min_x = max_x = x
@@ -670,7 +665,7 @@ def analyze_grid(grid: StitchGrid) -> dict:
     # each distinct entry's fields are built once; every loop gets copies
     fields: dict[tuple[LoopStats, str], tuple[dict, dict]] = {}
     loops_report = []
-    for stats, (_, _, _, canonical_hash) in ranked:
+    for stats, (_, _, canonical_hash) in ranked:
         key = stats, canonical_hash
         if key not in fields:
             fields[key] = ({**stats._asdict(),

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 from hitomezashi.loops import (LatticeCycle, LoopStats, _loop,
                                check_loop_theorems, cycle_to_polyomino,
-                               extract_components, loop_stats)
+                               extract_components)
 from hitomezashi.render import DEFAULT_OPTIONS, _fmt
 
 
@@ -179,6 +179,11 @@ def full_torus_census(rows, cols):
     return best, ties
 
 
+def fill_stats(cycle, poly):
+    """A loop's stats with its area and box read off its fill."""
+    return LoopStats(cycle.perimeter, poly.area, poly.height, poly.width)
+
+
 def ranked_loops(cycles):
     """Every cycle filled and canonicalised, ranked by greatest area, then
     greatest perimeter, then least canonical form (stable)."""
@@ -192,7 +197,7 @@ def brute_largest_loop(cycles):
     if not ranked:
         return None
     cycle, poly = ranked[0]
-    return cycle, poly, loop_stats(poly, cycle)
+    return cycle, poly, fill_stats(cycle, poly)
 
 
 def fill_all_analyze_grid(grid):
@@ -202,7 +207,7 @@ def fill_all_analyze_grid(grid):
     cycles, paths = extract_components(grid)
     loops_report = []
     for cycle, poly in ranked_loops(cycles):
-        stats = loop_stats(poly, cycle)
+        stats = fill_stats(cycle, poly)
         report = check_loop_theorems(stats)
         loops_report.append({
             "perimeter": stats.perimeter,

@@ -3,11 +3,10 @@ degree, path ends and packing test, the census walk's step bits and the
 one-walk loop measure against each loop's vertex tuple, the full-torus
 census against the census of a two-period window, the one-eighth torus
 census against the full torus, the turn-word congruence test, the loop
-report's one measure per step sequence and one fill per class, the
-closed-form two-coloring, the per-axis self-duality search and its rotation
-search, the line-by-line ASCII render and the table-driven SVG render
-against the slow oracles in oracles.py; the `analyze --json` writer against
-json.dumps."""
+report's one fill per step sequence, the closed-form two-coloring, the
+per-axis self-duality search and its rotation search, the line-by-line
+ASCII render and the table-driven SVG render against the slow oracles in
+oracles.py; the `analyze --json` writer against json.dumps."""
 
 import json
 from unittest import mock
@@ -325,65 +324,46 @@ def test_analyze_grid_matches_fill_all_oracle(grid):
 
 @settings(max_examples=200, deadline=None)
 @given(grids())
+@example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
 @example(grid_of(*TIED_TOP))
 @example(grid_of(*SHARED_SIZE))
 @example(grid_of(*SHARED_AREA))
 @example(grid_of(*BOTH_ORIENTATIONS))
-def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
-    fills, compared = [], []
-
-    def fill(cycle):
-        fills.append(cycle)
-        return cycle_to_polyomino(cycle)
-
-    def congruent(a, b):
-        compared.append((len(a), len(b)))
-        return congruent_words(a, b)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
-        patch.setattr("hitomezashi.loops.congruent_words", congruent)
-        report = analyze_grid(grid)
-    assert len(fills) == len({e["canonical_hash"] for e in report["loops"]})
-    # a loop meets only the classes of its own area and perimeter
-    assert all(a == b for a, b in compared)
-
-
-@settings(max_examples=200, deadline=None)
-@given(grids())
-@example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
-@example(grid_of(*TIED_TOP))
-@example(grid_of(*BOTH_ORIENTATIONS))
-def test_analyze_grid_measures_each_step_sequence_once(grid):
-    walked, measured, compared = [], [], []
+def test_analyze_grid_fills_each_step_sequence_once(grid):
+    walked, filled = [], []
 
     def window_loops(grid):
         for start, steps in _window_loops(grid):
             walked.append(steps)
             yield start, steps
 
-    def loop(rows, cols, start, perimeter):
-        measured.append(len(walked) - 1)
-        return _loop(rows, cols, start, perimeter)
+    def fill(cycle):
+        filled.append(len(walked) - 1)
+        return cycle_to_polyomino(cycle)
 
-    def congruent(a, b):
-        compared.append(len(walked) - 1)
-        return congruent_words(a, b)
+    def turn_word_route(*args):
+        raise AssertionError("window loops are classed by canonical form")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("hitomezashi.loops._window_loops", window_loops)
-        patch.setattr("hitomezashi.loops._loop", loop)
-        patch.setattr("hitomezashi.loops.congruent_words", congruent)
+        patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
+        patch.setattr("hitomezashi.loops._loop", turn_word_route)
+        patch.setattr("hitomezashi.loops.congruent_words", turn_word_route)
+        largest_loop(grid)
+        walked.clear()
+        filled.clear()
         report = analyze_grid(grid)
-    assert len(walked) == len(report["loops"])
+    loops = report["loops"]
+    assert len(walked) == len(loops)
     first = {}
     for i, steps in enumerate(walked):
         first.setdefault(steps, i)
-    # the first loop of each step sequence is measured, and no other
-    assert measured == sorted(first.values())
-    assert set(compared) <= set(first.values())
+    # the first loop of each step sequence is filled, and no other
+    assert filled == sorted(first.values())
+    if grid == grid_of(*BOTH_ORIENTATIONS):
+        # its 5x3 and 3x5 loops are two step sequences of one class
+        assert len(filled) > len({entry["canonical_hash"] for entry in loops})
     # yet every loop gets dicts of its own
-    loops = report["loops"]
     assert len({id(entry) for entry in loops}
                | {id(entry["theorems"]) for entry in loops}) == 2 * len(loops)
 
