@@ -3,7 +3,8 @@ degree, path ends and packing test, the census walk's step bits and the
 one-walk loop measure against each loop's vertex tuple, the full-torus
 census against the census of a two-period window, the one-eighth torus
 census against the full torus, the turn-word congruence test, the loop
-report's one fill per step sequence, the closed-form two-coloring, the
+report's one fill and measure per step sequence and one class
+representative per congruence class, the closed-form two-coloring, the
 per-axis self-duality search and its rotation search, the line-by-line
 ASCII render and the table-driven SVG render against the slow oracles in
 oracles.py; the `analyze --json` writer against json.dumps."""
@@ -19,10 +20,11 @@ from hitomezashi.cli import _dumps_report
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _cycle, _loop, _path_ends,
-                               _torus_largest, _window_loops, analyze_grid,
-                               congruent_words, cycle_to_polyomino,
-                               extract_components, largest_loop, two_color)
+from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle, _loop,
+                               _path_ends, _torus_largest, _window_loops,
+                               analyze_grid, congruent_words,
+                               cycle_to_polyomino, extract_components,
+                               largest_loop, loop_stats, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
@@ -324,13 +326,49 @@ def test_analyze_grid_matches_fill_all_oracle(grid):
 
 @settings(max_examples=200, deadline=None)
 @given(grids())
-@example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
 @example(grid_of(*TIED_TOP))
 @example(grid_of(*SHARED_SIZE))
 @example(grid_of(*SHARED_AREA))
 @example(grid_of(*BOTH_ORIENTATIONS))
-def test_analyze_grid_fills_each_step_sequence_once(grid):
-    walked, filled = [], []
+def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
+    filled, hashed = [], []
+    digest = Polyomino.canonical_hash
+
+    def fill(cycle):
+        poly = cycle_to_polyomino(cycle)
+        filled.append(poly.canonical_form)
+        return poly
+
+    def canonical_hash(poly):
+        hashed.append(poly.canonical_form)
+        return digest(poly)
+
+    def turn_word_route(*args):
+        raise AssertionError("window loops are classed by canonical form")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
+        patch.setattr("hitomezashi.loops.Polyomino.canonical_hash",
+                      canonical_hash)
+        patch.setattr("hitomezashi.loops.congruent_words", turn_word_route)
+        report = analyze_grid(grid)
+    classes = {entry["canonical_hash"] for entry in report["loops"]}
+    # one fill represents each class: the first fill of its canonical form
+    # is hashed, and no other
+    assert hashed == list(dict.fromkeys(filled))
+    assert len(hashed) == len(classes)
+    if grid == grid_of(*BOTH_ORIENTATIONS):
+        # its 5x3 and 3x5 loops are two step sequences of one class
+        assert len(filled) > len(classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+@example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
+@example(grid_of(*TIED_TOP))
+@example(grid_of(*BOTH_ORIENTATIONS))
+def test_analyze_grid_measures_each_step_sequence_once(grid):
+    walked, filled, measured = [], [], []
 
     def window_loops(grid):
         for start, steps in _window_loops(grid):
@@ -341,28 +379,31 @@ def test_analyze_grid_fills_each_step_sequence_once(grid):
         filled.append(len(walked) - 1)
         return cycle_to_polyomino(cycle)
 
+    def measure(poly, cycle):
+        measured.append(len(walked) - 1)
+        return loop_stats(poly, cycle)
+
     def turn_word_route(*args):
-        raise AssertionError("window loops are classed by canonical form")
+        raise AssertionError("window loops are measured from their fill")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("hitomezashi.loops._window_loops", window_loops)
         patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
+        patch.setattr("hitomezashi.loops.loop_stats", measure)
         patch.setattr("hitomezashi.loops._loop", turn_word_route)
-        patch.setattr("hitomezashi.loops.congruent_words", turn_word_route)
         largest_loop(grid)
         walked.clear()
         filled.clear()
+        measured.clear()
         report = analyze_grid(grid)
     loops = report["loops"]
     assert len(walked) == len(loops)
     first = {}
     for i, steps in enumerate(walked):
         first.setdefault(steps, i)
-    # the first loop of each step sequence is filled, and no other
-    assert filled == sorted(first.values())
-    if grid == grid_of(*BOTH_ORIENTATIONS):
-        # its 5x3 and 3x5 loops are two step sequences of one class
-        assert len(filled) > len({entry["canonical_hash"] for entry in loops})
+    # the first loop of each step sequence is filled and measured, and no
+    # other
+    assert filled == measured == sorted(first.values())
     # yet every loop gets dicts of its own
     assert len({id(entry) for entry in loops}
                | {id(entry["theorems"]) for entry in loops}) == 2 * len(loops)
