@@ -11,7 +11,8 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from . import registry
 from .grid import PatternSpec, WordProgram, build_grid, is_self_dual
@@ -120,7 +121,7 @@ def _cmd_dual(args) -> int:
 def _cmd_analyze(args) -> int:
     report = analyze_grid(build_grid(_spec_from_args(args)))
     if args.json:
-        print(_dumps_report(report))
+        sys.stdout.writelines(_report_json(report))
         return 0
     print(f"window: {report['width']}x{report['height']} cells, "
           f"{report['segment_count']} stitches")
@@ -139,22 +140,41 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _dumps_report(report: dict) -> str:
-    """json.dumps(report, indent=2), byte for byte.  The indent encoder is
-    pure Python, but the two long lists repeat themselves (the two-coloring
-    has at most four distinct rows, the loops about one entry per congruence
-    class), so each distinct entry is indent-encoded once.  Entries are
-    plain data, so equal reprs mean equal JSON."""
-    lists = ("loops", "two_coloring")
-    text = json.dumps({**report, **dict.fromkeys(lists)}, indent=2)
-    for key in lists:
-        reprs = list(map(repr, report[key]))
-        block = {r: json.dumps(item, indent=2).replace("\n", "\n    ")
-                 for r, item in dict(zip(reprs, report[key])).items()}
-        body = ",\n    ".join(map(block.__getitem__, reprs))
-        text = text.replace(f'"{key}": null', f'"{key}": [\n    {body}\n  ]'
-                            if reprs else f'"{key}": []', 1)
-    return text
+# The report's lists, in the report's order, with the key of their items:
+# items with equal keys have equal JSON.  A loop is its five scalars and its
+# three theorem flags; a coloring row is a list of 0s and 1s.
+_LOOP_FIELDS = itemgetter("perimeter", "area", "height", "width",
+                          "canonical_hash")
+_THEOREM_FLAGS = itemgetter("area_1_mod_4", "perimeter_4_mod_8",
+                            "box_dimensions_odd")
+_ITEM_KEYS = {
+    "loops": lambda loop: (_LOOP_FIELDS(loop)
+                           + _THEOREM_FLAGS(loop["theorems"])),
+    "two_coloring": bytes,
+}
+
+
+def _report_json(report: dict) -> Iterator[str]:
+    """json.dumps(report, indent=2) and a newline, in pieces.  The indent
+    encoder is pure Python, but the two long lists repeat themselves (the
+    two-coloring has at most four distinct rows, the loops about one entry
+    per congruence class), so each distinct item is indent-encoded once,
+    looked up by its _ITEM_KEYS key, and the document is never held as one
+    string."""
+    text = json.dumps({**report, **dict.fromkeys(_ITEM_KEYS)}, indent=2)
+    for name, key_of in _ITEM_KEYS.items():
+        head, text = text.split(f'"{name}": null', 1)
+        yield head
+        blocks = {}
+        for i, item in enumerate(report[name]):
+            key = key_of(item)
+            block = blocks.get(key)
+            if block is None:  # with the separator that precedes it
+                block = blocks[key] = ",\n    " + json.dumps(
+                    item, indent=2).replace("\n", "\n    ")
+            yield block if i else f'"{name}": [' + block[1:]
+        yield "\n  ]" if blocks else f'"{name}": []'
+    yield text + "\n"
 
 
 def _cmd_self_dual(args) -> int:

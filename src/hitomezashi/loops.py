@@ -633,14 +633,30 @@ def _color_columns(grid: StitchGrid) -> list[list[int]]:
     """two_color's colors as one list per column, bottom up: column x is
     ry, or ry ^ (y & 1) for odd x with both families present, complemented
     when cx[x] is 1, so one of four shared lists."""
+    return _color_lines(grid, by_column=True)
+
+
+def _color_rows(grid: StitchGrid) -> list[list[int]]:
+    """_color_columns transposed, one list per row, left to right: row y is
+    cx, or cx ^ (x & 1) for odd y with both families present, complemented
+    when ry[y] is 1, so one of four shared lists."""
+    return _color_lines(grid, by_column=False)
+
+
+def _color_lines(grid: StitchGrid, by_column: bool) -> list[list[int]]:
+    """The colors by column or by row from two_color's prefix parities: for
+    (along, across) = (ry, cx) or (cx, ry), position j of line i holds
+    along[j] ^ across[i] ^ (i & j & 1), the last term only with both
+    families present, so each line is one of four lists."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     both = rows is not None and cols is not None
     ry = _prefix_parity(rows, H) if rows and (both or W == 1) else [0] * H
     cx = _prefix_parity(cols, W) if cols and (both or H == 1) else [0] * W
-    odd = [c ^ (y & 1) for y, c in enumerate(ry)]
-    columns = (ry, [c ^ 1 for c in ry], odd, [c ^ 1 for c in odd])
-    return [columns[cx[x] | (x & both) << 1] for x in range(W)]
+    along, across = (ry, cx) if by_column else (cx, ry)
+    odd = [c ^ (j & 1) for j, c in enumerate(along)]
+    lines = (along, [c ^ 1 for c in along], odd, [c ^ 1 for c in odd])
+    return [lines[c | (i & both) << 1] for i, c in enumerate(across)]
 
 
 def _prefix_parity(bits: Sequence[int], n: int) -> list[int]:
@@ -682,5 +698,5 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "open_path_count": open_paths,
         "theorems_all_hold": all(all(theorems.values())
                                  for _, theorems in fields.values()),
-        "two_coloring": [list(row) for row in zip(*_color_columns(grid))],
+        "two_coloring": [row.copy() for row in _color_rows(grid)],
     }

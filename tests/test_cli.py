@@ -497,19 +497,32 @@ def test_oversized_window_is_refused_before_it_is_built(capsys, monkeypatch,
     assert err.count("\n") == 1
 
 
-def test_closed_stdout_exits_quietly():
-    # the reader stops after one line while the order-7 ASCII art (about
-    # 1.8 MB, far more than a pipe holds) is still being written
+def first_line_then_close(*argv):
+    """Run the CLI in a child process, read one line of its stdout, close
+    that pipe and return the line, the exit code and the child's stderr."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hitomezashi.cli", "persimmon", "--order", "7",
-         "--ascii"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"persimmon pattern order 7\n"
+    proc = subprocess.Popen([sys.executable, "-m", "hitomezashi.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    line = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    return line, proc.wait(timeout=60), err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after one line while the order-7 ASCII art (about
+    # 1.8 MB, far more than a pipe holds) is still being written
+    assert first_line_then_close("persimmon", "--order", "7", "--ascii") == (
+        b"persimmon pattern order 7\n", 1, b"")
+
+
+def test_closed_stdout_ends_streamed_json_quietly():
+    # the reader stops after the opening brace while the 300x300 report
+    # (about 2.8 MB of JSON) is still being written piece by piece
+    assert first_line_then_close(
+        "analyze", "--rows", "0110", "--cols", "011", "--width", "300",
+        "--height", "300", "--json") == (b"{\n", 1, b"")

@@ -7,24 +7,29 @@ report's one fill and measure per step sequence and one class
 representative per congruence class, the closed-form two-coloring, the
 per-axis self-duality search and its rotation search, the line-by-line
 ASCII render and the table-driven SVG render against the slow oracles in
-oracles.py; the `analyze --json` writer against json.dumps."""
+oracles.py; the `analyze --json` writer and the CLI's output against
+json.dumps, and that output's loops and open path count against the
+oracles."""
 
+import io
 import json
+from contextlib import redirect_stdout
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hitomezashi import tiles
-from hitomezashi.cli import _dumps_report
+from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
 from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle, _loop,
-                               _path_ends, _torus_largest, _window_loops,
-                               analyze_grid, congruent_words,
-                               cycle_to_polyomino, extract_components,
-                               largest_loop, loop_stats, two_color)
+                               _color_columns, _color_rows, _path_ends,
+                               _torus_largest, _window_loops, analyze_grid,
+                               congruent_words, cycle_to_polyomino,
+                               extract_components, largest_loop, loop_stats,
+                               two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
@@ -59,12 +64,14 @@ def programs(draw):
     return ",".join(f"{w}:{k}" for w, k in pieces) + "," + draw(words)
 
 
-@st.composite
-def grids(draw):
-    spec = PatternSpec("t", WordProgram.parse(draw(programs())),
-                       WordProgram.parse(draw(programs())),
-                       draw(sides), draw(sides))
-    return build_grid(spec)
+def windows():
+    """(row program, column program, width, height), as the CLI takes
+    them."""
+    return st.tuples(programs(), programs(), sides, sides)
+
+
+def grids():
+    return windows().map(lambda window: grid_of(*window))
 
 
 def grid_of(rows, cols, width, height):
@@ -418,7 +425,48 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
 @example(grid_of(*BOTH_ORIENTATIONS))
 def test_analyze_json_writer_matches_json_dumps(grid):
     report = analyze_grid(grid)
-    assert _dumps_report(report) == json.dumps(report, indent=2)
+    assert "".join(_report_json(report)) == json.dumps(report, indent=2) + "\n"
+
+
+def analyze_json(rows, cols, width, height):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["analyze", "--rows", rows, "--cols", cols,
+                     "--width", str(width), "--height", str(height),
+                     "--json"])
+    assert code == 0
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows())
+@example(("", "", 5, 3))
+@example(("10", "", 1, 9))
+@example(("0110:1,1", "01:2,10", 1, 1))
+@example(("01", "0110", 1, 9))                  # a 1xN window
+@example(("0110:2,1", "10:1,011", 1, 12))       # piecewise, 1xN
+@example(TIED_TOP)
+@example(BOTH_ORIENTATIONS)
+def test_analyze_json_output_is_json_dumps(window):
+    expected = json.dumps(analyze_grid(grid_of(*window)), indent=2) + "\n"
+    assert analyze_json(*window) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows())
+@example(("", "", 5, 3))
+@example(("10", "", 1, 9))
+@example(("", "0110", 9, 1))
+@example(("01", "0110", 1, 9))                  # path ends at the corners
+@example(("011100", "10110", 17, 13))
+@example(TIED_TOP)
+@example(BOTH_ORIENTATIONS)
+def test_analyze_json_census_matches_oracles(window):
+    grid = grid_of(*window)
+    report = json.loads(analyze_json(*window))
+    assert report["loops"] == fill_all_analyze_grid(grid)["loops"]
+    _, paths = components_from_segments(grid.segments())
+    assert report["open_path_count"] == len(paths)
 
 
 @settings(max_examples=100, deadline=None)
@@ -477,6 +525,37 @@ def test_two_color_matches_bfs_oracle(grid):
     assert not any(key in coloring for key in (None, "ab", (0,), (0, 0, 0)))
     with pytest.raises(TypeError):
         coloring[(0, 0)] = 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of("", "", 5, 3))
+@example(grid_of("1", "", 1, 4))
+@example(grid_of("", "1", 4, 1))
+@example(grid_of("0110", "", 1, 7))     # columns missing, W = 1
+@example(grid_of("", "0110", 7, 1))     # rows missing, H = 1
+@example(grid_of("10", "", 2, 5))
+@example(grid_of("0110:1,1", "01:2,10", 1, 1))
+@example(grid_of("011", "0110", 1, 6))
+@example(grid_of("011", "0110", 6, 1))
+def test_color_rows_are_the_columns_transposed(grid):
+    rows = _color_rows(grid)
+    assert rows == [list(row) for row in zip(*_color_columns(grid))]
+    assert len(rows) == grid.height
+    assert len({id(row) for row in rows}) <= 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids())
+@example(grid_of("0110", "011", 12, 12))
+@example(grid_of("1", "", 1, 4))
+def test_analyze_grid_coloring_rows_are_unshared(grid):
+    rows = analyze_grid(grid)["two_coloring"]
+    before = [row.copy() for row in rows]
+    for y, row in enumerate(rows):
+        row[0] ^= 1
+        assert rows[:y] + rows[y + 1:] == before[:y] + before[y + 1:]
+        row[0] ^= 1
 
 
 def test_one_wide_strip_alternates_at_every_stitch():
