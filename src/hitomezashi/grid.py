@@ -256,24 +256,6 @@ class StitchGrid:
         return StitchGrid(self.width, self.height,
                           flip(self.row_bits), flip(self.col_bits))
 
-    def vertex_degree(self, x: int, y: int) -> int:
-        """Number of present segments meeting the lattice point (x, y): one
-        per family present, leading right (up) when x + row_bits[y]
-        (y + col_bits[x]) is odd and left (down) otherwise, unless that side
-        is off the window."""
-        W, H = self.width, self.height
-        if not (0 <= x <= W and 0 <= y <= H):
-            raise IndexError("out of bounds")
-        rows, cols = self.row_bits, self.col_bits
-        return ((rows is not None and 0 < x + (x + rows[y]) % 2 <= W)
-                + (cols is not None and 0 < y + (y + cols[x]) % 2 <= H))
-
-    def is_fully_packed(self) -> bool:
-        """True when every strictly interior vertex has degree exactly 2:
-        when both families are present or there is no interior vertex."""
-        return ((self.row_bits is not None and self.col_bits is not None)
-                or min(self.width, self.height) < 2)
-
 
 def build_grid(spec: PatternSpec) -> StitchGrid:
     """Expand a pattern spec into a stitch grid.

@@ -40,6 +40,27 @@ through E, with the same box; but two distinct loops never share a box: a
 loop nested inside another cannot reach the other's box, and two loops
 with disjoint insides that both touch all four sides of one box would
 cross.
+
+A quarter of the winner's walk shows the same.  Let its perimeter N be 4
+mod 8, as every loop's is, and let N/4 steps from its start s end at
+rho(s), rho a quarter turn about a centre c with 2c = -1 (mod P) on each
+axis and c_x = c_y (mod P).  Then rho is the product, in one order or the
+other, of the reflection in the diagonal through c, (x, y) -> (y, x)
+shifted by (c_x - c_y)(1, -1), and x -> 2c_x - x: each is one of the
+three maps after a shift by whole periods, so rho maps the stitches onto
+themselves.  The winner's image under rho is a loop through rho(s), and
+every vertex meets exactly two stitches, so it is the winner.  A turn
+keeps the direction of travel, so rho takes every vertex N/4 steps on:
+the turn word is four copies of the quarter's, and the box is the square
+about c whose half side is the quarter's greatest distance from c on
+either axis, fixed by the three maps up to whole periods.  rho takes the
+first step, up, to the step after the quarter, which runs left when rho
+is counterclockwise and right when it is clockwise; so that step picks
+rho, and s and rho(s) fix c.  Conversely a single largest loop is fixed by
+the three maps, so by the quarter turns about the centre c of its box,
+whose corners give both congruences; one of the two turns takes s N/4
+steps on, as the half turn about c fixes no vertex.  So the quarter rule
+vouches exactly when the box rule does.
 """
 
 from __future__ import annotations
@@ -414,10 +435,10 @@ def largest_loop(
 
 def _torus_largest(rows: Sequence[int], cols: Sequence[int],
                    ) -> Optional[tuple[LoopStats, str]]:
-    """The stats and turn word of the largest loop of a window two periods
-    wide and two high over the pattern whose phase bits repeat ``rows`` and
-    ``cols``, found from one eighth of the torus; None when the torus
-    cannot vouch for it.
+    """The stats and the quarter turn word of the largest loop of a window
+    two periods wide and two high over the pattern whose phase bits repeat
+    ``rows`` and ``cols``, found from one eighth of the torus and a quarter
+    of the winner's walk; None when the torus cannot vouch for it.
 
     The answer is largest_loop's on that window whenever the word is an
     even palindrome used on both axes, the torus has a single loop of the
@@ -428,23 +449,33 @@ def _torus_largest(rows: Sequence[int], cols: Sequence[int],
     by whole periods inside the window: the window best is at least the
     torus's.  With a single torus tie every window tie is a translate of
     it, with its box and, up to rotation and direction, its turn word.
-    The torus tie is single exactly when the walks from E find one and
-    the three symmetries fix its box (see the module docstring).
+    The torus tie is single exactly when the walks from E find one and the
+    first quarter of its walk ends at its start turned a quarter about a
+    symmetry centre (see the module docstring).  Its turn word is then
+    four copies of the quarter's, the letters from the end of its first
+    step on, and its box the square about that centre.
     """
     bits = tuple(cols)
     p = len(bits)
     if p % 2 or tuple(rows) != bits or bits != bits[::-1]:
         return None
-    (_, perimeter), ties = _eighth_census(bits)
-    if len(ties) != 1:
+    (area, perimeter), ties = _eighth_census(bits)
+    if len(ties) != 1 or perimeter % 8 != 4:
         return None
-    stats, word, (min_x, min_y) = _loop(bits, bits, ties[0], perimeter)
-    max_x, max_y = min_x + stats.width, min_y + stats.height
-    if (stats.width > p or stats.height > p
-            or (min_x + max_x + 1) % p or (min_y + max_y + 1) % p
-            or (min_x - min_y) % p or (max_x - max_y) % p):
+    (x0, y0), = ties
+    steps, (x, y), (min_x, min_y, max_x, max_y) = _quarter_walk(
+        bits, (x0, y0), perimeter // 4)
+    # twice the centre of the quarter turn that takes the start to the end,
+    # clockwise when the next step runs right
+    if steps[-1]:
+        cx, cy = x + y + x0 - y0, y - x + x0 + y0
+    else:
+        cx, cy = x - y + x0 + y0, x + y - x0 + y0
+    side = max(2 * max_x - cx, cx - 2 * min_x, 2 * max_y - cy, cy - 2 * min_y)
+    # 2c_x = -1 (mod P) follows from 2c_y = -1 and c_x = c_y
+    if (cy + 1) % p or (cx - cy) % (2 * p) or side > p:
         return None
-    return stats, word
+    return LoopStats(perimeter, area, side, side), _turn_word(steps)
 
 
 def _eighth_census(bits: Sequence[int],
@@ -505,32 +536,29 @@ def _eighth_census(bits: Sequence[int],
     return best, ties
 
 
-def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
-          perimeter: int) -> tuple[LoopStats, str, Point]:
-    """The stats (shoelace area as the sum of x·dy, vertex box), turn word
-    and least corner (min x, min y) of the vertex box of the bounded loop
-    of ``perimeter`` steps that leaves ``start`` heading up.  Line x has
-    phase bit cols[x % len(cols)], line y rows[y % len(rows)], wrapping on
-    the torus."""
-    px, py = len(cols), len(rows)
+def _quarter_walk(bits: Sequence[int], start: Point, count: int,
+                  ) -> tuple[bytearray, Point, tuple[int, int, int, int]]:
+    """The step bits (see _window_loops) of the walk of ``count`` + 1
+    steps, ``count`` odd, that leaves ``start`` heading up on the pattern
+    whose phase bits repeat ``bits`` on both axes, the vertex reached after
+    ``count`` steps, and the box (min x, min y, max x, max y) of the
+    vertices the walk passes."""
+    p = len(bits)
     x, y = start
     min_x = max_x = x
     min_y = max_y = y
-    area = 0
     steps = bytearray()
-    for _ in range(perimeter // 2):
-        up = (y + cols[x % px]) & 1
+    for _ in range((count + 1) // 2):
+        up = (y + bits[x % p]) & 1
         if up:
             y += 1
-            area += x
             if y > max_y:
                 max_y = y
         else:
             y -= 1
-            area -= x
             if y < min_y:
                 min_y = y
-        right = (x + rows[y % py]) & 1
+        right = (x + bits[y % p]) & 1
         if right:
             x += 1
             if x > max_x:
@@ -541,8 +569,7 @@ def _loop(rows: Sequence[int], cols: Sequence[int], start: Point,
                 min_x = x
         steps.append(up)
         steps.append(right)
-    return (LoopStats(perimeter, abs(area), max_y - min_y, max_x - min_x),
-            _turn_word(steps), (min_x, min_y))
+    return steps, (x - right - right + 1, y), (min_x, min_y, max_x, max_y)
 
 
 def _cycle(start: Point, steps: bytes) -> LatticeCycle:
@@ -564,22 +591,24 @@ _TURN_LETTERS = str.maketrans("01", "RL")
 
 
 def _turn_word(steps: bytes) -> str:
-    """The turn word of a loop walked in alternating vertical and
-    horizontal unit steps, vertical first, one letter per vertex from the
-    end of the first step on; steps[i] is 1 for a step up or right, 0 for
-    one down or left.
+    """The turn word of a walk in alternating vertical and horizontal unit
+    steps, vertical first: one letter per vertex between two steps, so one
+    fewer than the steps; steps[i] is 1 for a step up or right, 0 for one
+    down or left.  A closed loop's word, one letter per vertex from the end
+    of its first step on, is that of its steps and its first step again.
 
     Up then right is a right (clockwise) turn: a vertical step v followed by
     a horizontal step h turns R when v == h, and a horizontal step h
     followed by a vertical step v turns L when h == v.  So the letter after
     step i is L exactly when steps[i] ^ steps[i + 1] ^ (i odd) is 1, and the
-    word is that XOR of three bit strings (the second rotated by one step),
-    taken as integers.
+    word is that XOR of three bit strings (the steps but the last, the
+    steps but the first, and 0101...), taken as integers.
     """
     digits = steps.translate(_BIT_DIGITS)
-    turns = (int(digits, 2) ^ int(digits[1:] + digits[:1], 2)
-             ^ int(b"01" * (len(steps) // 2), 2))
-    return format(turns, f"0{len(steps)}b").translate(_TURN_LETTERS)
+    n = len(steps) - 1
+    turns = (int(digits[:-1], 2) ^ int(digits[1:], 2)
+             ^ int((b"01" * (n // 2 + 1))[:n], 2))
+    return format(turns, f"0{n}b").translate(_TURN_LETTERS)
 
 
 class ColumnColoring(Mapping):

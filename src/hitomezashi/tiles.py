@@ -13,15 +13,21 @@ from one eighth of the P x P torus, P = 2*pell(n), without building the
 window: the persimmon word is an even palindrome used on both axes, so the
 pattern's symmetries carry every torus loop through that eighth (see
 loops).  When the torus cannot vouch for the window's largest loop,
-conjecture_report raises ValueError instead of searching the window.  The
-tile's area comes from one trace of a quarter of its boundary.
+conjecture_report raises ValueError instead of searching the window.
+
+The loop and the tile are compared a quarter at a time.  The torus vouches
+for a loop that a quarter turn fixes, so its turn word is four copies of
+a quarter word Q, as the tile's is of S; and congruent_words(Q * 4, S * 4)
+equals congruent_words(Q, S) for equal lengths, because a rotation of a
+word's fourth power is the fourth power of a rotation.  On a match the
+tile's area is the loop's, since congruent turn words trace congruent
+loops; otherwise the tile's whole boundary is traced, which checks that it
+is simple, and its area read off the trace.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .grid import PatternSpec, Point, WordProgram
+from .grid import PatternSpec, WordProgram
 from .loops import (LatticeCycle, Polyomino, _torus_largest, congruent_words,
                     cycle_to_polyomino,
                     largest_loop)  # largest_loop is re-exported
@@ -41,52 +47,17 @@ def trace_turtle(word: TurnWord) -> LatticeCycle:
     """
     if len(word) == 0:
         raise ValueError("empty boundary word")
-    points = [(0, 0), *_turtle(word)]
-    if points.pop() != (0, 0):
-        raise ValueError("open boundary")
-    return LatticeCycle(points)
-
-
-def _turtle(word: TurnWord) -> Iterator[Point]:
-    """The vertex reached by each letter's step, from the origin heading
-    +x."""
     x = y = 0
     heading = (1, 0)
+    points = [(0, 0)]
     for letter in str(word):
         x += heading[0]
         y += heading[1]
-        yield x, y
+        points.append((x, y))
         heading = _LEFT[heading] if letter == "L" else _RIGHT[heading]
-
-
-def _fourfold_area(quarter: TurnWord) -> int:
-    """trace_turtle(quarter.repeat(4)).shoelace_area() from one trace of
-    the quarter, without building the cycle or checking that it is simple.
-
-    Copy k of the quarter starts at p_k, turned by R^k, where d is the
-    quarter's displacement, R the heading it ends on, p_0 = 0 and
-    p_{k+1} = p_k + R^k d.  Its shoelace sum from the origin is the
-    quarter's own, C, plus cross(p_k, R^k d), so twice the area is
-    |4C + sum_k cross(p_k, R^k d)|; the boundary is open unless p_4 = 0.
-    """
-    twice = x = y = 0
-    for x1, y1 in _turtle(quarter):
-        twice += x * y1 - x1 * y
-        x, y = x1, y1
-    twice *= 4
-    # (x, y) is d; R is the net turn of the letters, a quarter left per L
-    # and a quarter right per R
-    letters = str(quarter)
-    turns = (letters.count("L") - letters.count("R")) % 4
-    px = py = 0
-    for _ in range(4):
-        twice += px * y - py * x
-        px, py = px + x, py + y
-        for _ in range(turns):
-            x, y = -y, x
-    if (px, py) != (0, 0):
+    if points.pop() != (0, 0):
         raise ValueError("open boundary")
-    return abs(twice) // 2
+    return LatticeCycle(points)
 
 
 def _snowflake_quarter(order: int) -> TurnWord:
@@ -157,33 +128,35 @@ def conjecture_report(order: int) -> dict:
     window of two word periods per axis, with the order-n snowflake tile.
 
     The loop is measured, not filled, and found from the loops through one
-    eighth of the P x P torus, P the word's length (see loops and
-    loops._torus_largest).  They vouch for the window's largest loop when
-    one of them is the single largest torus loop, which its box shows, and
-    spans at most P vertices per axis.  Every condition is checked on
-    every call; when one fails, the report raises ValueError rather than
-    search the window.  The tile's area is traced from a quarter of its
-    boundary, and the whole boundary is traced as a cycle, to check that
-    it is simple, only when it does not match: a word congruent to a
-    traced loop's turn word traces a simple loop.
+    eighth of the P x P torus, P the word's length, and a quarter of the
+    winner's walk (see loops and loops._torus_largest).  They vouch for the
+    window's largest loop when one of them is the single largest torus
+    loop, which a quarter turn about a symmetry centre of the pattern
+    shows, and spans at most P vertices per axis.  Every condition is
+    checked on every call; when one fails, the report raises ValueError
+    rather than search the window.  The loop's quarter turn word is
+    compared with a quarter of the tile's boundary (see the module
+    docstring).  On a match the tile's area is the loop's; otherwise the
+    whole boundary is traced as a cycle, which checks that it is simple,
+    and its shoelace area taken.
     """
     word = persimmon_word(order)
-    largest = _torus_largest(word.bits, word.bits)
+    bits = word.bits
+    largest = _torus_largest(bits, bits)
     if largest is None:
         raise ValueError(f"order {order}: the torus census cannot vouch for "
                          "the largest loop")
     stats, turns = largest
-    boundary = snowflake_boundary(order)
-    match = congruent_words(turns, str(boundary))
-    if not match:
-        trace_turtle(boundary)
+    quarter = _snowflake_quarter(order)
+    match = congruent_words(turns, str(quarter))
     return {
         "order": order,
         "window": [2 * len(word)] * 2,
         "largest_loop": stats._asdict(),
         "snowflake": {
-            "perimeter": len(boundary),
-            "area": _fourfold_area(_snowflake_quarter(order)),
+            "perimeter": 4 * len(quarter),
+            "area": (stats.area if match
+                     else trace_turtle(quarter.repeat(4)).shoelace_area()),
         },
         "match": match,
     }

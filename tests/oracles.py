@@ -3,7 +3,7 @@ against."""
 
 from collections import defaultdict
 
-from hitomezashi.loops import (LatticeCycle, LoopStats, _loop,
+from hitomezashi.loops import (LatticeCycle, LoopStats, _turn_word,
                                check_loop_theorems, cycle_to_polyomino,
                                extract_components)
 from hitomezashi.render import DEFAULT_OPTIONS, _fmt
@@ -93,6 +93,19 @@ def presence_vertex_degree(grid, x, y):
     return degree
 
 
+def parity_vertex_degree(grid, x, y):
+    """Present segments meeting (x, y), read off the phase bits: one per
+    family present, leading right (up) when x + row_bits[y]
+    (y + col_bits[x]) is odd and left (down) otherwise, unless that side
+    is off the window."""
+    W, H = grid.width, grid.height
+    if not (0 <= x <= W and 0 <= y <= H):
+        raise IndexError("out of bounds")
+    rows, cols = grid.row_bits, grid.col_bits
+    return ((rows is not None and 0 < x + (x + rows[y]) % 2 <= W)
+            + (cols is not None and 0 < y + (y + cols[x]) % 2 <= H))
+
+
 def vertex_loop_is_fully_packed(grid):
     """True when every strictly interior vertex has degree exactly 2, by
     visiting each one."""
@@ -122,10 +135,71 @@ def full_torus_largest(rows, cols):
     (_, perimeter), ties = full_torus_census(rows, cols)
     if len(ties) != 1:
         return None
-    stats, word, _ = _loop(rows, cols, ties[0], perimeter)
+    stats, word, _ = walk_loop(rows, cols, ties[0], perimeter)
     if stats.width > len(cols) or stats.height > len(rows):
         return None
     return stats, word
+
+
+def walk_loop(rows, cols, start, perimeter):
+    """The stats (shoelace area as the sum of x·dy, vertex box), turn word
+    and least corner (min x, min y) of the vertex box of the bounded loop
+    of ``perimeter`` steps that leaves ``start`` heading up, from a walk of
+    all of it.  Line x has phase bit cols[x % len(cols)], line y
+    rows[y % len(rows)], wrapping on the torus; the word has one letter per
+    vertex from the end of the first step on."""
+    px, py = len(cols), len(rows)
+    x, y = start
+    min_x = max_x = x
+    min_y = max_y = y
+    area = 0
+    steps = bytearray()
+    for _ in range(perimeter // 2):
+        up = (y + cols[x % px]) & 1
+        y += up + up - 1
+        area += x if up else -x
+        right = (x + rows[y % py]) & 1
+        x += right + right - 1
+        min_x, max_x = min(min_x, x), max(max_x, x)
+        min_y, max_y = min(min_y, y), max(max_y, y)
+        steps.append(up)
+        steps.append(right)
+    return (LoopStats(perimeter, abs(area), max_y - min_y, max_x - min_x),
+            _turn_word(steps + steps[:1]), (min_x, min_y))
+
+
+def fourfold_area(quarter):
+    """The shoelace area of trace_turtle(quarter.repeat(4)) from one trace
+    of the quarter, without building the cycle or checking that it is
+    simple.
+
+    Copy k of the quarter starts at p_k, turned by R^k, where d is the
+    quarter's displacement, R the heading it ends on, p_0 = 0 and
+    p_{k+1} = p_k + R^k d.  Its shoelace sum from the origin is the
+    quarter's own, C, plus cross(p_k, R^k d), so twice the area is
+    |4C + sum_k cross(p_k, R^k d)|; the boundary is open unless p_4 = 0.
+    """
+    twice = x = y = 0
+    dx, dy = 1, 0
+    for letter in str(quarter):
+        x1, y1 = x + dx, y + dy
+        twice += x * y1 - x1 * y
+        x, y = x1, y1
+        dx, dy = (-dy, dx) if letter == "L" else (dy, -dx)
+    twice *= 4
+    # (x, y) is d; R is the net turn of the letters, a quarter left per L
+    # and a quarter right per R
+    letters = str(quarter)
+    turns = (letters.count("L") - letters.count("R")) % 4
+    px = py = 0
+    for _ in range(4):
+        twice += px * y - py * x
+        px, py = px + x, py + y
+        for _ in range(turns):
+            x, y = -y, x
+    if (px, py) != (0, 0):
+        raise ValueError("open boundary")
+    return abs(twice) // 2
 
 
 def full_torus_census(rows, cols):

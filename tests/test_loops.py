@@ -145,22 +145,55 @@ def test_largest_loop_absent():
 PERSIMMON_3 = tuple(map(int, "1000110001"))
 
 
-def patch_winner(monkeypatch, width, height, corner):
-    monkeypatch.setattr(loops, "_loop",
-                        lambda rows, cols, start, perimeter:
-                        (LoopStats(perimeter, 5, height, width), "RLL" * 4,
-                         corner))
+# twice the centre of the order-3 snowflake's box, [0, 9] x [0, 9]
+CENTRE_3 = 9, 9
+
+
+def quarter_turn(start, cx, cy, clockwise):
+    """The start turned a quarter about the centre (cx / 2, cy / 2)."""
+    dx, dy = 2 * start[0] - cx, 2 * start[1] - cy
+    dx, dy = (dy, -dx) if clockwise else (-dy, dx)
+    return (cx + dx) // 2, (cy + dy) // 2
+
+
+def patch_quarter(monkeypatch, end=None, box=None):
+    """Mutate the winner's quarter walk: ``end`` maps (start, end,
+    clockwise) to the vertex the walk reports reaching, and ``box`` is the
+    box it reports."""
+    walk = loops._quarter_walk
+
+    def mutant(bits, start, count):
+        steps, reached, passed = walk(bits, start, count)
+        if end is not None:
+            reached = end(start, reached, steps[-1] == 1)
+        return steps, reached, box or passed
+
+    monkeypatch.setattr(loops, "_quarter_walk", mutant)
+
+
+def test_order_3_quarter_walk_ends_a_quarter_turn_on():
+    (_, perimeter), (start,) = loops._eighth_census(PERSIMMON_3)
+    steps, end, box = loops._quarter_walk(PERSIMMON_3, start, perimeter // 4)
+    assert end == quarter_turn(start, *CENTRE_3, steps[-1] == 1)
+    # the quarter reaches 4.5 from the centre, on the left and at the top
+    assert box == (0, 4, 5, 9)
+    assert loops._torus_largest(PERSIMMON_3, PERSIMMON_3) == (
+        LoopStats(52, 29, 9, 9), loops._turn_word(steps))
 
 
 @pytest.mark.parametrize("width,height,vouched", [
     (9, 9, True), (11, 9, False), (9, 11, False)])
 def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
                                                   vouched):
-    # each box is centred on the torus's centre, so the symmetries fix it
-    patch_winner(monkeypatch, width, height,
-                 ((9 - width) // 2, (9 - height) // 2))
-    assert (loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is not None) \
-        == vouched
+    # a quarter walk whose vertices reach 5.5 from the centre on either
+    # axis spans more than the period 10
+    min_x, min_y = (9 - width) // 2, (9 - height) // 2
+    patch_quarter(monkeypatch,
+                  box=(min_x, min_y, min_x + width, min_y + height))
+    got = loops._torus_largest(PERSIMMON_3, PERSIMMON_3)
+    assert (got is not None) == vouched
+    if vouched:
+        assert got[0] == LoopStats(52, 29, 9, 9)
 
 
 @pytest.mark.parametrize("min_x,min_y,vouched", [
@@ -168,11 +201,32 @@ def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
     (1, 1, False), (0, 1, False), (1, 0, False), (5, 0, False)])
 def test_torus_winner_box_must_be_fixed_by_the_symmetries(monkeypatch, min_x,
                                                            min_y, vouched):
-    # a 9 x 9 box is fixed by x -> 9 - x and y -> 9 - y when it is centred
-    # mod 10, and by (x, y) -> (y, x) when min_x = min_y mod 10
-    patch_winner(monkeypatch, 9, 9, (min_x, min_y))
+    # the quarter walk ends at its start turned about the centre of the
+    # 9 x 9 box at (min_x, min_y): a symmetry centre when it is (4.5, 4.5)
+    # mod 10 on both axes.  (1, 0), (0, 1) and (1, 1) put it off by one on
+    # either axis or both, and (5, 0) has c_x = c_y + 5.
+    cx, cy = 2 * min_x + 9, 2 * min_y + 9
+    patch_quarter(monkeypatch,
+                  end=lambda start, end, clockwise: quarter_turn(
+                      start, cx, cy, clockwise),
+                  box=(min_x, min_y, min_x + 9, min_y + 9))
     assert (loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is not None) \
         == vouched
+
+
+@pytest.mark.parametrize("end", [
+    lambda start, end, clockwise: start,
+    # the half turn about the true centre is a symmetry of the pattern
+    lambda start, end, clockwise: (CENTRE_3[0] - start[0],
+                                   CENTRE_3[1] - start[1]),
+    # the quarter turn the other way about the true centre
+    lambda start, end, clockwise: quarter_turn(start, *CENTRE_3,
+                                               not clockwise),
+    lambda start, end, clockwise: (end[0] + 1, end[1]),
+], ids=["start", "half-turn", "other-way", "one-off"])
+def test_torus_winner_quarter_must_end_a_quarter_turn_on(monkeypatch, end):
+    patch_quarter(monkeypatch, end=end)
+    assert loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is None
 
 
 def test_canonical_form_invariant_under_all_symmetries():

@@ -24,8 +24,8 @@ from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle, _loop,
-                               _color_columns, _color_rows, _path_ends,
+from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle,
+                               _color_columns, _eighth_census, _color_rows, _path_ends,
                                _torus_largest, _window_loops, analyze_grid,
                                congruent_words, cycle_to_polyomino,
                                extract_components, largest_loop, loop_stats,
@@ -37,9 +37,10 @@ from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
                      components_from_segments, fill_all_analyze_grid,
                      full_torus_census, full_torus_largest,
-                     presence_vertex_degree, segment_render_svg,
-                     vertex_cycle_stats, vertex_loop_is_fully_packed,
-                     vertex_render_ascii)
+                     parity_vertex_degree, presence_vertex_degree,
+                     segment_render_svg, vertex_cycle_stats,
+                     vertex_loop_is_fully_packed, vertex_render_ascii,
+                     walk_loop)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -110,11 +111,13 @@ def test_vertex_degree_matches_presence_queries(grid):
     W, H = grid.width, grid.height
     for x in range(W + 1):
         for y in range(H + 1):
-            assert grid.vertex_degree(x, y) == \
+            assert parity_vertex_degree(grid, x, y) == \
                 presence_vertex_degree(grid, x, y)
     for x, y in ((-1, 0), (0, -1), (W + 1, H), (W, H + 1)):
         with pytest.raises(IndexError, match="out of bounds"):
-            grid.vertex_degree(x, y)
+            parity_vertex_degree(grid, x, y)
+        with pytest.raises(IndexError, match="out of bounds"):
+            presence_vertex_degree(grid, x, y)
     # the path ends, which _path_ends reads off the edge lines' bits
     if grid.row_bits is not None and grid.col_bits is not None:
         assert _path_ends(grid) == [
@@ -131,7 +134,12 @@ def test_vertex_degree_matches_presence_queries(grid):
 @example(grid_of("", "0110", 9, 1))
 @example(grid_of("", "0110", 9, 2))
 def test_is_fully_packed_matches_vertex_loop(grid):
-    assert grid.is_fully_packed() == vertex_loop_is_fully_packed(grid)
+    # every interior vertex has degree 2 exactly when both families are
+    # present or there is no interior vertex, which _window_loops, _trail
+    # and two_color rely on
+    assert vertex_loop_is_fully_packed(grid) == (
+        (grid.row_bits is not None and grid.col_bits is not None)
+        or min(grid.width, grid.height) < 2)
 
 
 # two loops tie at the top on area and perimeter and the first is not the
@@ -208,7 +216,7 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
                                                            col_text):
     rows, cols = tuple(map(int, row_text)), tuple(map(int, col_text))
     grid = grid_of(row_text, col_text, 2 * len(cols), 2 * len(rows))
-    # the window repeats the words, so _loop measures each of its loops
+    # the window repeats the words, so walk_loop measures each of its loops
     # from one period of them, wrapping past the first
     for cycle in extract_components(grid)[0]:
         assert_loop_walk_matches(rows, cols, cycle)
@@ -262,7 +270,11 @@ def test_eighth_of_the_torus_matches_the_full_torus(text):
             return
         report = conjecture_report(1)
     assert got[0] == expected[0]
-    assert same_traversal(got[1], expected[1])
+    assert same_traversal(got[1] * 4, expected[1])
+    # the quarter word, four times over, is the whole walk's from the
+    # winner's start
+    (_, perimeter), (start,) = _eighth_census(bits)
+    assert got[1] * 4 == walk_loop(bits, bits, start, perimeter)[1]
     assert report["largest_loop"] == expected[0]._asdict()
 
 
@@ -295,8 +307,9 @@ BOTH_ORIENTATIONS = ("10010000:2,0:3,10:1,1101", "1001111:2,0101", 17, 10)
 @example(grid_of(*BOTH_ORIENTATIONS))
 @example(grid_of("0", "0", 1, 2))       # a walk off the side must stop there
 def test_loop_walk_matches_vertex_oracle(grid):
-    # the census walk's step bits rebuild every loop, and _loop measures it
-    # from its start and perimeter, building no LatticeCycle to check
+    # the census walk's step bits rebuild every loop, and walk_loop
+    # measures it from its start and perimeter, building no LatticeCycle to
+    # check
     cycles, _ = components_from_segments(grid.segments())
     if grid.row_bits is None or grid.col_bits is None:
         assert cycles == []
@@ -309,8 +322,8 @@ def test_loop_walk_matches_vertex_oracle(grid):
 
 
 def assert_loop_walk_matches(rows, cols, cycle):
-    stats, word, corner = _loop(rows, cols, cycle.vertices[0],
-                                cycle.perimeter)
+    stats, word, corner = walk_loop(rows, cols, cycle.vertices[0],
+                                    cycle.perimeter)
     assert stats == vertex_cycle_stats(cycle)
     assert corner == tuple(map(min, zip(*cycle.vertices)))
     turns = cycle.turn_word()
@@ -397,7 +410,7 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
         patch.setattr("hitomezashi.loops._window_loops", window_loops)
         patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
         patch.setattr("hitomezashi.loops.loop_stats", measure)
-        patch.setattr("hitomezashi.loops._loop", turn_word_route)
+        patch.setattr("hitomezashi.loops._turn_word", turn_word_route)
         largest_loop(grid)
         walked.clear()
         filled.clear()

@@ -1,16 +1,22 @@
-import pytest
+import functools
+from unittest import mock
 
-from hitomezashi import tiles
+import pytest
+from hypothesis import example, given, strategies as st
+
+from hitomezashi import loops, tiles
 from hitomezashi.grid import build_grid
 from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
-                               cycle_to_polyomino, largest_loop, loop_stats)
-from hitomezashi.tiles import (_fourfold_area, conjecture_report,
+                               congruent_words, cycle_to_polyomino,
+                               largest_loop, loop_stats)
+from hitomezashi.tiles import (_snowflake_quarter, conjecture_report,
                                persimmon_spec, persimmon_word, snowflake,
                                snowflake_boundary, snowflake_cycle,
                                snowflake_width_check, trace_turtle,
                                verify_conjecture)
 from hitomezashi.words import TurnWord, fib_turtle_word, pell
-from oracles import vertex_cycle_stats
+from oracles import (fourfold_area, full_torus_largest, vertex_cycle_stats,
+                     walk_loop)
 
 
 def test_four_right_turns_trace_the_unit_square():
@@ -70,7 +76,7 @@ def test_snowflake_shoelace_area_is_the_filled_area(order):
 @pytest.mark.parametrize("order", range(1, 10))
 def test_quarter_trace_gives_the_snowflake_area(order):
     quarter = fib_turtle_word(3 * (order - 1) + 1)
-    assert _fourfold_area(quarter) == \
+    assert fourfold_area(quarter) == \
         trace_turtle(snowflake_boundary(order)).shoelace_area()
 
 
@@ -80,7 +86,7 @@ def test_quarter_that_does_not_close_in_four_copies_is_open(quarter):
     with pytest.raises(ValueError, match="open boundary"):
         trace_turtle(TurnWord(quarter).repeat(4))
     with pytest.raises(ValueError, match="open boundary"):
-        _fourfold_area(TurnWord(quarter))
+        fourfold_area(TurnWord(quarter))
 
 
 @pytest.mark.parametrize("order", range(1, 6))
@@ -152,8 +158,9 @@ def test_conjecture_report_contents():
 
 
 def test_boundary_that_does_not_match_is_checked_to_be_simple(monkeypatch):
-    monkeypatch.setattr(tiles, "snowflake_boundary",
-                        lambda order: TurnWord("LLLLRRRR"))
+    # four copies of LLL go round the unit square three times
+    monkeypatch.setattr(tiles, "_snowflake_quarter",
+                        lambda order: TurnWord("LLL"))
     with pytest.raises(ValueError, match="self-intersecting boundary"):
         conjecture_report(2)
 
@@ -178,21 +185,99 @@ def test_conjecture_report_raises_when_the_torus_cannot_vouch(monkeypatch):
 
 
 def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
-    # the I-pentomino has the plus pentomino's area 5 and perimeter 12
-    bar = LatticeCycle([(0, 0), (1, 0)] + [(1, y) for y in range(1, 6)]
-                       + [(0, y) for y in range(5, 0, -1)])
+    # the 3 x 3 square has the plus pentomino's perimeter 12 and box, and a
+    # quarter turn fixes it too, but its quarter word is LSS, not RLL
+    square = LatticeCycle([(x, 0) for x in range(3)]
+                          + [(3, y) for y in range(3)]
+                          + [(x, 3) for x in range(3, 0, -1)]
+                          + [(0, y) for y in range(3, 0, -1)])
+    quarter = square.turn_word()[:3]
+    assert quarter * 4 == square.turn_word()
     monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: (
-        vertex_cycle_stats(bar), bar.turn_word()))
+        vertex_cycle_stats(square), quarter))
     report = conjecture_report(2)
     assert report["largest_loop"]["perimeter"] == \
         report["snowflake"]["perimeter"] == 12
-    assert report["largest_loop"]["area"] == report["snowflake"]["area"] == 5
+    assert report["largest_loop"]["width"] == 3
+    assert report["largest_loop"]["area"] == 9
+    assert report["snowflake"]["area"] == 5  # traced, as the words differ
     assert report["match"] is False
+
+
+@functools.cache
+def recorded_report(order):
+    """conjecture_report(order), with the torus census result and the
+    torus answer that it used."""
+    seen = []
+
+    def recorded(function):
+        def call(*args):
+            seen.append(function(*args))
+            return seen[-1]
+        return call
+
+    with mock.patch.object(loops, "_eighth_census",
+                           recorded(loops._eighth_census)), \
+            mock.patch.object(tiles, "_torus_largest",
+                              recorded(tiles._torus_largest)):
+        report = conjecture_report(order)
+    return report, *seen
+
+
+@pytest.mark.parametrize("order", [
+    *range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                    for n in range(9, 13))])
+def test_quarter_walk_matches_the_whole_walk(order):
+    bits = persimmon_word(order).bits
+    report, ((_, perimeter), (start,)), (stats, quarter) = \
+        recorded_report(order)
+    whole, word, _ = walk_loop(bits, bits, start, perimeter)
+    assert stats == whole
+    assert quarter * 4 == word
+    assert report["largest_loop"] == stats._asdict()
+    if order <= 10:
+        # the tile's area, taken from the loop on a match, is the traced
+        # snowflake's
+        assert report["match"]
+        assert report["snowflake"]["area"] == \
+            fourfold_area(_snowflake_quarter(order))
+    if order <= 8:
+        assert full_torus_largest(bits, bits)[0] == stats
+
+
+@st.composite
+def word_pairs(draw):
+    """Two turn words over L, R and S: b is unrelated to a, of a's length
+    or not, or a rotated, swapped or reversed."""
+    a = draw(st.text(alphabet="LRS", max_size=12))
+    kind = draw(st.sampled_from(["any", "same-length", "variant"]))
+    if kind == "any":
+        return a, draw(st.text(alphabet="LRS", max_size=12))
+    if kind == "same-length":
+        return a, draw(st.text(alphabet="LRS", min_size=len(a),
+                               max_size=len(a)))
+    shift = draw(st.integers(0, max(len(a) - 1, 0)))
+    b = a[shift:] + a[:shift]
+    if draw(st.booleans()):
+        b = b.translate(str.maketrans("LR", "RL"))
+    return a, b[::-1] if draw(st.booleans()) else b
+
+
+@given(word_pairs())
+@example(("RLL", "LRL"))
+@example(("RLL", "LSS"))
+def test_fourth_powers_are_congruent_exactly_when_their_roots_are(pair):
+    # conjecture_report compares quarters, not the whole boundaries
+    a, b = pair
+    if len(a) == len(b):
+        assert congruent_words(a * 4, b * 4) == congruent_words(a, b)
+    else:
+        assert not congruent_words(a * 4, b * 4)
 
 
 @pytest.mark.slow
 def test_order_8_largest_persimmon_loop_is_the_snowflake():
-    report = conjecture_report(8)
+    report = recorded_report(8)[0]
     assert report["match"] is True
     assert report["window"] == [1632, 1632]
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
@@ -202,7 +287,7 @@ def test_order_8_largest_persimmon_loop_is_the_snowflake():
 
 @pytest.mark.slow
 def test_order_9_largest_persimmon_loop_is_the_snowflake():
-    report = conjecture_report(9)
+    report = recorded_report(9)[0]
     assert report["match"] is True
     assert report["window"] == [3940, 3940]
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
@@ -212,7 +297,7 @@ def test_order_9_largest_persimmon_loop_is_the_snowflake():
 
 @pytest.mark.slow
 def test_order_10_largest_persimmon_loop_is_the_snowflake():
-    report = conjecture_report(10)
+    report = recorded_report(10)[0]
     assert report["match"] is True
     assert report["window"] == [9512, 9512]
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
@@ -224,7 +309,7 @@ def test_order_10_largest_persimmon_loop_is_the_snowflake():
 def test_order_11_largest_persimmon_loop_is_the_snowflake():
     # the window (22964 cells a side) exceeds MAX_CELLS: only the torus
     # census can check this order
-    report = conjecture_report(11)
+    report = recorded_report(11)[0]
     assert report["match"] is True
     assert report["window"] == [22964, 22964]
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
@@ -236,7 +321,7 @@ def test_order_11_largest_persimmon_loop_is_the_snowflake():
 def test_order_12_largest_persimmon_loop_is_the_snowflake():
     # the census walks only the loops through one eighth of the 27720 x
     # 27720 torus
-    report = conjecture_report(12)
+    report = recorded_report(12)[0]
     assert report["match"] is True
     assert report["window"] == [55440, 55440]
     assert report["largest_loop"]["area"] == report["snowflake"]["area"] \
