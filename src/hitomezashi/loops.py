@@ -24,6 +24,17 @@ marked, so a walk stops where its path leaves the window, and a loop is
 first met at its least vertex.  On the torus the marks wrap, and a walk
 along an infinite path stops displaced from its start by whole periods.
 
+A window whose column bits have an even period L < W is walked only from
+its starts in columns 0..L-1 (the strip rule).  A shift by L maps vertical
+stitches onto vertical stitches, as the column bits repeat, and, L being
+even, horizontal onto horizontal, whatever the rows are.  Columns 0..L-1
+are a prefix of the census scan order, so their walks find exactly the
+loops with least vertex in them.  A loop with least vertex in column
+x >= L shifts left by whole periods, staying inside, onto one in column
+x mod L; a loop of width w in column x mod L shifts right onto one in
+column x exactly when x + w <= W.  So column x holds the loops of column
+x mod L that fit, in the same y order and with the same step bits.
+
 The largest loop of a pattern whose rows and columns repeat one even
 palindrome w of length P (the persimmon patterns) is found on the P x P
 torus, without a window, from one eighth of it (_torus_largest).  A shift
@@ -112,18 +123,6 @@ class LatticeCycle:
         """Width and height in cells of the region inside: the vertex span."""
         xs, ys = zip(*self.vertices)
         return max(xs) - min(xs), max(ys) - min(ys)
-
-    def turn_word(self) -> str:
-        """One letter per vertex, in traversal order: L for a left
-        (counterclockwise) quarter turn, R for a right one, S for a straight
-        step.  Traced hitomezashi loops turn at every vertex."""
-        verts = self.vertices
-        letters = []
-        for (x0, y0), (x1, y1), (x2, y2) in zip(verts[-1:] + verts[:-1],
-                                                verts, verts[1:] + verts[:1]):
-            cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
-            letters.append("L" if cross > 0 else "R" if cross < 0 else "S")
-        return "".join(letters)
 
     def __repr__(self) -> str:
         return f"LatticeCycle({list(self.vertices)!r})"
@@ -238,7 +237,9 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     module docstring).  A loop leaves its least vertex heading up, and its
     steps alternate vertical and horizontal, one byte each: 1 for a step up
     or right, 0 for one down or left.  Loops with equal step bits are
-    translates, with equal fills up to translation (see _ranked)."""
+    translates, with equal fills up to translation (see _ranked).  Only
+    columns 0..L-1 are walked, L from _strip_width; column x yields the
+    loops of column x mod L that fit (the strip rule)."""
     W, H = grid.width, grid.height
     rows = grid.row_bits
     # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
@@ -250,7 +251,10 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     marks = bytearray(VS * (W + 2))
     marks[::VS] = marks[H + 1::VS] = b"\1" * (W + 2)
     marks[-VS:] = b"\1" * VS
-    for x0 in range(W + 1):
+    strip = _strip_width(grid.col_bits, W)
+    found = [[] for _ in range(strip)]  # (y0, steps, width) by column
+    shapes = {}  # step bits -> (those bits, shared, and the loop's width)
+    for x0 in range(strip):
         for y0 in range((cols[x0] + 1) & 1, H, 2):
             if marks[x0 * VS + y0 + 1]:
                 continue
@@ -267,7 +271,31 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
                 steps.append(up)
                 steps.append(right)
             if x == x0 and y == y0:
-                yield (x0, y0), bytes(steps)
+                steps = bytes(steps)
+                shape = shapes.get(steps)
+                if shape is None:
+                    # the least vertex is on the loop's leftmost column
+                    shape = shapes[steps] = (steps, max(accumulate(
+                        right + right - 1 for right in steps[1::2])))
+                found[x0].append((y0, *shape))
+    for x in range(W):
+        for y0, steps, width in found[x % strip]:
+            if x + width <= W:
+                yield (x, y0), steps
+
+
+def _strip_width(cols: Sequence[int], width: int) -> int:
+    """An even period L < width of the column bits, cols[x + L] == cols[x]
+    wherever both exist, or width when none is found: the least period p,
+    or 2p for odd p, when p is at most about half the n bits (a longer one
+    would spare less than half the walk).  The first n // 2 bits then first
+    recur at p: a recurrence at q <= p gives the first q + n // 2 bits the
+    periods q and p, so gcd(p, q) by Fine and Wilf, a period of all the
+    bits, and q = p.  bytes.find takes time linear in n."""
+    bits = bytes(cols)
+    p = bits.find(bits[:len(bits) // 2], 1)
+    even = p << (p & 1)
+    return even if 0 < even < width and bits[p:] == bits[:-p] else width
 
 
 def _trail(grid: StitchGrid, start: Point, vertical: bool) -> list[Point]:
@@ -386,7 +414,8 @@ def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
     fill, canonical hash), by greatest area, then greatest perimeter, then
     least canonical form, equal keys in extract_components order.
 
-    The loops come from _window_loops as (least vertex, step bits).  Loops
+    The loops come from _window_loops as (least vertex, step bits), those
+    past one strip of column periods as translates of the strip's.  Loops
     with equal step bits are translates, so only the first loop of each
     distinct step sequence is built into a LatticeCycle, from its steps,
     filled and measured; every loop that repeats the sequence shares its

@@ -3,10 +3,12 @@ against."""
 
 from collections import defaultdict
 
+from hitomezashi.grid import PatternSpec, ProgramSegment, WordProgram
 from hitomezashi.loops import (LatticeCycle, LoopStats, _turn_word,
                                check_loop_theorems, cycle_to_polyomino,
                                extract_components)
 from hitomezashi.render import DEFAULT_OPTIONS, _fmt
+from hitomezashi.words import BinaryWord
 
 
 def components_from_segments(segments):
@@ -74,6 +76,56 @@ def normalized(cycle):
     if verts[-1] < verts[1]:
         verts = [verts[0]] + verts[:0:-1]
     return LatticeCycle(verts)
+
+
+def turn_word(cycle):
+    """One letter per vertex of a cycle, in traversal order: L for a left
+    (counterclockwise) quarter turn, R for a right one, S for a straight
+    step, from the cross product of the edges into and out of the vertex.
+    Traced hitomezashi loops turn at every vertex."""
+    verts = cycle.vertices
+    letters = []
+    for (x0, y0), (x1, y1), (x2, y2) in zip(verts[-1:] + verts[:-1],
+                                            verts, verts[1:] + verts[:1]):
+        cross = (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1)
+        letters.append("L" if cross > 0 else "R" if cross < 0 else "S")
+    return "".join(letters)
+
+
+def full_window_loops(grid):
+    """loops._window_loops from a walk of every column: the least vertex
+    and step bits of each closed loop of a grid with both families, in
+    order of that vertex, by the census rule (see the loops module
+    docstring), walking every unmarked vertical stitch of the window."""
+    W, H = grid.width, grid.height
+    rows = grid.row_bits
+    # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
+    # the ends of every column line are marked, and so is the extra last
+    # column, which x = W + 1 and, through negative indices, x = -1 both
+    # read: a walk that leaves the window stops there.
+    cols = (*grid.col_bits, 0)
+    VS = H + 2
+    marks = bytearray(VS * (W + 2))
+    marks[::VS] = marks[H + 1::VS] = b"\1" * (W + 2)
+    marks[-VS:] = b"\1" * VS
+    for x0 in range(W + 1):
+        for y0 in range((cols[x0] + 1) & 1, H, 2):
+            if marks[x0 * VS + y0 + 1]:
+                continue
+            x, y, steps = x0, y0, bytearray()
+            while True:
+                up = (y + cols[x]) & 1
+                i = x * VS + y + up
+                if marks[i]:
+                    break
+                marks[i] = 1
+                y += up + up - 1
+                right = (x + rows[y]) & 1
+                x += right + right - 1
+                steps.append(up)
+                steps.append(right)
+            if x == x0 and y == y0:
+                yield (x0, y0), bytes(steps)
 
 
 def presence_vertex_degree(grid, x, y):
@@ -412,6 +464,36 @@ def brute_expand_program(program, count):
     if len(out) < count:
         raise ValueError("program underflow")
     return tuple(out[:count])
+
+
+def spec_from_dict(data):
+    """The PatternSpec whose to_dict is ``data``; ValueError for a wrongly
+    typed field."""
+    def count(value, field):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{field} must be an integer")
+        return value
+
+    def prog(entries, field):
+        if not (isinstance(entries, list)
+                and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"{field} must be a list of objects")
+        segs = []
+        for e in entries:
+            if not isinstance(e["word"], str):
+                raise ValueError("word must be a string")
+            reps = e["repeats"]
+            reps = None if reps == "fill" else count(reps, "repeats")
+            segs.append(ProgramSegment(BinaryWord(e["word"]), reps))
+        return WordProgram(tuple(segs))
+
+    return PatternSpec(
+        name=data["name"],
+        row_program=prog(data["rows"], "rows"),
+        col_program=prog(data["cols"], "cols"),
+        width=count(data["width"], "width"),
+        height=count(data["height"], "height"),
+    )
 
 
 def brute_is_self_dual(row_word, col_word):

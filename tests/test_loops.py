@@ -6,12 +6,13 @@ import pytest
 from hitomezashi import loops
 from hitomezashi.grid import PatternSpec, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
-                               analyze_grid, centred_square_check,
-                               check_loop_theorems, congruent_words,
-                               cycle_to_polyomino, extract_components,
-                               largest_loop, loop_stats, two_color)
+                               _strip_width, analyze_grid,
+                               centred_square_check, check_loop_theorems,
+                               congruent_words, cycle_to_polyomino,
+                               extract_components, largest_loop, loop_stats,
+                               two_color)
 from hitomezashi.registry import lookup
-from oracles import normalized
+from oracles import normalized, turn_word
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -229,6 +230,34 @@ def test_torus_winner_quarter_must_end_a_quarter_turn_on(monkeypatch, end):
     assert loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is None
 
 
+@pytest.mark.parametrize("bits, width, strip", [
+    ((0, 1, 0, 1), 3, 2),
+    ((0, 1, 1, 0, 1, 1, 0), 6, 6),          # 2p = 6 is not below W
+    ((0, 1, 1, 0, 1, 1, 0, 1), 7, 6),       # odd least period 3: L = 6
+    ((0, 0, 0, 1, 0, 0, 0), 6, 4),          # least period past half the bits
+    ((0, 1), 1, 1),
+    ((1, 1), 1, 1),
+])
+def test_strip_width_is_an_even_period_below_the_width(bits, width, strip):
+    assert _strip_width(bits, width) == strip
+
+
+def test_strip_width_finds_no_period_in_long_aperiodic_columns():
+    # without a linear search these take minutes: every candidate period of
+    # 0...01 matches until the last bit
+    W = 10 ** 5
+    assert _strip_width((0,) * W + (1,), W) == W
+    bits = tuple(random.Random(3).choices((0, 1), k=W + 1))
+    assert _strip_width(bits, W) == W
+
+
+def test_strip_width_finds_the_period_of_a_long_repeated_word():
+    W = 10 ** 5
+    word = (0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1)
+    assert _strip_width((word * (W // 12 + 1))[:W + 1], W) == 12
+    assert _strip_width(((0, 1, 1) * (W // 3 + 1))[:W + 1], W) == 6
+
+
 def test_canonical_form_invariant_under_all_symmetries():
     cells = [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]  # U-shape, asymmetric enough
     base = Polyomino(cells).canonical_form
@@ -291,11 +320,11 @@ def test_tetromino_boundaries_enclose_their_cells():
 
 
 def test_turn_word_letters():
-    assert UNIT_SQUARE.turn_word() == "LLLL"
-    assert LatticeCycle(UNIT_SQUARE.vertices[::-1]).turn_word() == "RRRR"
-    assert S_TETROMINO.turn_word() == "LSLRLLSLRL"
+    assert turn_word(UNIT_SQUARE) == "LLLL"
+    assert turn_word(LatticeCycle(UNIT_SQUARE.vertices[::-1])) == "RRRR"
+    assert turn_word(S_TETROMINO) == "LSLRLLSLRL"
     for cycle in (S_TETROMINO, Z_TETROMINO, T_TETROMINO):
-        word = cycle.turn_word()
+        word = turn_word(cycle)
         assert len(word) == cycle.perimeter
         # a simple counterclockwise boundary turns left four times more
         # often than right
@@ -303,7 +332,7 @@ def test_turn_word_letters():
 
 
 def test_reflected_tetromino_is_congruent():
-    s, z = S_TETROMINO.turn_word(), Z_TETROMINO.turn_word()
+    s, z = turn_word(S_TETROMINO), turn_word(Z_TETROMINO)
     assert s != z
     assert congruent_words(s, z)
     assert congruent_words(z, s)
@@ -312,14 +341,14 @@ def test_reflected_tetromino_is_congruent():
 
 
 def test_same_perimeter_other_shape_is_not_congruent():
-    s, t = S_TETROMINO.turn_word(), T_TETROMINO.turn_word()
+    s, t = turn_word(S_TETROMINO), turn_word(T_TETROMINO)
     assert len(s) == len(t)
     assert not congruent_words(s, t)
     assert not congruent_words(t, s)
 
 
 def test_congruent_words_up_to_rotation_reversal_and_swap():
-    word = S_TETROMINO.turn_word()
+    word = turn_word(S_TETROMINO)
     swap = str.maketrans("LR", "RL")
     for variant in (word[3:] + word[:3], word[::-1].translate(swap),
                     word.translate(swap), word[::-1]):

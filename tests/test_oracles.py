@@ -1,6 +1,7 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
 degree, path ends and packing test, the census walk's step bits and the
-one-walk loop measure against each loop's vertex tuple, the full-torus
+one-walk loop measure against each loop's vertex tuple, the census walk
+of one column period against the walk of every column, the full-torus
 census against the census of a two-period window, the one-eighth torus
 census against the full torus, the turn-word congruence test, the loop
 report's one fill and measure per step sequence and one class
@@ -13,6 +14,7 @@ oracles."""
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -26,10 +28,10 @@ from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             expand_program, is_self_dual)
 from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle,
                                _color_columns, _eighth_census, _color_rows, _path_ends,
-                               _torus_largest, _window_loops, analyze_grid,
-                               congruent_words, cycle_to_polyomino,
-                               extract_components, largest_loop, loop_stats,
-                               two_color)
+                               _strip_width, _torus_largest, _window_loops,
+                               analyze_grid, congruent_words,
+                               cycle_to_polyomino, extract_components,
+                               largest_loop, loop_stats, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
@@ -37,10 +39,10 @@ from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
                      components_from_segments, fill_all_analyze_grid,
                      full_torus_census, full_torus_largest,
-                     parity_vertex_degree, presence_vertex_degree,
-                     segment_render_svg, vertex_cycle_stats,
-                     vertex_loop_is_fully_packed, vertex_render_ascii,
-                     walk_loop)
+                     full_window_loops, parity_vertex_degree,
+                     presence_vertex_degree, segment_render_svg, turn_word,
+                     vertex_cycle_stats, vertex_loop_is_fully_packed,
+                     vertex_render_ascii, walk_loop)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -236,12 +238,12 @@ def test_torus_largest_loop_matches_the_two_period_window(row_text,
     assert window[0] == best
     tied = [c for c in extract_components(grid)[0]
             if c.vertices[0] in window[1]]
-    assert len({(vertex_cycle_stats(c), c.turn_word()) for c in tied}) == 1
+    assert len({(vertex_cycle_stats(c), turn_word(c)) for c in tied}) == 1
     cycle = largest_loop(grid)[0]
     stats, word = got
     assert stats == vertex_cycle_stats(cycle)
     assert (stats.area, stats.perimeter) == best
-    assert same_traversal(word, cycle.turn_word())
+    assert same_traversal(word, turn_word(cycle))
 
 
 def halves(min_size, max_size):
@@ -326,8 +328,52 @@ def assert_loop_walk_matches(rows, cols, cycle):
                                     cycle.perimeter)
     assert stats == vertex_cycle_stats(cycle)
     assert corner == tuple(map(min, zip(*cycle.vertices)))
-    turns = cycle.turn_word()
+    turns = turn_word(cycle)
     assert word == turns[1:] + turns[:1]
+
+
+@st.composite
+def strip_grids(draw):
+    """Windows up to 90 cells wide whose columns repeat a word of 1-9 bits,
+    so often with an even period below the width, or follow any program;
+    any row program."""
+    cols = draw(st.one_of(st.text(alphabet="01", min_size=1, max_size=9),
+                          programs()))
+    return grid_of(draw(programs()), cols, draw(st.integers(1, 90)),
+                   draw(sides))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strip_grids())
+@example(grid_of("01", "0000000001", 9, 9))     # no even period below W
+@example(grid_of("0110", "01", 1, 9))            # W = 1
+@example(grid_of("01", "011", 20, 7))            # odd least period: L = 6
+@example(grid_of("0110", "1:3,01", 20, 9))       # aperiodic piecewise columns
+@example(grid_of("", "0110", 9, 5))              # rows missing
+@example(grid_of("0110", "", 9, 5))              # columns missing
+@example(grid_of("0110", "011", 90, 12))         # wide periodic window
+def test_strip_walk_matches_full_walk(grid):
+    if grid.row_bits is None or grid.col_bits is None:
+        assert extract_components(grid)[0] == []
+        return
+    assert list(_window_loops(grid)) == list(full_window_loops(grid))
+
+
+APERIODIC_BITS = "".join(random.Random(7).choices("01", k=2001))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("rows, cols, width, height, strip", [
+    ("0110", "1001100110", 1000, 1000, 10),       # a strip of 10 columns
+    ("011", APERIODIC_BITS, 2000, 40, 2000),      # the whole window
+], ids=["periodic", "aperiodic"])
+def test_strip_walk_matches_full_walk_on_large_windows(monkeypatch, rows, cols,
+                                                      width, height, strip):
+    grid = grid_of(rows, cols, width, height)
+    assert _strip_width(grid.col_bits, width) == strip
+    report = analyze_grid(grid)
+    monkeypatch.setattr("hitomezashi.loops._window_loops", full_window_loops)
+    assert analyze_grid(grid) == report
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,7 +534,7 @@ def test_analyze_json_census_matches_oracles(window):
 def test_congruent_words_match_canonical_forms(grid_a, grid_b):
     cycles = (extract_components(grid_a)[0][:30]
               + extract_components(grid_b)[0][:30])
-    loops = [(c.turn_word(), cycle_to_polyomino(c).canonical_form)
+    loops = [(turn_word(c), cycle_to_polyomino(c).canonical_form)
              for c in cycles]
     for word_a, form_a in loops:
         for word_b, form_b in loops:

@@ -15,8 +15,8 @@ from hitomezashi.tiles import (_snowflake_quarter, conjecture_report,
                                snowflake_width_check, trace_turtle,
                                verify_conjecture)
 from hitomezashi.words import TurnWord, fib_turtle_word, pell
-from oracles import (fourfold_area, full_torus_largest, vertex_cycle_stats,
-                     walk_loop)
+from oracles import (fourfold_area, full_torus_largest, turn_word,
+                     vertex_cycle_stats, walk_loop)
 
 
 def test_four_right_turns_trace_the_unit_square():
@@ -191,8 +191,8 @@ def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
                           + [(3, y) for y in range(3)]
                           + [(x, 3) for x in range(3, 0, -1)]
                           + [(0, y) for y in range(3, 0, -1)])
-    quarter = square.turn_word()[:3]
-    assert quarter * 4 == square.turn_word()
+    quarter = turn_word(square)[:3]
+    assert quarter * 4 == turn_word(square)
     monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: (
         vertex_cycle_stats(square), quarter))
     report = conjecture_report(2)
