@@ -29,10 +29,10 @@ from .words import BinaryWord, pell
 MAX_ORDER = 9
 # Highest order verify-conjecture checks.  The loops are found from one
 # eighth of the P x P torus, P = 2*pell(n), without building the window of
-# 2P cells a side, whose 22964**2 cells at order 11 exceed MAX_CELLS.  On a
-# shared 2-vCPU VM orders 1-11 take about 12 s and 0.1 GB, and orders 1-12
-# about 70 s and 0.4 GB, of which 384 MB are order 12's P*P/2 bytes of
-# stitch marks; order 13's would take 2.2 GB.
+# 2P cells a side, so MAX_CELLS does not bound the order.  On a shared
+# 2-vCPU VM orders 1-11 take about 12 s and 0.1 GB, and orders 1-12 about
+# 70 s and 0.4 GB, of which 384 MB are order 12's P*P/2 bytes of stitch
+# marks; order 13's would take 2.2 GB.
 MAX_CONJECTURE_ORDER = 12
 
 

@@ -96,9 +96,10 @@ class WordProgram:
         return not self.segments
 
 
-# Largest window a spec may ask for.  Order 10's two-period persimmon
-# window, 9512**2 cells, fits; order 11's, 22964**2 cells, does not.  The
-# conjecture check builds neither: it runs on the torus.
+# Largest window a spec may ask for.  It admits windows that some commands
+# cannot serve in memory: at 2000**2 cells a child process peaked at 970 MB
+# for `render --svg --fill` and 203 MB for `analyze --json`, both linear in
+# the cells (ROADMAP item 5).  The conjecture check builds no window.
 MAX_CELLS = 10 ** 8
 
 

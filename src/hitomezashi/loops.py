@@ -238,8 +238,9 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     steps alternate vertical and horizontal, one byte each: 1 for a step up
     or right, 0 for one down or left.  Loops with equal step bits are
     translates, with equal fills up to translation (see _ranked).  Only
-    columns 0..L-1 are walked, L from _strip_width; column x yields the
-    loops of column x mod L that fit (the strip rule)."""
+    columns 0..L-1 are walked, L from _strip_width, and each of their loops
+    is yielded as it closes; a column x >= L yields the loops of column
+    x mod L that fit (the strip rule)."""
     W, H = grid.width, grid.height
     rows = grid.row_bits
     # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
@@ -252,7 +253,8 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     marks[::VS] = marks[H + 1::VS] = b"\1" * (W + 2)
     marks[-VS:] = b"\1" * VS
     strip = _strip_width(grid.col_bits, W)
-    found = [[] for _ in range(strip)]  # (y0, steps, width) by column
+    # (y0, steps, width) by column, kept only for the translates
+    found = [[] for _ in range(strip)] if strip < W else None
     shapes = {}  # step bits -> (those bits, shared, and the loop's width)
     for x0 in range(strip):
         for y0 in range((cols[x0] + 1) & 1, H, 2):
@@ -272,13 +274,16 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
                 steps.append(right)
             if x == x0 and y == y0:
                 steps = bytes(steps)
-                shape = shapes.get(steps)
-                if shape is None:
-                    # the least vertex is on the loop's leftmost column
-                    shape = shapes[steps] = (steps, max(accumulate(
-                        right + right - 1 for right in steps[1::2])))
-                found[x0].append((y0, *shape))
-    for x in range(W):
+                if found is not None:
+                    shape = shapes.get(steps)
+                    if shape is None:
+                        # the least vertex is on the loop's leftmost column
+                        shape = shapes[steps] = (steps, max(accumulate(
+                            right + right - 1 for right in steps[1::2])))
+                    steps = shape[0]
+                    found[x0].append((y0, *shape))
+                yield (x0, y0), steps
+    for x in range(strip, W):
         for y0, steps, width in found[x % strip]:
             if x + width <= W:
                 yield (x, y0), steps
@@ -462,21 +467,19 @@ def largest_loop(
     return cycle, poly, stats
 
 
-def _torus_largest(rows: Sequence[int], cols: Sequence[int],
-                   ) -> Optional[tuple[LoopStats, str]]:
+def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
     """The stats and the quarter turn word of the largest loop of a window
     two periods wide and two high over the pattern whose phase bits repeat
-    ``rows`` and ``cols``, found from one eighth of the torus and a quarter
+    ``word`` on both axes, found from one eighth of the torus and a quarter
     of the winner's walk; None when the torus cannot vouch for it.
 
     The answer is largest_loop's on that window whenever the word is an
-    even palindrome used on both axes, the torus has a single loop of the
-    greatest (area, perimeter), and that loop spans at most one period of
-    vertices on each axis.  Every loop of the window is a bounded loop of
-    the plane pattern and so appears on the torus: the torus best is at
-    least the window's.  A loop spanning at most a period has a translate
-    by whole periods inside the window: the window best is at least the
-    torus's.  With a single torus tie every window tie is a translate of
+    even palindrome, the torus has a single loop of the greatest (area,
+    perimeter), and that loop spans at most one period of vertices on each
+    axis.  Every loop of the window is a bounded loop of the plane pattern
+    and so appears on the torus: the torus best is at least the window's.
+    A loop spanning at most a period has a translate by whole periods
+    inside the window: the window best is at least the torus's.  With a single torus tie every window tie is a translate of
     it, with its box and, up to rotation and direction, its turn word.
     The torus tie is single exactly when the walks from E find one and the
     first quarter of its walk ends at its start turned a quarter about a
@@ -484,9 +487,9 @@ def _torus_largest(rows: Sequence[int], cols: Sequence[int],
     four copies of the quarter's, the letters from the end of its first
     step on, and its box the square about that centre.
     """
-    bits = tuple(cols)
+    bits = tuple(word)
     p = len(bits)
-    if p % 2 or tuple(rows) != bits or bits != bits[::-1]:
+    if p % 2 or bits != bits[::-1]:
         return None
     (area, perimeter), ties = _eighth_census(bits)
     if len(ties) != 1 or perimeter % 8 != 4:
@@ -645,8 +648,9 @@ class ColumnColoring(Mapping):
 
     ``columns[x][y]`` is the color of cell (x, y) for 0 <= x < width and
     0 <= y < height; the columns are at most four distinct lists, shared by
-    identity (render_svg builds one run of rects per distinct list).  Any
-    other key is missing, as it would be from the equal dict.
+    identity (render_svg, which fills no other coloring, builds one run of
+    rects per distinct list).  Any other key is missing, as it would be
+    from the equal dict.
     """
 
     __slots__ = ("columns", "width", "height")
@@ -682,30 +686,19 @@ def two_color(grid: StitchGrid) -> ColumnColoring:
     is the parity of the stitches crossed on a path from (0, 0), which is
     ry[y] ^ cx[x] ^ (x & y & 1) for the prefix parities ry, cx of the phase
     bits.  With one family the window is one region unless it is one cell
-    wide across the lines, where each stitch cuts the strip.
+    wide across the lines, where each stitch cuts the strip.  It is the
+    only coloring render_svg fills.
     """
-    return ColumnColoring(_color_columns(grid), grid.width, grid.height)
-
-
-def _color_columns(grid: StitchGrid) -> list[list[int]]:
-    """two_color's colors as one list per column, bottom up: column x is
-    ry, or ry ^ (y & 1) for odd x with both families present, complemented
-    when cx[x] is 1, so one of four shared lists."""
-    return _color_lines(grid, by_column=True)
-
-
-def _color_rows(grid: StitchGrid) -> list[list[int]]:
-    """_color_columns transposed, one list per row, left to right: row y is
-    cx, or cx ^ (x & 1) for odd y with both families present, complemented
-    when ry[y] is 1, so one of four shared lists."""
-    return _color_lines(grid, by_column=False)
+    return ColumnColoring(_color_lines(grid, by_column=True), grid.width,
+                          grid.height)
 
 
 def _color_lines(grid: StitchGrid, by_column: bool) -> list[list[int]]:
-    """The colors by column or by row from two_color's prefix parities: for
-    (along, across) = (ry, cx) or (cx, ry), position j of line i holds
-    along[j] ^ across[i] ^ (i & j & 1), the last term only with both
-    families present, so each line is one of four lists."""
+    """two_color's colors as one list per column, bottom up, or per row,
+    left to right, from its prefix parities: for (along, across) = (ry, cx)
+    or (cx, ry), position j of line i holds along[j] ^ across[i] ^
+    (i & j & 1), the last term only with both families present, so each
+    line is one of four shared lists."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     both = rows is not None and cols is not None
@@ -756,5 +749,6 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "open_path_count": open_paths,
         "theorems_all_hold": all(all(theorems.values())
                                  for _, theorems in fields.values()),
-        "two_coloring": [row.copy() for row in _color_rows(grid)],
+        "two_coloring": [row.copy()
+                         for row in _color_lines(grid, by_column=False)],
     }

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .grid import Point, StitchGrid
+from .grid import StitchGrid
 from .loops import ColumnColoring, LatticeCycle
 
 
@@ -88,22 +88,27 @@ def _filled(template: list[str], coord: str) -> list[str]:
 def render_svg(
     grid: StitchGrid,
     options: RenderOptions = DEFAULT_OPTIONS,
-    coloring: Optional[Mapping[Point, int]] = None,
+    coloring: Optional[ColumnColoring] = None,
     highlight: Optional[LatticeCycle] = None,
 ) -> str:
     """SVG document with one line element per present segment.
 
-    ``coloring`` (cell -> 0/1, as produced by two_color) paints unit squares
-    beneath the strokes when fill_two_coloring is set, one rect per key in
-    sorted order; ``highlight`` draws one closed cycle on top with a heavier
-    contrasting stroke.  Each coordinate of the window is formatted once.
-    two_color's ColumnColoring of this grid's window has each distinct
-    column's rects built once, as a template filled with the column's x;
-    any other Mapping is painted cell by cell.  The document is one join of
-    fragments, so its size is the only large allocation.
+    With fill_two_coloring set, ``coloring`` must be two_color's
+    ColumnColoring of a window of this grid's size, or None for no fill;
+    anything else raises ValueError.  It paints one rect per cell beneath
+    the strokes, each distinct column's rects built once, as a template
+    filled with the column's x; with the fill off it is unused.
+    ``highlight`` draws one closed cycle on top with a heavier contrasting
+    stroke.  Each coordinate of the window is formatted once.  The document
+    is one join of fragments, so its size is the only large allocation.
     """
     s = options.cell_size
     W, H = grid.width, grid.height
+    fill = options.fill_two_coloring and coloring is not None
+    if fill and not (isinstance(coloring, ColumnColoring)
+                     and (coloring.width, coloring.height) == (W, H)):
+        raise ValueError("the fill needs two_color's coloring of a "
+                         f"{W} x {H} window")
     fill_a, fill_b, stroke = options.palette
     xs = [_fmt(x * s) for x in range(W + 1)]
     ys = [_fmt((H - y) * s) for y in range(H + 1)]
@@ -114,25 +119,19 @@ def render_svg(
         f'height="{H * s}" viewBox="0 0 {W * s} {H * s}">\n'
     )
 
-    if options.fill_two_coloring and coloring is not None:
+    if fill:
         parts.append('  <g stroke="none">\n')
-        tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{fill}"/>\n'
-                          for fill in (fill_a, fill_b))
-        if (isinstance(coloring, ColumnColoring)
-                and (coloring.width, coloring.height) == (W, H)):
-            # Column x's rects differ from any other column's with the same
-            # color list only in x: one template per distinct list.
-            runs: dict[int, list[str]] = {}
-            for x, column in zip(xs, coloring.columns):
-                if id(column) not in runs:
-                    runs[id(column)] = "".join(
-                        f'    <rect x="\0" y="{y}{tail_b if c else tail_a}'
-                        for y, c in zip(ys[1:], column)).split("\0")
-                parts += _filled(runs[id(column)], x)
-        else:
-            parts += [f'    <rect x="{_fmt(x * s)}" y="{_fmt((H - y - 1) * s)}'
-                      f'{tail_b if coloring[x, y] else tail_a}'
-                      for x, y in sorted(coloring)]
+        tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{color}"/>\n'
+                          for color in (fill_a, fill_b))
+        # Column x's rects differ from any other column's with the same
+        # color list only in x: one template per distinct list.
+        runs: dict[int, list[str]] = {}
+        for x, column in zip(xs, coloring.columns):
+            if id(column) not in runs:
+                runs[id(column)] = "".join(
+                    f'    <rect x="\0" y="{y}{tail_b if c else tail_a}'
+                    for y, c in zip(ys[1:], column)).split("\0")
+            parts += _filled(runs[id(column)], x)
         parts.append("  </g>\n")
 
     if options.show_grid:

@@ -142,7 +142,7 @@ def conjecture_report(order: int) -> dict:
     """
     word = persimmon_word(order)
     bits = word.bits
-    largest = _torus_largest(bits, bits)
+    largest = _torus_largest(bits)
     if largest is None:
         raise ValueError(f"order {order}: the torus census cannot vouch for "
                          "the largest loop")

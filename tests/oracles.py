@@ -564,7 +564,8 @@ def segment_render_svg(grid, options=DEFAULT_OPTIONS, coloring=None,
     """SVG document built segment by segment from grid.segments(), four
     coordinate formats per line element.
 
-    ``coloring`` (cell -> 0/1, as produced by two_color) paints unit squares
+    ``coloring`` (cell -> 0/1 over the W x H window, as produced by
+    two_color) paints each window cell, column by column and bottom up,
     beneath the strokes when fill_two_coloring is set; ``highlight`` draws
     one closed cycle on top with a heavier contrasting stroke.
     """
@@ -586,12 +587,13 @@ def segment_render_svg(grid, options=DEFAULT_OPTIONS, coloring=None,
 
     if options.fill_two_coloring and coloring is not None:
         parts.append('  <g stroke="none">')
-        for (cx, cy) in sorted(coloring):
-            fill = fill_b if coloring[(cx, cy)] else fill_a
-            parts.append(
-                f'    <rect x="{X(cx)}" y="{Y(cy + 1)}" width="{s}" '
-                f'height="{s}" fill="{fill}"/>'
-            )
+        for cx in range(W):
+            for cy in range(H):
+                fill = fill_b if coloring[(cx, cy)] else fill_a
+                parts.append(
+                    f'    <rect x="{X(cx)}" y="{Y(cy + 1)}" width="{s}" '
+                    f'height="{s}" fill="{fill}"/>'
+                )
         parts.append("  </g>")
 
     if options.show_grid:

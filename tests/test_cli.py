@@ -446,7 +446,7 @@ def test_order_the_torus_cannot_vouch_for_is_a_domain_error(capsys,
         return {"match": True} if order < 11 else real(order)
 
     monkeypatch.setattr(cli, "conjecture_report", report)
-    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
+    monkeypatch.setattr(tiles, "_torus_largest", lambda word: None)
     code, out, err = run(capsys, "verify-conjecture", "--max-order", "11")
     assert code == 1
     assert out.splitlines() == [

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion.
+"""Every demo script runs to completion, and every SVG it writes equals
+the committed copy in demos/output/ byte for byte.
 
 Each runs from a copy in a temporary directory, since demo 05 writes its
 SVGs into an output/ directory next to itself.
@@ -14,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUT = ROOT / "demos" / "output"
 
 
 def test_every_demo_is_found():
@@ -31,3 +33,12 @@ def test_demo_exits_cleanly(tmp_path, demo):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    written = sorted((tmp_path / "output").glob("*.svg"))
+    if demo.stem.startswith("05_"):
+        # one filled, highlighted render_svg document and two
+        # render_cycle_svg ones
+        assert [path.name for path in written] == [
+            "persimmon_3.svg", "snowflake_3.svg", "snowflake_4.svg"]
+    for path in written:
+        assert path.read_bytes() == (OUTPUT / path.name).read_bytes(), \
+            path.name

@@ -178,7 +178,7 @@ def test_order_3_quarter_walk_ends_a_quarter_turn_on():
     assert end == quarter_turn(start, *CENTRE_3, steps[-1] == 1)
     # the quarter reaches 4.5 from the centre, on the left and at the top
     assert box == (0, 4, 5, 9)
-    assert loops._torus_largest(PERSIMMON_3, PERSIMMON_3) == (
+    assert loops._torus_largest(PERSIMMON_3) == (
         LoopStats(52, 29, 9, 9), loops._turn_word(steps))
 
 
@@ -191,7 +191,7 @@ def test_torus_winner_must_span_at_most_a_period(monkeypatch, width, height,
     min_x, min_y = (9 - width) // 2, (9 - height) // 2
     patch_quarter(monkeypatch,
                   box=(min_x, min_y, min_x + width, min_y + height))
-    got = loops._torus_largest(PERSIMMON_3, PERSIMMON_3)
+    got = loops._torus_largest(PERSIMMON_3)
     assert (got is not None) == vouched
     if vouched:
         assert got[0] == LoopStats(52, 29, 9, 9)
@@ -211,7 +211,7 @@ def test_torus_winner_box_must_be_fixed_by_the_symmetries(monkeypatch, min_x,
                   end=lambda start, end, clockwise: quarter_turn(
                       start, cx, cy, clockwise),
                   box=(min_x, min_y, min_x + 9, min_y + 9))
-    assert (loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is not None) \
+    assert (loops._torus_largest(PERSIMMON_3) is not None) \
         == vouched
 
 
@@ -227,7 +227,7 @@ def test_torus_winner_box_must_be_fixed_by_the_symmetries(monkeypatch, min_x,
 ], ids=["start", "half-turn", "other-way", "one-off"])
 def test_torus_winner_quarter_must_end_a_quarter_turn_on(monkeypatch, end):
     patch_quarter(monkeypatch, end=end)
-    assert loops._torus_largest(PERSIMMON_3, PERSIMMON_3) is None
+    assert loops._torus_largest(PERSIMMON_3) is None
 
 
 @pytest.mark.parametrize("bits, width, strip", [

@@ -19,16 +19,17 @@ from contextlib import redirect_stdout
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (assume, example, given, settings,
+                        strategies as st)
 
 from hitomezashi import tiles
 from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, Polyomino, _cycle,
-                               _color_columns, _eighth_census, _color_rows, _path_ends,
-                               _strip_width, _torus_largest, _window_loops,
+from hitomezashi.loops import (LatticeCycle, Polyomino, _color_lines, _cycle,
+                               _eighth_census, _path_ends, _strip_width,
+                               _torus_largest, _window_loops,
                                analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, loop_stats, two_color)
@@ -262,7 +263,7 @@ def halves(min_size, max_size):
 def test_eighth_of_the_torus_matches_the_full_torus(text):
     bits = tuple(map(int, text))
     expected = full_torus_largest(bits, bits)
-    got = _torus_largest(bits, bits)
+    got = _torus_largest(bits)
     with mock.patch.object(tiles, "persimmon_word",
                            lambda order: BinaryWord(text)):
         if expected is None:
@@ -281,17 +282,15 @@ def test_eighth_of_the_torus_matches_the_full_torus(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(words, words)
-@example("0110", "1001")    # two even palindromes, each vouched for
-@example("1001", "0110")
-@example("010", "010")      # odd period
-@example("0100", "0100")    # not palindromes, vouched for on the full torus
-@example("10000110", "10000110")
-def test_eighth_of_the_torus_needs_one_even_palindrome(row_text, col_text):
-    rows, cols = tuple(map(int, row_text)), tuple(map(int, col_text))
-    if len(cols) % 2 == 0 and rows == cols == cols[::-1]:
+@given(words)
+@example("010")             # odd period
+@example("0100")            # not a palindrome, vouched for on the full torus
+@example("10000110")
+def test_eighth_of_the_torus_needs_one_even_palindrome(text):
+    bits = tuple(map(int, text))
+    if len(bits) % 2 == 0 and bits == bits[::-1]:
         return
-    assert _torus_largest(rows, cols) is None
+    assert _torus_largest(bits) is None
 
 
 # two non-congruent loop classes share (area, perimeter) = (17, 28)
@@ -597,9 +596,10 @@ def test_two_color_matches_bfs_oracle(grid):
 @example(grid_of("0110:1,1", "01:2,10", 1, 1))
 @example(grid_of("011", "0110", 1, 6))
 @example(grid_of("011", "0110", 6, 1))
-def test_color_rows_are_the_columns_transposed(grid):
-    rows = _color_rows(grid)
-    assert rows == [list(row) for row in zip(*_color_columns(grid))]
+def test_color_lines_by_row_are_the_columns_transposed(grid):
+    rows = _color_lines(grid, by_column=False)
+    assert rows == [list(row)
+                    for row in zip(*_color_lines(grid, by_column=True))]
     assert len(rows) == grid.height
     assert len({id(row) for row in rows}) <= 4
 
@@ -714,15 +714,18 @@ def test_render_ascii_matches_vertex_by_vertex_render(grid, show_grid):
 
 
 def svg_coloring(grid, kind):
-    """No coloring, the grid's two-coloring, a part of it, all of it plus
-    cells off the window on every side (2 is a truthy color), or the
-    two-coloring of the H x W window with the transposed phase bits."""
+    """No coloring, the grid's two-coloring, all of it as a dict, a part of
+    it, all of it plus cells off the window on every side (2 is a truthy
+    color), or the two-coloring of the H x W window with the transposed
+    phase bits."""
     if kind is None:
         return None
     W, H = grid.width, grid.height
     if kind == "other-window":
         return two_color(StitchGrid(H, W, grid.col_bits, grid.row_bits))
     coloring = two_color(grid)
+    if kind == "dict":
+        return dict(coloring)
     if kind == "partial":
         return {(x, y): c for (x, y), c in coloring.items()
                 if (2 * x + y) % 3}
@@ -749,8 +752,7 @@ def svg_highlight(grid, kind):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grids(), st.sampled_from([None, "full", "partial", "off-window",
-                                 "other-window"]),
+@given(grids(), st.sampled_from([None, "full", "other-window"]),
        st.booleans(), st.booleans(),
        st.sampled_from([None, "loop", "shifted"]),
        st.sampled_from([1, 7, 20]), st.sampled_from([2.0, 1.25]))
@@ -761,22 +763,56 @@ def svg_highlight(grid, kind):
 @example(grid_of("0110", "", 6, 5), "full", True, True, None, 7, 2.0)
 @example(grid_of("", "0110:1,1", 5, 6), "full", True, False, None, 20, 1.25)
 @example(grid_of("0110", "011", 12, 12), "full", True, True, "loop", 7, 2.0)
-@example(grid_of("01:2,1", "0110", 7, 4), "other-window", True, False, None,
+@example(grid_of("0110", "011", 12, 12), "other-window", True, False, "loop",
          20, 2.0)
-@example(grid_of("1", "", 1, 4), "other-window", True, True, None, 7, 1.25)
-@example(grid_of("10", "", 1, 9), "off-window", True, False, "shifted", 1, 2.0)
-@example(grid_of("", "0110", 9, 1), "partial", True, True, None, 20, 1.25)
-@example(grid_of("1", "", 1, 4), "off-window", True, True, "loop", 7, 2.0)
+@example(grid_of("1", "", 1, 1), "other-window", True, True, None, 7, 1.25)
 @example(grid_of("", "1", 4, 1), "full", False, True, "shifted", 1, 1.25)
-@example(grid_of("1", "1", 1, 7), "off-window", True, True, "shifted", 7, 2.0)
-@example(grid_of("0", "1", 9, 1), "partial", True, False, "loop", 1, 1.25)
-@example(grid_of(*TIED_TOP), "off-window", True, True, "loop", 7, 1.25)
 def test_render_svg_matches_segment_by_segment_render(
         grid, coloring_kind, fill, show_grid, highlight_kind, cell_size,
         stroke_width):
+    # another window's two-coloring is filled only when it is W x H
+    assume(coloring_kind != "other-window" or grid.width == grid.height)
     options = RenderOptions(cell_size=cell_size, stroke_width=stroke_width,
                             show_grid=show_grid, fill_two_coloring=fill)
     coloring = svg_coloring(grid, coloring_kind)
     highlight = svg_highlight(grid, highlight_kind)
     assert render_svg(grid, options, coloring, highlight) \
         == segment_render_svg(grid, options, coloring, highlight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.sampled_from(["dict", "partial", "off-window",
+                                 "other-window"]),
+       st.booleans(), st.booleans(),
+       st.sampled_from([None, "loop", "shifted"]),
+       st.sampled_from([1, 7, 20]), st.sampled_from([2.0, 1.25]))
+@example(grid_of("01:2,1", "0110", 7, 4), "other-window", True, False, None,
+         20, 2.0)
+@example(grid_of("1", "", 1, 4), "other-window", True, True, None, 7, 1.25)
+@example(grid_of("10", "", 1, 9), "off-window", True, False, "shifted", 1, 2.0)
+@example(grid_of("", "0110", 9, 1), "partial", True, True, None, 20, 1.25)
+@example(grid_of("1", "", 1, 4), "off-window", True, True, "loop", 7, 2.0)
+@example(grid_of("1", "1", 1, 7), "off-window", True, True, "shifted", 7, 2.0)
+@example(grid_of("0", "1", 9, 1), "partial", True, False, "loop", 1, 1.25)
+@example(grid_of(*TIED_TOP), "off-window", True, True, "loop", 7, 1.25)
+@example(grid_of("0110", "011", 12, 12), "dict", True, False, None, 20, 2.0)
+@example(grid_of("0110", "011", 12, 12), "dict", False, True, "loop", 7, 2.0)
+def test_render_svg_fills_only_two_color_of_the_window(
+        grid, coloring_kind, fill, show_grid, highlight_kind, cell_size,
+        stroke_width):
+    """Any coloring but two_color's of a W x H window is refused when the
+    fill is on, and unused when it is off."""
+    W, H = grid.width, grid.height
+    assume(coloring_kind != "other-window" or W != H)
+    options = RenderOptions(cell_size=cell_size, stroke_width=stroke_width,
+                            show_grid=show_grid, fill_two_coloring=fill)
+    coloring = svg_coloring(grid, coloring_kind)
+    highlight = svg_highlight(grid, highlight_kind)
+    if fill:
+        with pytest.raises(ValueError, match=f"^the fill needs two_color's "
+                           f"coloring of a {W} x {H} window$"):
+            render_svg(grid, options, coloring, highlight)
+    else:
+        svg = render_svg(grid, options, coloring, highlight)
+        assert "<rect" not in svg
+        assert svg == render_svg(grid, options, None, highlight)

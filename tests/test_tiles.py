@@ -178,7 +178,7 @@ def test_conjecture_report_matches_the_filled_largest_loop(order):
 
 
 def test_conjecture_report_raises_when_the_torus_cannot_vouch(monkeypatch):
-    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: None)
+    monkeypatch.setattr(tiles, "_torus_largest", lambda word: None)
     with pytest.raises(ValueError, match="^order 3: the torus census "
                        "cannot vouch for the largest loop$"):
         conjecture_report(3)
@@ -193,7 +193,7 @@ def test_same_size_loop_that_is_not_the_snowflake_fails(monkeypatch):
                           + [(0, y) for y in range(3, 0, -1)])
     quarter = turn_word(square)[:3]
     assert quarter * 4 == turn_word(square)
-    monkeypatch.setattr(tiles, "_torus_largest", lambda rows, cols: (
+    monkeypatch.setattr(tiles, "_torus_largest", lambda word: (
         vertex_cycle_stats(square), quarter))
     report = conjecture_report(2)
     assert report["largest_loop"]["perimeter"] == \
