@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import registry
@@ -140,40 +139,28 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-# The report's lists, in the report's order, with the key of their items:
-# items with equal keys have equal JSON.  A loop is its five scalars and its
-# three theorem flags; a coloring row is a list of 0s and 1s.
-_LOOP_FIELDS = itemgetter("perimeter", "area", "height", "width",
-                          "canonical_hash")
-_THEOREM_FLAGS = itemgetter("area_1_mod_4", "perimeter_4_mod_8",
-                            "box_dimensions_odd")
-_ITEM_KEYS = {
-    "loops": lambda loop: (_LOOP_FIELDS(loop)
-                           + _THEOREM_FLAGS(loop["theorems"])),
-    "two_coloring": bytes,
-}
-
-
 def _report_json(report: dict) -> Iterator[str]:
-    """json.dumps(report, indent=2) and a newline, in pieces.  The indent
-    encoder is pure Python, but the two long lists repeat themselves (the
-    two-coloring has at most four distinct rows, the loops about one entry
-    per congruence class), so each distinct item is indent-encoded once,
-    looked up by its _ITEM_KEYS key, and the document is never held as one
-    string."""
-    text = json.dumps({**report, **dict.fromkeys(_ITEM_KEYS)}, indent=2)
-    for name, key_of in _ITEM_KEYS.items():
-        head, text = text.split(f'"{name}": null', 1)
-        yield head
+    """json.dumps(report, indent=2) and a newline, in pieces, for a report
+    with str keys.  The indent encoder is pure Python, but analyze_grid's
+    two long lists repeat themselves by identity (equal loops are one dict,
+    the two-coloring's rows at most four lists), so each distinct object in
+    a top-level list is indent-encoded once, looked up by id(), and the
+    document is never held as one string."""
+    lists = [name for name, value in report.items()
+             if isinstance(value, list)]
+    text = json.dumps({**report, **dict.fromkeys(lists)}, indent=2)
+    for name in lists:
+        key = f"\n  {json.dumps(name)}: "
+        head, text = text.split(key + "null", 1)
+        yield head + key
         blocks = {}
         for i, item in enumerate(report[name]):
-            key = key_of(item)
-            block = blocks.get(key)
+            block = blocks.get(id(item))
             if block is None:  # with the separator that precedes it
-                block = blocks[key] = ",\n    " + json.dumps(
+                block = blocks[id(item)] = ",\n    " + json.dumps(
                     item, indent=2).replace("\n", "\n    ")
-            yield block if i else f'"{name}": [' + block[1:]
-        yield "\n  ]" if blocks else f'"{name}": []'
+            yield block if i else "[" + block[1:]
+        yield "\n  ]" if blocks else "[]"
     yield text + "\n"
 
 

@@ -98,8 +98,9 @@ class WordProgram:
 
 # Largest window a spec may ask for.  It admits windows that some commands
 # cannot serve in memory: at 2000**2 cells a child process peaked at 970 MB
-# for `render --svg --fill` and 203 MB for `analyze --json`, both linear in
-# the cells (ROADMAP item 5).  The conjecture check builds no window.
+# for `render --svg --fill`, linear in the cells (ROADMAP item 5), and at
+# 27 MB for `analyze --json` on two short words.  The conjecture check
+# builds no window.
 MAX_CELLS = 10 ** 8
 
 

@@ -81,6 +81,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, product
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
@@ -411,41 +412,45 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
 
 
 _Class = tuple[LatticeCycle, Polyomino, str]
+# a loop's place in the ranking: (-area, -perimeter, canonical form)
+_Entry = tuple[tuple[int, int, tuple[Point, ...]], LoopStats, _Class]
 
 
-def _ranked(grid: StitchGrid) -> tuple[list[tuple[LoopStats, _Class]], int]:
+def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int]:
     """The loop ranking of analyze_grid and largest_loop, and the grid's
-    open path count.  The ranking holds each loop's stats and class (cycle,
-    fill, canonical hash), by greatest area, then greatest perimeter, then
-    least canonical form, equal keys in extract_components order.
+    open path count.  The ranking holds each loop's sort key, stats and
+    class (cycle, fill, canonical hash), by greatest area, then greatest
+    perimeter, then least canonical form, equal keys in extract_components
+    order.
 
     The loops come from _window_loops as (least vertex, step bits), those
     past one strip of column periods as translates of the strip's.  Loops
     with equal step bits are translates, so only the first loop of each
     distinct step sequence is built into a LatticeCycle, from its steps,
     filled and measured; every loop that repeats the sequence shares its
-    ranking entry.  Its canonical form keys its class, whose first fill
-    represents it: that cycle, fill and canonical hash serve all.  No open
-    path is walked: they number half the path ends.
+    ranking entry, sort key included.  Its canonical form keys its class,
+    whose first fill represents it: that cycle, fill and canonical hash
+    serve all.  No open path is walked: they number half the path ends.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], grid.segment_count()
     classes: dict[tuple[Point, ...], _Class] = {}
-    shapes: dict[bytes, tuple[LoopStats, _Class]] = {}
+    shapes: dict[bytes, _Entry] = {}
     ranked = []
     for start, steps in _window_loops(grid):
         entry = shapes.get(steps)
         if entry is None:
             cycle = _cycle(start, steps)
             poly = cycle_to_polyomino(cycle)
-            rep = classes.get(poly.canonical_form)
+            form = poly.canonical_form
+            rep = classes.get(form)
             if rep is None:
-                rep = classes[poly.canonical_form] = (
-                    cycle, poly, poly.canonical_hash())
-            entry = shapes[steps] = (loop_stats(poly, cycle), rep)
+                rep = classes[form] = cycle, poly, poly.canonical_hash()
+            stats = loop_stats(poly, cycle)
+            entry = shapes[steps] = (
+                (-stats.area, -stats.perimeter, form), stats, rep)
         ranked.append(entry)
-    ranked.sort(key=lambda entry: (-entry[0].area, -entry[0].perimeter,
-                                   entry[1][1].canonical_form))
+    ranked.sort(key=itemgetter(0))
     return ranked, len(_path_ends(grid)) // 2
 
 
@@ -463,7 +468,7 @@ def largest_loop(
         return None
     # the head is the first member of its class, so the class cycle and
     # fill are its own
-    stats, (cycle, poly, _) = ranked[0]
+    _, stats, (cycle, poly, _) = ranked[0]
     return cycle, poly, stats
 
 
@@ -727,19 +732,24 @@ def analyze_grid(grid: StitchGrid) -> dict:
     Loops rank by greatest area, then greatest perimeter, then least
     canonical form, equal keys in extract_components order; largest_loop
     returns the head of this ranking (see _ranked).
+
+    The report is read-only: loops with equal stats and canonical hash are
+    one shared dict, theorems included, and the two-coloring's rows are at
+    most four shared lists (_color_lines).  Sharing stays within one
+    report, as every call builds new objects; copy.deepcopy gives a
+    mutable copy.
     """
     ranked, open_paths = _ranked(grid)
-    # each distinct entry's fields are built once; every loop gets copies
-    fields: dict[tuple[LoopStats, str], tuple[dict, dict]] = {}
+    shared: dict[tuple[LoopStats, str], dict] = {}
     loops_report = []
-    for stats, (_, _, canonical_hash) in ranked:
+    for _, stats, (_, _, canonical_hash) in ranked:
         key = stats, canonical_hash
-        if key not in fields:
-            fields[key] = ({**stats._asdict(),
-                            "canonical_hash": canonical_hash},
-                           check_loop_theorems(stats)._asdict())
-        loop, theorems = fields[key]
-        loops_report.append({**loop, "theorems": {**theorems}})
+        loop = shared.get(key)
+        if loop is None:
+            loop = shared[key] = {
+                **stats._asdict(), "canonical_hash": canonical_hash,
+                "theorems": check_loop_theorems(stats)._asdict()}
+        loops_report.append(loop)
 
     return {
         "width": grid.width,
@@ -747,8 +757,7 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "segment_count": grid.segment_count(),
         "loops": loops_report,
         "open_path_count": open_paths,
-        "theorems_all_hold": all(all(theorems.values())
-                                 for _, theorems in fields.values()),
-        "two_coloring": [row.copy()
-                         for row in _color_lines(grid, by_column=False)],
+        "theorems_all_hold": all(all(loop["theorems"].values())
+                                 for loop in shared.values()),
+        "two_coloring": _color_lines(grid, by_column=False),
     }

@@ -21,7 +21,6 @@ class RenderOptions:
     stroke_width: float = 2.0
     show_grid: bool = False
     fill_two_coloring: bool = False
-    palette: tuple[str, str, str] = ("#f5efe0", "#9db8d2", "#1b2a4a")
 
     def __post_init__(self):
         if self.cell_size < 1:
@@ -35,6 +34,7 @@ class RenderOptions:
 
 
 DEFAULT_OPTIONS = RenderOptions()
+PALETTE = ("#f5efe0", "#9db8d2", "#1b2a4a")  # two fills, then the stroke
 # one stitch of a row or column line; NUL stands for the line's own coordinate
 _ROW_STITCH = '    <line x1="{}" y1="\0" x2="{}" y2="\0"/>\n'
 _COL_STITCH = '    <line x1="\0" y1="{}" x2="\0" y2="{}"/>\n'
@@ -109,7 +109,7 @@ def render_svg(
                      and (coloring.width, coloring.height) == (W, H)):
         raise ValueError("the fill needs two_color's coloring of a "
                          f"{W} x {H} window")
-    fill_a, fill_b, stroke = options.palette
+    fill_a, fill_b, stroke = PALETTE
     xs = [_fmt(x * s) for x in range(W + 1)]
     ys = [_fmt((H - y) * s) for y in range(H + 1)]
 
@@ -194,8 +194,8 @@ def render_cycle_svg(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'  <polygon points="{points}" fill="{options.palette[1]}" '
-        f'fill-opacity="0.35" stroke="{options.palette[2]}" '
+        f'  <polygon points="{points}" fill="{PALETTE[1]}" '
+        f'fill-opacity="0.35" stroke="{PALETTE[2]}" '
         f'stroke-width="{_fmt(options.stroke_width)}"/>',
         "</svg>",
         "",

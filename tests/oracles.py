@@ -7,7 +7,7 @@ from hitomezashi.grid import PatternSpec, ProgramSegment, WordProgram
 from hitomezashi.loops import (LatticeCycle, LoopStats, _turn_word,
                                check_loop_theorems, cycle_to_polyomino,
                                extract_components)
-from hitomezashi.render import DEFAULT_OPTIONS, _fmt
+from hitomezashi.render import DEFAULT_OPTIONS, PALETTE, _fmt
 from hitomezashi.words import BinaryWord
 
 
@@ -571,7 +571,7 @@ def segment_render_svg(grid, options=DEFAULT_OPTIONS, coloring=None,
     """
     s = options.cell_size
     W, H = grid.width, grid.height
-    fill_a, fill_b, stroke = options.palette
+    fill_a, fill_b, stroke = PALETTE
 
     def X(x):
         return _fmt(x * s)

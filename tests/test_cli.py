@@ -26,6 +26,14 @@ igetazashi                          28    17       5      5
 """
 
 
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a CLI
+    run in a child process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -155,6 +163,32 @@ def test_analyze_json_bytes_are_unchanged(capsys, rows, cols, width, height,
                        "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The child's own peak RSS: a fresh interpreter, so no earlier child of the
+# test run is counted.  At this window the report with one dict per loop and
+# one list per coloring row peaked at 203 MB.
+PEAK_RSS_SCRIPT = """
+import contextlib, os, resource, sys
+from hitomezashi.cli import main
+with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_analyze_json_peak_rss_at_2000_squared():
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "analyze", "--rows", "0110",
+         "--cols", "011", "--width", "2000", "--height", "2000", "--json"],
+        capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.stderr == ""
+    code, kib = proc.stdout.split()
+    assert code == "0"
+    assert int(kib) / 1024 < 100
 
 
 def test_analyze_human(capsys):
@@ -367,15 +401,12 @@ def test_unwritable_output_path_is_domain_error(tmp_path, capsys, argv):
 
 
 def test_empty_fixed_word_with_a_huge_count_returns_at_once():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for rows, code, err in ((":1000000000", 1, b"error: program underflow\n"),
                             (":1000000000,1", 0, b"")):
         proc = subprocess.run(
             [sys.executable, "-m", "hitomezashi.cli", "render", "--rows", rows,
              "--cols", "1", "--width", "2", "--height", "2"],
-            capture_output=True, env=env, timeout=10)
+            capture_output=True, env=child_env(), timeout=10)
         assert (proc.returncode, proc.stderr) == (code, err)
 
 
@@ -500,12 +531,9 @@ def test_oversized_window_is_refused_before_it_is_built(capsys, monkeypatch,
 def first_line_then_close(*argv):
     """Run the CLI in a child process, read one line of its stdout, close
     that pipe and return the line, the exit code and the child's stderr."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "hitomezashi.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=child_env())
     line = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()

@@ -12,6 +12,7 @@ oracles.py; the `analyze --json` writer and the CLI's output against
 json.dumps, and that output's loops and open path count against the
 oracles."""
 
+import copy
 import io
 import json
 import random
@@ -299,6 +300,9 @@ SHARED_SIZE = ("0:2,011:2,11101101:2,0111", "1000110:1,11110101:2,1", 12, 24)
 SHARED_AREA = ("011", "011:3,1:2,110", 24, 8)
 # one congruence class holds loops with 5x3 and with 3x5 boxes
 BOTH_ORIENTATIONS = ("10010000:2,0:3,10:1,1101", "1001111:2,0101", 17, 10)
+# two non-congruent loop classes share every stat: perimeter 36, area 21,
+# height 5, width 9
+SHARED_STATS = ("0010010", "10111110010110111001110", 22, 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,6 +389,7 @@ def test_strip_walk_matches_full_walk_on_large_windows(monkeypatch, rows, cols,
 @example(grid_of(*SHARED_SIZE))
 @example(grid_of(*SHARED_AREA))
 @example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of(*SHARED_STATS))
 def test_analyze_grid_matches_fill_all_oracle(grid):
     assert analyze_grid(grid) == fill_all_analyze_grid(grid)
 
@@ -432,6 +437,7 @@ def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
 @example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
 @example(grid_of(*TIED_TOP))
 @example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of(*SHARED_STATS))
 def test_analyze_grid_measures_each_step_sequence_once(grid):
     walked, filled, measured = [], [], []
 
@@ -469,9 +475,12 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
     # the first loop of each step sequence is filled and measured, and no
     # other
     assert filled == measured == sorted(first.values())
-    # yet every loop gets dicts of its own
-    assert len({id(entry) for entry in loops}
-               | {id(entry["theorems"]) for entry in loops}) == 2 * len(loops)
+    # two loops are one dict, theorems included, exactly when their JSON
+    # is equal
+    texts = [json.dumps(entry) for entry in loops]
+    for ids in ([id(entry) for entry in loops],
+                [id(entry["theorems"]) for entry in loops]):
+        assert len(set(ids)) == len(set(texts)) == len(set(zip(ids, texts)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -481,9 +490,13 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
 @example(grid_of("", "0110", 9, 1))     # columns only
 @example(grid_of(*TIED_TOP))
 @example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of(*SHARED_STATS))
 def test_analyze_json_writer_matches_json_dumps(grid):
     report = analyze_grid(grid)
-    assert "".join(_report_json(report)) == json.dumps(report, indent=2) + "\n"
+    # a deep copy shares nothing, so every item is its own identity key
+    for report in (report, copy.deepcopy(report)):
+        assert ("".join(_report_json(report))
+                == json.dumps(report, indent=2) + "\n")
 
 
 def analyze_json(rows, cols, width, height):
@@ -519,6 +532,7 @@ def test_analyze_json_output_is_json_dumps(window):
 @example(("011100", "10110", 17, 13))
 @example(TIED_TOP)
 @example(BOTH_ORIENTATIONS)
+@example(SHARED_STATS)
 def test_analyze_json_census_matches_oracles(window):
     grid = grid_of(*window)
     report = json.loads(analyze_json(*window))
@@ -608,13 +622,19 @@ def test_color_lines_by_row_are_the_columns_transposed(grid):
 @given(grids())
 @example(grid_of("0110", "011", 12, 12))
 @example(grid_of("1", "", 1, 4))
-def test_analyze_grid_coloring_rows_are_unshared(grid):
-    rows = analyze_grid(grid)["two_coloring"]
-    before = [row.copy() for row in rows]
-    for y, row in enumerate(rows):
-        row[0] ^= 1
-        assert rows[:y] + rows[y + 1:] == before[:y] + before[y + 1:]
-        row[0] ^= 1
+def test_analyze_grid_coloring_rows_are_shared_within_one_report(grid):
+    report, other = analyze_grid(grid), analyze_grid(grid)
+    rows = report["two_coloring"]
+    assert rows == _color_lines(grid, by_column=False)
+    assert len({id(row) for row in rows}) <= 4
+    # every call builds its own rows and loops
+    before = copy.deepcopy(other)
+    for row in rows:
+        row.append(2)
+    for loop in report["loops"]:
+        loop["area"] = -1
+        loop["theorems"]["area_1_mod_4"] = None
+    assert other == before
 
 
 def test_one_wide_strip_alternates_at_every_stitch():
