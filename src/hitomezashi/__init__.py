@@ -10,8 +10,8 @@ from .loops import (LatticeCycle, Polyomino, LoopStats, TheoremReport,
                     check_loop_theorems, largest_loop, two_color,
                     centred_square_check, analyze_grid)
 from .tiles import (trace_turtle, snowflake, snowflake_boundary,
-                    snowflake_cycle, snowflake_width_check, persimmon_word,
-                    persimmon_spec, verify_conjecture, conjecture_report)
+                    snowflake_cycle, persimmon_word, persimmon_spec,
+                    verify_conjecture, conjecture_report)
 from .registry import PatternEntry, lookup, list_all, table1, export_catalog
 from .render import (RenderOptions, render_ascii, render_svg,
                      render_cycle_svg)
@@ -28,8 +28,8 @@ __all__ = [
     "loop_stats", "check_loop_theorems", "largest_loop", "two_color",
     "centred_square_check", "analyze_grid",
     "trace_turtle", "snowflake", "snowflake_boundary", "snowflake_cycle",
-    "snowflake_width_check", "persimmon_word", "persimmon_spec",
-    "verify_conjecture", "conjecture_report",
+    "persimmon_word", "persimmon_spec", "verify_conjecture",
+    "conjecture_report",
     "PatternEntry", "lookup", "list_all", "table1", "export_catalog",
     "RenderOptions", "render_ascii", "render_svg", "render_cycle_svg",
     "__version__",

@@ -11,7 +11,7 @@ import functools
 import json
 import os
 import sys
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import registry
 from .grid import PatternSpec, WordProgram, build_grid, is_self_dual
@@ -40,28 +40,25 @@ def _check_order(order: int, flag: str, limit: int = MAX_ORDER) -> None:
         raise ValueError(f"{flag} must be between 1 and {limit}")
 
 
-def _word_arg(text: str) -> BinaryWord:
-    try:
-        return BinaryWord(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _program_arg(text: str) -> WordProgram:
-    try:
-        return WordProgram.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type that reports parse's ValueError as a usage error."""
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _add_pattern_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rows", type=_program_arg, required=True,
-                        metavar="PROG",
+    parser.add_argument("--rows", type=_arg(WordProgram.parse),
+                        required=True, metavar="PROG",
                         help="row program: word[:count] segments, comma-"
                              "separated; a bare word repeats to fill; "
                              "empty string for no horizontal lines")
-    parser.add_argument("--cols", type=_program_arg, required=True,
-                        metavar="PROG", help="column program, same syntax")
+    parser.add_argument("--cols", type=_arg(WordProgram.parse),
+                        required=True, metavar="PROG",
+                        help="column program, same syntax")
     parser.add_argument("--width", type=int, required=True, help="cells")
     parser.add_argument("--height", type=int, required=True, help="cells")
 
@@ -253,13 +250,14 @@ def _cmd_persimmon(args) -> int:
     _check_order(args.order, "--order")
     spec = persimmon_spec(args.order, args.periods)
     word = persimmon_word(args.order)
+    shift = is_self_dual(word, word)
     if args.json:
         print(json.dumps({
             "order": args.order,
             "word": str(word),
             "word_length": len(word),
             "spec": spec.to_dict(),
-            "self_dual_shift": list(is_self_dual(word, word) or ()) or None,
+            "self_dual_shift": list(shift) if shift else None,
         }))
         return 0
     print(f"persimmon pattern order {args.order}")
@@ -267,7 +265,6 @@ def _cmd_persimmon(args) -> int:
           f"(length {len(word)} = 2*pell({args.order}) = {2 * pell(args.order)})")
     print(f"  window: {spec.width}x{spec.height} cells "
           f"({args.periods} periods per axis)")
-    shift = is_self_dual(word, word)
     print(f"  self-dual shift: ({shift[0]}, {shift[1]})" if shift
           else "  self-dual shift: none")
     if args.svg or args.ascii:
@@ -318,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("self-dual", help="find the translation mapping a "
                                          "pattern onto its dual")
-    p.add_argument("--rows", type=_word_arg, required=True, metavar="WORD")
-    p.add_argument("--cols", type=_word_arg, required=True, metavar="WORD")
+    p.add_argument("--rows", type=_arg(BinaryWord), required=True,
+                   metavar="WORD")
+    p.add_argument("--cols", type=_arg(BinaryWord), required=True,
+                   metavar="WORD")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_self_dual)
 

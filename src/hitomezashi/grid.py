@@ -190,18 +190,6 @@ class StitchGrid:
             if len(self.col_bits) != self.width + 1:
                 raise ValueError("col_bits must hold width+1 bits")
 
-    def horizontal_present(self, x: int, y: int) -> bool:
-        """Is the segment from (x, y) to (x+1, y) stitched?"""
-        if not (0 <= x < self.width and 0 <= y <= self.height):
-            raise IndexError("out of bounds")
-        return self.row_bits is not None and (x + self.row_bits[y]) % 2 == 1
-
-    def vertical_present(self, x: int, y: int) -> bool:
-        """Is the segment from (x, y) to (x, y+1) stitched?"""
-        if not (0 <= x <= self.width and 0 <= y < self.height):
-            raise IndexError("out of bounds")
-        return self.col_bits is not None and (y + self.col_bits[x]) % 2 == 1
-
     def segments(self) -> Iterator[Segment]:
         """All present segments, horizontals first, in reading order."""
         if self.row_bits is not None:

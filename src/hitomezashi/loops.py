@@ -307,8 +307,9 @@ def _strip_width(cols: Sequence[int], width: int) -> int:
 def _trail(grid: StitchGrid, start: Point, vertical: bool) -> list[Point]:
     """The vertices of the walk along the stitches of a grid with both
     families that leaves ``start``, vertically first if ``vertical``, to
-    the window edge or back to the start, which it does not repeat; the
-    open paths of extract_components."""
+    the window edge or back to the start, which it does not repeat: every
+    window loop, from its least vertex heading up, and every open path,
+    from its lesser end."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     x, y = start
@@ -359,7 +360,7 @@ def extract_components(
     exactly one component.
 
     Cycles come out in order of their least vertex, each least vertex
-    first, heading up, built from the starts and step bits _window_loops
+    first, heading up, walked by _trail from the starts _window_loops
     yields.  Paths run from their lesser end, in order of that end: each
     path is walked once, from the first of its ends in _path_ends' (x, y)
     order.  A grid with one family missing has no loops, and each of its
@@ -367,7 +368,8 @@ def extract_components(
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
-    cycles = [_cycle(start, steps) for start, steps in _window_loops(grid)]
+    cycles = [LatticeCycle(_trail(grid, start, True))
+              for start, _ in _window_loops(grid)]
     paths, far_ends = [], set()
     for end in _path_ends(grid):
         if end in far_ends:
@@ -426,11 +428,12 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int]:
     The loops come from _window_loops as (least vertex, step bits), those
     past one strip of column periods as translates of the strip's.  Loops
     with equal step bits are translates, so only the first loop of each
-    distinct step sequence is built into a LatticeCycle, from its steps,
-    filled and measured; every loop that repeats the sequence shares its
-    ranking entry, sort key included.  Its canonical form keys its class,
-    whose first fill represents it: that cycle, fill and canonical hash
-    serve all.  No open path is walked: they number half the path ends.
+    distinct step sequence is walked again from its start into a
+    LatticeCycle (_trail), filled and measured; every loop that repeats
+    the sequence shares its ranking entry, sort key included.  Its
+    canonical form keys its class, whose first fill represents it: that
+    cycle, fill and canonical hash serve all.  No open path is walked:
+    they number half the path ends.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], grid.segment_count()
@@ -440,7 +443,7 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int]:
     for start, steps in _window_loops(grid):
         entry = shapes.get(steps)
         if entry is None:
-            cycle = _cycle(start, steps)
+            cycle = LatticeCycle(_trail(grid, start, True))
             poly = cycle_to_polyomino(cycle)
             form = poly.canonical_form
             rep = classes.get(form)
@@ -484,8 +487,9 @@ def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
     axis.  Every loop of the window is a bounded loop of the plane pattern
     and so appears on the torus: the torus best is at least the window's.
     A loop spanning at most a period has a translate by whole periods
-    inside the window: the window best is at least the torus's.  With a single torus tie every window tie is a translate of
-    it, with its box and, up to rotation and direction, its turn word.
+    inside the window: the window best is at least the torus's.  With a
+    single torus tie every window tie is a translate of it, with its box
+    and, up to rotation and direction, its turn word.
     The torus tie is single exactly when the walks from E find one and the
     first quarter of its walk ends at its start turned a quarter about a
     symmetry centre (see the module docstring).  Its turn word is then
@@ -607,20 +611,6 @@ def _quarter_walk(bits: Sequence[int], start: Point, count: int,
         steps.append(up)
         steps.append(right)
     return steps, (x - right - right + 1, y), (min_x, min_y, max_x, max_y)
-
-
-def _cycle(start: Point, steps: bytes) -> LatticeCycle:
-    """The LatticeCycle of the closed loop that leaves ``start`` in
-    ``steps`` (see _window_loops)."""
-    x, y = start
-    vertices = []
-    pairs = iter(steps)
-    for up, right in zip(pairs, pairs):
-        vertices.append((x, y))
-        y += up + up - 1
-        vertices.append((x, y))
-        x += right + right - 1
-    return LatticeCycle(vertices)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -34,13 +34,12 @@ class PatternEntry:
                            *self.default_window)
 
     def to_dict(self) -> dict:
-        spec = self.spec()
         return {
             "key": self.key,
             "display_name": self.display_name,
             "meaning": self.meaning,
-            "rows": spec.row_program.to_text(),
-            "cols": spec.col_program.to_text(),
+            "rows": self.row_text,
+            "cols": self.col_text,
             "default_window": list(self.default_window),
             "self_dual": self.self_dual,
             "expected_stats": (list(self.expected_stats)

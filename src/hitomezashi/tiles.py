@@ -31,7 +31,7 @@ from .grid import PatternSpec, WordProgram
 from .loops import (LatticeCycle, Polyomino, _torus_largest, congruent_words,
                     cycle_to_polyomino,
                     largest_loop)  # largest_loop is re-exported
-from .words import TurnWord, fib_turtle_word, pell, pell_word
+from .words import TurnWord, fib_turtle_word, pell_word
 
 # heading turns: L is a counterclockwise quarter turn, R clockwise
 _LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
@@ -82,12 +82,6 @@ def snowflake(order: int) -> Polyomino:
     """The order-n snowflake tile.  Its area is pell(2n-1) and its traced
     perimeter is four times the boundary turn-word quarter length."""
     return cycle_to_polyomino(snowflake_cycle(order))
-
-
-def snowflake_width_check(order: int) -> bool:
-    """Does the snowflake's width in boundary stitches (cell width plus one)
-    equal twice pell(order)?"""
-    return snowflake_cycle(order).cell_box()[0] + 1 == 2 * pell(order)
 
 
 def persimmon_word(order: int):

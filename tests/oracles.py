@@ -128,19 +128,47 @@ def full_window_loops(grid):
                 yield (x0, y0), bytes(steps)
 
 
+def cycle_from_steps(start, steps):
+    """The LatticeCycle of the closed loop that leaves ``start`` in the step
+    bits ``steps`` (see loops._window_loops), decoded two bits at a time."""
+    x, y = start
+    vertices = []
+    pairs = iter(steps)
+    for up, right in zip(pairs, pairs):
+        vertices.append((x, y))
+        y += up + up - 1
+        vertices.append((x, y))
+        x += right + right - 1
+    return LatticeCycle(vertices)
+
+
+def horizontal_present(grid, x, y):
+    """Is the segment from (x, y) to (x+1, y) stitched?"""
+    if not (0 <= x < grid.width and 0 <= y <= grid.height):
+        raise IndexError("out of bounds")
+    return grid.row_bits is not None and (x + grid.row_bits[y]) % 2 == 1
+
+
+def vertical_present(grid, x, y):
+    """Is the segment from (x, y) to (x, y+1) stitched?"""
+    if not (0 <= x <= grid.width and 0 <= y < grid.height):
+        raise IndexError("out of bounds")
+    return grid.col_bits is not None and (y + grid.col_bits[x]) % 2 == 1
+
+
 def presence_vertex_degree(grid, x, y):
     """Present segments meeting (x, y), from four bounds-checked presence
     queries."""
     if not (0 <= x <= grid.width and 0 <= y <= grid.height):
         raise IndexError("out of bounds")
     degree = 0
-    if x > 0 and grid.horizontal_present(x - 1, y):
+    if x > 0 and horizontal_present(grid, x - 1, y):
         degree += 1
-    if x < grid.width and grid.horizontal_present(x, y):
+    if x < grid.width and horizontal_present(grid, x, y):
         degree += 1
-    if y > 0 and grid.vertical_present(x, y - 1):
+    if y > 0 and vertical_present(grid, x, y - 1):
         degree += 1
-    if y < grid.height and grid.vertical_present(x, y):
+    if y < grid.height and vertical_present(grid, x, y):
         degree += 1
     return degree
 
@@ -382,13 +410,13 @@ def _regions(grid):
             while frontier:
                 x, y = frontier.pop()
                 reachable = []
-                if x + 1 < W and not grid.vertical_present(x + 1, y):
+                if x + 1 < W and not vertical_present(grid, x + 1, y):
                     reachable.append((x + 1, y))
-                if x > 0 and not grid.vertical_present(x, y):
+                if x > 0 and not vertical_present(grid, x, y):
                     reachable.append((x - 1, y))
-                if y + 1 < H and not grid.horizontal_present(x, y + 1):
+                if y + 1 < H and not horizontal_present(grid, x, y + 1):
                     reachable.append((x, y + 1))
-                if y > 0 and not grid.horizontal_present(x, y):
+                if y > 0 and not horizontal_present(grid, x, y):
                     reachable.append((x, y - 1))
                 for nbr in reachable:
                     if nbr not in region_of:
@@ -410,14 +438,14 @@ def bfs_two_color(grid):
     neighbors = {r: set() for r in range(count)}
     for y in range(H):
         for x in range(1, W):
-            if grid.vertical_present(x, y):
+            if vertical_present(grid, x, y):
                 a, b = region_of[(x - 1, y)], region_of[(x, y)]
                 if a != b:
                     neighbors[a].add(b)
                     neighbors[b].add(a)
     for x in range(W):
         for y in range(1, H):
-            if grid.horizontal_present(x, y):
+            if horizontal_present(grid, x, y):
                 a, b = region_of[(x, y - 1)], region_of[(x, y)]
                 if a != b:
                     neighbors[a].add(b)
@@ -548,13 +576,13 @@ def vertex_render_ascii(grid, options=DEFAULT_OPTIONS):
         row = []
         for x in range(W + 1):
             mark = " "
-            if y < H and grid.vertical_present(x, y):
+            if y < H and vertical_present(grid, x, y):
                 mark = "|"
             elif options.show_grid:
                 mark = "+"
             row.append(mark)
             if x < W:
-                row.append("_" if grid.horizontal_present(x, y) else " ")
+                row.append("_" if horizontal_present(grid, x, y) else " ")
         lines.append("".join(row).rstrip())
     return "\n".join(lines)
 

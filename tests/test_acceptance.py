@@ -157,7 +157,7 @@ def test_criterion_8_centred_square_areas():
 
 
 def test_criterion_9_two_coloring_registry():
-    from oracles import _regions
+    from oracles import _regions, horizontal_present, vertical_present
     with criterion(9, "every registry pattern two-colors properly", 5.0):
         for entry in list_all():
             grid = build_grid(entry.spec())
@@ -165,10 +165,11 @@ def test_criterion_9_two_coloring_registry():
             region_of, _ = _regions(grid)
             for y in range(grid.height):
                 for x in range(grid.width):
-                    if x + 1 < grid.width and grid.vertical_present(x + 1, y) \
-                            and region_of[(x, y)] != region_of[(x + 1, y)]:
+                    if x + 1 < grid.width and \
+                            vertical_present(grid, x + 1, y) and \
+                            region_of[(x, y)] != region_of[(x + 1, y)]:
                         assert coloring[(x, y)] != coloring[(x + 1, y)]
                     if y + 1 < grid.height and \
-                            grid.horizontal_present(x, y + 1) and \
+                            horizontal_present(grid, x, y + 1) and \
                             region_of[(x, y)] != region_of[(x, y + 1)]:
                         assert coloring[(x, y)] != coloring[(x, y + 1)]

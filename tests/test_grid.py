@@ -7,8 +7,9 @@ from hitomezashi.grid import (MAX_CELLS, PatternSpec, ProgramSegment,
 from hitomezashi.registry import list_all
 from hitomezashi.tiles import persimmon_word
 from hitomezashi.words import BinaryWord, pell
-from oracles import (parity_vertex_degree, spec_from_dict,
-                     vertex_loop_is_fully_packed)
+from oracles import (horizontal_present, parity_vertex_degree,
+                     spec_from_dict, vertex_loop_is_fully_packed,
+                     vertical_present)
 
 
 def prog(text):
@@ -135,8 +136,8 @@ def test_kuchizashi_grid_bits_and_presence():
     grid = build_grid(spec("1", "1", 4, 4))
     assert grid.row_bits == (1, 1, 1, 1, 1)
     assert grid.col_bits == (1, 1, 1, 1, 1)
-    assert grid.horizontal_present(0, 0)
-    assert not grid.horizontal_present(1, 0)
+    assert horizontal_present(grid, 0, 0)
+    assert not horizontal_present(grid, 1, 0)
 
 
 def test_grid_shape_validation():
@@ -166,16 +167,16 @@ def test_segment_count_matches_enumeration(rows, cols, width, height):
 
 def test_zero_phase_line_parity():
     grid = build_grid(spec("0", "0", 4, 4))
-    assert not grid.horizontal_present(0, 2)
-    assert grid.horizontal_present(1, 2)
+    assert not horizontal_present(grid, 0, 2)
+    assert horizontal_present(grid, 1, 2)
 
 
 def test_presence_bounds_checks():
     grid = build_grid(spec("1", "1", 4, 4))
     with pytest.raises(IndexError, match="out of bounds"):
-        grid.horizontal_present(4, 0)
+        horizontal_present(grid, 4, 0)
     with pytest.raises(IndexError, match="out of bounds"):
-        grid.vertical_present(0, 4)
+        vertical_present(grid, 0, 4)
 
 
 def test_dual_flips_row_bits():
@@ -188,12 +189,12 @@ def test_kuchizashi_dual_is_translate_by_one_one():
     dual = grid.dual()
     for y in range(grid.height):
         for x in range(grid.width - 1):
-            assert dual.horizontal_present(x, y) == \
-                grid.horizontal_present(x + 1, y + 1)
+            assert horizontal_present(dual, x, y) == \
+                horizontal_present(grid, x + 1, y + 1)
     for x in range(grid.width):
         for y in range(grid.height - 1):
-            assert dual.vertical_present(x, y) == \
-                grid.vertical_present(x + 1, y + 1)
+            assert vertical_present(dual, x, y) == \
+                vertical_present(grid, x + 1, y + 1)
 
 
 def test_vertex_degree_and_packing():
@@ -232,12 +233,12 @@ def test_dual_presence_complementarity(grid):
 def test_presence_alternates_along_every_line(grid):
     for y in range(grid.height + 1):
         for x in range(grid.width - 1):
-            assert grid.horizontal_present(x, y) != \
-                grid.horizontal_present(x + 1, y)
+            assert horizontal_present(grid, x, y) != \
+                horizontal_present(grid, x + 1, y)
     for x in range(grid.width + 1):
         for y in range(grid.height - 1):
-            assert grid.vertical_present(x, y) != \
-                grid.vertical_present(x, y + 1)
+            assert vertical_present(grid, x, y) != \
+                vertical_present(grid, x, y + 1)
 
 
 @given(row_word=words_nonempty, col_word=words_nonempty)
@@ -247,10 +248,10 @@ def test_presence_is_periodic_in_two_word_periods(row_word, col_word):
     grid = build_grid(spec(row_word, col_word, 2 * px + 2, 2 * py + 2))
     for y in range(py + 1):
         for x in range(px + 1):
-            assert grid.horizontal_present(x, y) == \
-                grid.horizontal_present(x + px, y + py)
-            assert grid.vertical_present(x, y) == \
-                grid.vertical_present(x + px, y + py)
+            assert horizontal_present(grid, x, y) == \
+                horizontal_present(grid, x + px, y + py)
+            assert vertical_present(grid, x, y) == \
+                vertical_present(grid, x + px, y + py)
 
 
 # --- self-duality ---
@@ -271,13 +272,13 @@ def oracle_self_dual_shift(row_word, col_word, dx, dy):
     dual = grid.dual()
     for y in range(span_y + 1):
         for x in range(span_x):
-            if dual.horizontal_present(x, y) != \
-                    grid.horizontal_present(x + dx, y + dy):
+            if horizontal_present(dual, x, y) != \
+                    horizontal_present(grid, x + dx, y + dy):
                 return False
     for x in range(span_x + 1):
         for y in range(span_y):
-            if dual.vertical_present(x, y) != \
-                    grid.vertical_present(x + dx, y + dy):
+            if vertical_present(dual, x, y) != \
+                    vertical_present(grid, x + dx, y + dy):
                 return False
     return True
 

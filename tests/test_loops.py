@@ -12,7 +12,8 @@ from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                extract_components, largest_loop, loop_stats,
                                two_color)
 from hitomezashi.registry import lookup
-from oracles import normalized, turn_word
+from oracles import (horizontal_present, normalized, turn_word,
+                     vertical_present)
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -441,12 +442,12 @@ def test_two_color_proper_and_matches_potential(seed):
                 same = coloring[(x, y)] == coloring[(x + 1, y)]
                 expected = potential(grid, x, y) == potential(grid, x + 1, y)
                 assert same == expected
-                assert same != grid.vertical_present(x + 1, y)
+                assert same != vertical_present(grid, x + 1, y)
             if y + 1 < grid.height:
                 same = coloring[(x, y)] == coloring[(x, y + 1)]
                 expected = potential(grid, x, y) == potential(grid, x, y + 1)
                 assert same == expected
-                assert same != grid.horizontal_present(x, y + 1)
+                assert same != horizontal_present(grid, x, y + 1)
 
 
 def test_two_color_single_direction_pattern_is_trivial():

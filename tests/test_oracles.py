@@ -28,7 +28,7 @@ from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, Polyomino, _color_lines, _cycle,
+from hitomezashi.loops import (LatticeCycle, Polyomino, _color_lines,
                                _eighth_census, _path_ends, _strip_width,
                                _torus_largest, _window_loops,
                                analyze_grid, congruent_words,
@@ -39,7 +39,8 @@ from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
-                     components_from_segments, fill_all_analyze_grid,
+                     components_from_segments, cycle_from_steps,
+                     fill_all_analyze_grid,
                      full_torus_census, full_torus_largest,
                      full_window_loops, parity_vertex_degree,
                      presence_vertex_degree, segment_render_svg, turn_word,
@@ -319,7 +320,7 @@ def test_loop_walk_matches_vertex_oracle(grid):
     if grid.row_bits is None or grid.col_bits is None:
         assert cycles == []
         return
-    assert [_cycle(start, steps).vertices
+    assert [cycle_from_steps(start, steps).vertices
             for start, steps in _window_loops(grid)] == \
         [cycle.vertices for cycle in cycles]
     for cycle in cycles:

@@ -1,4 +1,5 @@
-"""README examples against the command line that they describe."""
+"""README examples against the command line and library that they
+describe."""
 
 import re
 from pathlib import Path
@@ -41,3 +42,18 @@ def test_self_dual_examples_print_what_they_say(capsys):
 def test_stated_order_ranges_are_the_cli_limits(flag, limit):
     stated = re.findall(rf"`{flag}` outside 1-(\d+)", README)
     assert stated == [str(limit)]
+
+
+def test_library_example_prints_what_its_comments_say(capsys):
+    block = re.search(r"^## Library\n\n```python\n(.*?)```", README,
+                      re.S | re.M)
+    assert block is not None
+    comments = re.findall(r"^print\(.*#\s*(.*)$", block.group(1), re.M)
+    assert len(comments) == 4
+    exec(block.group(1), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments)
+    # a comment is the printed line, then a remark after a comma
+    for line, comment in zip(printed, comments):
+        assert comment == line or comment.startswith(line + ","), \
+            (line, comment)

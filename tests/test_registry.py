@@ -8,6 +8,7 @@ from hitomezashi.grid import (PatternSpec, WordProgram, build_grid,
 from hitomezashi.loops import LoopStats, largest_loop
 from hitomezashi.registry import export_catalog, list_all, lookup, table1
 from hitomezashi.words import BinaryWord
+from oracles import horizontal_present, vertical_present
 
 MANDATORY_KEYS = [
     "yokogushi", "tategushi", "dan_tsunagi_ne", "dan_tsunagi_nw",
@@ -76,6 +77,14 @@ def test_yamagata_spec_and_dict_are_its_parsed_programs():
         "self_dual": True, "expected_stats": None, "dual_key": "yamagata"}
 
 
+def test_entry_texts_are_canonical_program_texts():
+    # to_dict prints row_text and col_text as they are, which is the text
+    # of their parsed programs
+    for entry in list_all():
+        for text in (entry.row_text, entry.col_text):
+            assert WordProgram.parse(text).to_text() == text, entry.key
+
+
 def test_yamagata_is_self_dual_on_its_window():
     # the peaked column program is not a single repeated word, so compare
     # the dual grid against the original shifted one row up
@@ -85,12 +94,12 @@ def test_yamagata_is_self_dual_on_its_window():
     dual = grid.dual()
     for y in range(grid.height):
         for x in range(grid.width):
-            assert dual.horizontal_present(x, y) == \
-                grid.horizontal_present(x, y + 1)
+            assert horizontal_present(dual, x, y) == \
+                horizontal_present(grid, x, y + 1)
     for x in range(grid.width + 1):
         for y in range(grid.height - 1):
-            assert dual.vertical_present(x, y) == \
-                grid.vertical_present(x, y + 1)
+            assert vertical_present(dual, x, y) == \
+                vertical_present(grid, x, y + 1)
 
 
 def test_expected_stats_match_computed_largest_loops():
