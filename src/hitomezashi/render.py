@@ -61,12 +61,12 @@ def render_ascii(grid: StitchGrid, options: RenderOptions = DEFAULT_OPTIONS) -> 
                rows[y] & 1 if rows is not None else None)
         if key not in built:
             pipe, bit = key
-            marks = ([blank] * (W + 1) if pipe is None else
-                     ["|" if (pipe + c) & 1 else blank for c in cols])
-            under = ([" "] * W if bit is None else
-                     ["_" if (x + bit) & 1 else " " for x in range(W)])
-            built[key] = "".join(
-                m + u for m, u in zip(marks, under + [""])).rstrip()
+            line = [blank] * (2 * W + 1)
+            if pipe is not None:
+                line[::2] = ["|" if (pipe + c) & 1 else blank for c in cols]
+            line[1::2] = (" " * W if bit is None else
+                          ("_ " if bit else " _") * (W // 2 + 1))[:W]
+            built[key] = "".join(line).rstrip()
         lines.append(built[key])
     return "\n".join(lines)
 
@@ -75,14 +75,6 @@ def _fmt(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return f"{value:.3f}".rstrip("0").rstrip(".")
-
-
-def _filled(template: list[str], coord: str) -> list[str]:
-    """The fragments of ``coord.join(template)``, to be joined by the
-    caller: the whole document is joined once, with no per-line copy."""
-    run = [coord] * (2 * len(template) - 1)
-    run[::2] = template
-    return run
 
 
 def render_svg(
@@ -99,8 +91,9 @@ def render_svg(
     the strokes, each distinct column's rects built once, as a template
     filled with the column's x; with the fill off it is unused.
     ``highlight`` draws one closed cycle on top with a heavier contrasting
-    stroke.  Each coordinate of the window is formatted once.  The document
-    is one join of fragments, so its size is the only large allocation.
+    stroke.  Each coordinate of the window is formatted once.  Each stitch
+    line is one string; the fill's rects are fragments of the final join,
+    which keeps the peak allocation near 1.6 times the document.
     """
     s = options.cell_size
     W, H = grid.width, grid.height
@@ -124,14 +117,17 @@ def render_svg(
         tail_a, tail_b = (f'" width="{s}" height="{s}" fill="{color}"/>\n'
                           for color in (fill_a, fill_b))
         # Column x's rects differ from any other column's with the same
-        # color list only in x: one template per distinct list.
+        # color list only in x: one template per distinct list, added to
+        # parts as the pieces of x.join(template), not as one string.
         runs: dict[int, list[str]] = {}
         for x, column in zip(xs, coloring.columns):
             if id(column) not in runs:
                 runs[id(column)] = "".join(
                     f'    <rect x="\0" y="{y}{tail_b if c else tail_a}'
                     for y, c in zip(ys[1:], column)).split("\0")
-            parts += _filled(runs[id(column)], x)
+            run = [x] * (2 * len(runs[id(column)]) - 1)
+            run[::2] = runs[id(column)]
+            parts += run
         parts.append("  </g>\n")
 
     if options.show_grid:
@@ -157,8 +153,8 @@ def render_svg(
             templates = ["".join(element.format(a, b) for a, b in
                                  zip(along[p::2], along[p + 1::2]))
                          .split("\0") for p in (1, 0)]
-            for coord, b in zip(across, bits):
-                parts += _filled(templates[b & 1], coord)
+            parts += [coord.join(templates[b & 1])
+                      for coord, b in zip(across, bits)]
     parts.append("  </g>\n")
 
     if highlight is not None:
