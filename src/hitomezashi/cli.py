@@ -29,8 +29,8 @@ MAX_ORDER = 9
 # Highest order verify-conjecture checks.  The loops are found from one
 # eighth of the P x P torus, P = 2*pell(n), without building the window of
 # 2P cells a side, so MAX_CELLS does not bound the order.  On a shared
-# 2-vCPU VM orders 1-11 take about 12 s and 0.1 GB, and orders 1-12 about
-# 70 s and 0.4 GB, of which 384 MB are order 12's P*P/2 bytes of stitch
+# 2-vCPU VM (2026-10) orders 1-11 took 11 s and 85 MiB, and orders 1-12
+# 49 s and 397 MiB, of which 384 MB are order 12's P*P/2 bytes of stitch
 # marks; order 13's would take 2.2 GB.
 MAX_CONJECTURE_ORDER = 12
 
@@ -90,28 +90,31 @@ def _options_from_args(args) -> RenderOptions:
 
 def _write_svg(path: str, text: str) -> None:
     """Write an SVG built in full beforehand, so that a render that fails
-    leaves an existing file at path as it was."""
+    leaves an existing file at path as it was.  It goes out in 1 MiB
+    slices: one write would first encode the whole text into a copy."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        for start in range(0, len(text), 1 << 20):
+            handle.write(text[start:start + (1 << 20)])
     print(f"wrote {path}")
 
 
-def _emit_grid(grid, args) -> int:
-    if args.svg:
-        options = _options_from_args(args)
+def _emit_grid(grid, options: RenderOptions, svg: Optional[str]) -> int:
+    if svg:
         coloring = two_color(grid) if options.fill_two_coloring else None
-        _write_svg(args.svg, render_svg(grid, options, coloring=coloring))
+        _write_svg(svg, render_svg(grid, options, coloring=coloring))
     else:
-        print(render_ascii(grid, _options_from_args(args)))
+        print(render_ascii(grid, options))
     return 0
 
 
 def _cmd_render(args) -> int:
-    return _emit_grid(build_grid(_spec_from_args(args)), args)
+    return _emit_grid(build_grid(_spec_from_args(args)),
+                      _options_from_args(args), args.svg)
 
 
 def _cmd_dual(args) -> int:
-    return _emit_grid(build_grid(_spec_from_args(args)).dual(), args)
+    return _emit_grid(build_grid(_spec_from_args(args)).dual(),
+                      _options_from_args(args), args.svg)
 
 
 def _cmd_analyze(args) -> int:
@@ -176,12 +179,10 @@ def _cmd_registry(args) -> int:
         if args.json:
             print(json.dumps(entry.to_dict(), indent=2, ensure_ascii=False))
             return 0
-        data = entry.to_dict()
         print(f"{entry.key} ({entry.display_name}): {entry.meaning}")
-        print(f"  rows: {data['rows'] or '(none)'}")
-        print(f"  cols: {data['cols'] or '(none)'}")
-        print(f"  default window: {data['default_window'][0]}x"
-              f"{data['default_window'][1]}")
+        print(f"  rows: {entry.row_text or '(none)'}")
+        print(f"  cols: {entry.col_text or '(none)'}")
+        print("  default window: {}x{}".format(*entry.default_window))
         print(f"  self-dual: {'yes' if entry.self_dual else 'no'}")
         if entry.expected_stats:
             p, a, h, w = entry.expected_stats
@@ -192,9 +193,8 @@ def _cmd_registry(args) -> int:
                          ensure_ascii=False))
         return 0
     for entry in registry.list_all():
-        data = entry.to_dict()
-        rows = data["rows"] or "(none)"
-        cols = data["cols"] or "(none)"
+        rows = entry.row_text or "(none)"
+        cols = entry.col_text or "(none)"
         tag = "self-dual" if entry.self_dual else "not self-dual"
         print(f"{entry.key:<24} rows={rows:<14} cols={cols:<10} {tag}")
     return 0
@@ -260,6 +260,8 @@ def _cmd_persimmon(args) -> int:
             "self_dual_shift": list(shift) if shift else None,
         }))
         return 0
+    # a bad render option fails before any of the report is printed
+    options = _options_from_args(args) if args.svg or args.ascii else None
     print(f"persimmon pattern order {args.order}")
     print(f"  encoding word (both directions): {word}  "
           f"(length {len(word)} = 2*pell({args.order}) = {2 * pell(args.order)})")
@@ -267,8 +269,8 @@ def _cmd_persimmon(args) -> int:
           f"({args.periods} periods per axis)")
     print(f"  self-dual shift: ({shift[0]}, {shift[1]})" if shift
           else "  self-dual shift: none")
-    if args.svg or args.ascii:
-        return _emit_grid(build_grid(spec), args)
+    if options is not None:
+        return _emit_grid(build_grid(spec), options, args.svg)
     return 0
 
 

@@ -97,11 +97,10 @@ class WordProgram:
 
 
 # Largest window a spec may ask for.  It admits windows that some commands
-# cannot serve in memory: at 2000**2 cells a child process peaked at 969 MiB
-# for `render --svg --fill` (measured 2026-10: 766 MiB once the 474 MiB
-# document is built, then its encoded copy as it is written), linear in the
-# cells (ROADMAP item 6), and at 27 MiB for `analyze --json` on two short
-# words.  The conjecture check builds no window.
+# cannot serve in memory: at 2000**2 cells a child process peaked at 766 MiB
+# for `render --svg --fill` (measured 2026-10, for a 474 MiB document),
+# linear in the cells (ROADMAP item 6), and at 27 MiB for `analyze --json`
+# on two short words.  The conjecture check builds no window.
 MAX_CELLS = 10 ** 8
 
 

@@ -186,18 +186,19 @@ class Polyomino:
         """Least translation-normalized image over the 8 lattice symmetries.
 
         Two polyominoes have equal canonical forms exactly when one can be
-        moved onto the other by translation, rotation and reflection.
+        moved onto the other by translation, rotation and reflection.  The
+        images come from a generator, so at most two are alive at once.
         """
-        images = []
-        for flip in (False, True):
-            pts = [(-x, y) if flip else (x, y) for x, y in self.cells]
-            for _ in range(4):
-                pts = [(-y, x) for x, y in pts]
-                min_x = min(x for x, _ in pts)
-                min_y = min(y for _, y in pts)
-                images.append(tuple(sorted((x - min_x, y - min_y)
-                                           for x, y in pts)))
-        return min(images)
+        def images() -> Iterator[tuple[Point, ...]]:
+            for flip in (False, True):
+                pts = [(-x, y) if flip else (x, y) for x, y in self.cells]
+                for _ in range(4):
+                    pts = [(-y, x) for x, y in pts]
+                    min_x = min(x for x, _ in pts)
+                    min_y = min(y for _, y in pts)
+                    yield tuple(sorted((x - min_x, y - min_y)
+                                       for x, y in pts))
+        return min(images())
 
     def canonical_hash(self) -> str:
         digest = hashlib.sha256(repr(self.canonical_form).encode())
@@ -304,15 +305,17 @@ def _strip_width(cols: Sequence[int], width: int) -> int:
     return even if 0 < even < width and bits[p:] == bits[:-p] else width
 
 
-def _trail(grid: StitchGrid, start: Point, vertical: bool) -> list[Point]:
+def _trail(grid: StitchGrid, start: Point) -> list[Point]:
     """The vertices of the walk along the stitches of a grid with both
-    families that leaves ``start``, vertically first if ``vertical``, to
-    the window edge or back to the start, which it does not repeat: every
-    window loop, from its least vertex heading up, and every open path,
-    from its lesser end."""
+    families that leaves ``start`` to the window edge or back to the start,
+    which it does not repeat: every window loop, from its least vertex
+    heading up, and every open path, from its lesser end along its one
+    stitch.  The walk steps vertically first when the start's vertical
+    stitch stays inside the window."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     x, y = start
+    vertical = 0 <= y + ((y + cols[x]) & 1) * 2 - 1 <= H
     trail = [start]
     while True:
         if vertical:
@@ -362,22 +365,19 @@ def extract_components(
     Cycles come out in order of their least vertex, each least vertex
     first, heading up, walked by _trail from the starts _window_loops
     yields.  Paths run from their lesser end, in order of that end: each
-    path is walked once, from the first of its ends in _path_ends' (x, y)
-    order.  A grid with one family missing has no loops, and each of its
-    stitches is an open path.
+    path is walked once by _trail, along the one stitch of the first of
+    its ends in _path_ends' (x, y) order.  A grid with one family missing
+    has no loops, and each of its stitches is an open path.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
-    cycles = [LatticeCycle(_trail(grid, start, True))
+    cycles = [LatticeCycle(_trail(grid, start))
               for start, _ in _window_loops(grid)]
     paths, far_ends = [], set()
     for end in _path_ends(grid):
         if end in far_ends:
             continue
-        # an end has one stitch, so one of the two walks from it is empty
-        trail = _trail(grid, end, True)
-        if len(trail) == 1:
-            trail = _trail(grid, end, False)
+        trail = _trail(grid, end)
         far_ends.add(trail[-1])
         paths.append(tuple(trail))
     return cycles, paths
@@ -413,66 +413,64 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-_Class = tuple[LatticeCycle, Polyomino, str]
-# a loop's place in the ranking: (-area, -perimeter, canonical form)
-_Entry = tuple[tuple[int, int, tuple[Point, ...]], LoopStats, _Class]
+# a loop's place in the ranking, (-area, -perimeter, canonical form), its
+# stats and its canonical hash
+_Entry = tuple[tuple[int, int, tuple[Point, ...]], LoopStats, str]
+_Head = tuple[LatticeCycle, Polyomino, LoopStats]
 
 
-def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int]:
-    """The loop ranking of analyze_grid and largest_loop, and the grid's
-    open path count.  The ranking holds each loop's sort key, stats and
-    class (cycle, fill, canonical hash), by greatest area, then greatest
-    perimeter, then least canonical form, equal keys in extract_components
-    order.
+def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
+    """The loop ranking of analyze_grid and largest_loop, the grid's open
+    path count, and the head of the ranking as (cycle, fill, stats), None
+    when the grid has no loop.  The ranking holds each loop's sort key,
+    stats and canonical hash, by greatest area, then greatest perimeter,
+    then least canonical form, equal keys in extract_components order.
 
     The loops come from _window_loops as (least vertex, step bits), those
     past one strip of column periods as translates of the strip's.  Loops
     with equal step bits are translates, so only the first loop of each
     distinct step sequence is walked again from its start into a
     LatticeCycle (_trail), filled and measured; every loop that repeats
-    the sequence shares its ranking entry, sort key included.  Its
-    canonical form keys its class, whose first fill represents it: that
-    cycle, fill and canonical hash serve all.  No open path is walked:
-    they number half the path ends.
+    the sequence shares its ranking entry, sort key included.  Loops with
+    equal canonical forms share the first one's hash.  Only the head's
+    cycle and fill are kept: the first loop in walk order with the least
+    key, which the stable sort puts first.  No open path is walked: they
+    number half the path ends.
     """
     if grid.row_bits is None or grid.col_bits is None:
-        return [], grid.segment_count()
-    classes: dict[tuple[Point, ...], _Class] = {}
+        return [], grid.segment_count(), None
+    hashes: dict[tuple[Point, ...], str] = {}
     shapes: dict[bytes, _Entry] = {}
     ranked = []
+    head = head_key = None
     for start, steps in _window_loops(grid):
         entry = shapes.get(steps)
         if entry is None:
-            cycle = LatticeCycle(_trail(grid, start, True))
+            cycle = LatticeCycle(_trail(grid, start))
             poly = cycle_to_polyomino(cycle)
             form = poly.canonical_form
-            rep = classes.get(form)
-            if rep is None:
-                rep = classes[form] = cycle, poly, poly.canonical_hash()
+            digest = hashes.get(form)
+            if digest is None:
+                digest = hashes[form] = poly.canonical_hash()
             stats = loop_stats(poly, cycle)
-            entry = shapes[steps] = (
-                (-stats.area, -stats.perimeter, form), stats, rep)
+            key = (-stats.area, -stats.perimeter, form)
+            entry = shapes[steps] = key, stats, digest
+            if head is None or key < head_key:
+                head, head_key = (cycle, poly, stats), key
         ranked.append(entry)
     ranked.sort(key=itemgetter(0))
-    return ranked, len(_path_ends(grid)) // 2
+    return ranked, len(_path_ends(grid)) // 2, head
 
 
-def largest_loop(
-    grid: StitchGrid,
-) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
+def largest_loop(grid: StitchGrid) -> Optional[_Head]:
     """The closed loop at the head of analyze_grid's ranking (greatest
-    area, then greatest perimeter, then least canonical form) with its fill
-    and stats, or None when the grid has no closed loop.  Every loop is
-    walked once, by the census walk, and the first loop of each distinct
-    step sequence is built, filled and classed by canonical form (see
-    _ranked)."""
-    ranked, _ = _ranked(grid)
-    if not ranked:
-        return None
-    # the head is the first member of its class, so the class cycle and
-    # fill are its own
-    _, stats, (cycle, poly, _) = ranked[0]
-    return cycle, poly, stats
+    area, then greatest perimeter, then least canonical form, the first in
+    extract_components order on a tie) with its fill and stats, or None
+    when the grid has no closed loop.  Every loop is walked once, by the
+    census walk; the first loop of each distinct step sequence is built,
+    filled and classed by canonical form, and only the running head's
+    cycle and fill are kept (see _ranked)."""
+    return _ranked(grid)[2]
 
 
 def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
@@ -729,10 +727,10 @@ def analyze_grid(grid: StitchGrid) -> dict:
     report, as every call builds new objects; copy.deepcopy gives a
     mutable copy.
     """
-    ranked, open_paths = _ranked(grid)
+    ranked, open_paths, _ = _ranked(grid)
     shared: dict[tuple[LoopStats, str], dict] = {}
     loops_report = []
-    for _, stats, (_, _, canonical_hash) in ranked:
+    for _, stats, canonical_hash in ranked:
         key = stats, canonical_hash
         loop = shared.get(key)
         if loop is None:

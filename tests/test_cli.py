@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -128,10 +130,27 @@ def test_failed_svg_render_leaves_an_existing_file_as_it_was(tmp_path, capsys,
                                                              argv):
     target = tmp_path / "out.svg"
     target.write_text("earlier drawing\n")
-    code, _, err = run(capsys, *argv, "--svg", str(target))
+    code, out, err = run(capsys, *argv, "--svg", str(target))
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert target.read_text() == "earlier drawing\n"
+
+
+def test_svg_is_written_in_slices(tmp_path, capsys):
+    # one write of the whole text would first encode all of it: 8 MiB more
+    text = "<svg>" + "x" * (8 << 20) + "</svg>\n"
+    target = tmp_path / "out.svg"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_svg(str(target), text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    assert target.read_text() == text
+    assert peak <= 3 << 20
 
 
 def test_analyze_json(capsys):
@@ -189,6 +208,25 @@ def test_analyze_json_peak_rss_at_2000_squared():
     code, kib = proc.stdout.split()
     assert code == "0"
     assert int(kib) / 1024 < 100
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_analyze_json_peak_rss_on_an_aperiodic_1000_squared_window():
+    # 70172 loops in 1318 distinct loop dicts: keeping a cycle and a fill
+    # per congruence class peaked at 313 MB, keeping the head's only at 129
+    rng = random.Random(7)
+    rows, cols = ("".join(str(rng.randrange(2)) for _ in range(1001))
+                  for _ in range(2))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "analyze", "--rows", rows,
+         "--cols", cols, "--width", "1000", "--height", "1000", "--json"],
+        capture_output=True, text=True, env=child_env(), timeout=600)
+    assert proc.stderr == ""
+    code, kib = proc.stdout.split()
+    assert code == "0"
+    assert int(kib) / 1024 < 200
 
 
 def test_analyze_human(capsys):
@@ -333,6 +371,16 @@ def test_persimmon_ascii(capsys):
     assert summary.startswith("persimmon pattern order 2\n")
     assert art == render_ascii(build_grid(persimmon_spec(2)),
                                RenderOptions()) + "\n"
+
+
+@pytest.mark.parametrize("option", [["--cell-size", "0"],
+                                    ["--stroke-width", "nan"]])
+def test_persimmon_ascii_with_a_bad_option_prints_no_report(capsys, option):
+    code, out, err = run(capsys, "persimmon", "--order", "2", "--ascii",
+                         *option)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_conjecture(capsys):

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
+import weakref
 
 import networkx as nx
 import pytest
 
 from hitomezashi import loops
-from hitomezashi.grid import PatternSpec, WordProgram, build_grid
+from hitomezashi.grid import PatternSpec, StitchGrid, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                _strip_width, analyze_grid,
                                centred_square_check, check_loop_theorems,
@@ -12,6 +14,7 @@ from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                extract_components, largest_loop, loop_stats,
                                two_color)
 from hitomezashi.registry import lookup
+from hitomezashi.tiles import snowflake
 from oracles import (horizontal_present, normalized, turn_word,
                      vertical_present)
 
@@ -141,6 +144,28 @@ def test_triple_persimmon_stats():
 
 def test_largest_loop_absent():
     assert largest_loop(grid_of("10", "", 8, 8)) is None
+
+
+@pytest.mark.parametrize("rank", [analyze_grid, largest_loop])
+def test_ranking_keeps_only_the_heads_fill(monkeypatch, rank):
+    # The ranking keeps the running head's fill and drops every other one
+    # once the next is made, so at most two earlier fills are alive at each
+    # fill; one kept per congruence class left 7 alive on this window.
+    rng = random.Random(3)
+    grid = StitchGrid(60, 40, [rng.randrange(2) for _ in range(41)],
+                      [rng.randrange(2) for _ in range(61)])
+    fills, most = [], []
+
+    def fill(cycle):
+        most.append(sum(ref() is not None for ref in fills))
+        poly = cycle_to_polyomino(cycle)
+        fills.append(weakref.ref(poly))
+        return poly
+
+    monkeypatch.setattr(loops, "cycle_to_polyomino", fill)
+    rank(grid)
+    assert len(fills) > 3
+    assert max(most) <= 2
 
 
 # the order-3 persimmon word has period 10; its snowflake spans 9
@@ -278,6 +303,21 @@ def test_canonical_form_invariant_under_all_symmetries():
     for image in images:
         shifted = [(x + 7, y - 3) for x, y in image]
         assert Polyomino(shifted).canonical_form == base
+
+
+def test_canonical_form_holds_few_images_at_once():
+    # min over a generator of the eight images: the peak is at most a few
+    # images, not all eight (7.4 x the form when they were all kept)
+    poly = snowflake(6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        form = poly.canonical_form
+        size, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert form == Polyomino(poly.cells).canonical_form
+    assert peak <= 4 * size
 
 
 @pytest.mark.parametrize("seed", range(8))
