@@ -63,10 +63,11 @@ def _add_pattern_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--height", type=int, required=True, help="cells")
 
 
-def _add_render_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--svg", metavar="PATH",
+def _add_render_args(parser: argparse.ArgumentParser, output=None) -> None:
+    output = output or parser  # a group of exclusive flags, if given
+    output.add_argument("--svg", metavar="PATH",
                         help="write an SVG file instead of ASCII art")
-    parser.add_argument("--ascii", action="store_true",
+    output.add_argument("--ascii", action="store_true",
                         help="print ASCII art (the default)")
     parser.add_argument("--cell-size", type=int, default=20)
     parser.add_argument("--stroke-width", type=float, default=2.0)
@@ -107,13 +108,9 @@ def _emit_grid(grid, options: RenderOptions, svg: Optional[str]) -> int:
     return 0
 
 
-def _cmd_render(args) -> int:
-    return _emit_grid(build_grid(_spec_from_args(args)),
-                      _options_from_args(args), args.svg)
-
-
-def _cmd_dual(args) -> int:
-    return _emit_grid(build_grid(_spec_from_args(args)).dual(),
+def _cmd_render(args) -> int:  # and dual, the reverse side
+    grid = build_grid(_spec_from_args(args))
+    return _emit_grid(grid.dual() if args.command == "dual" else grid,
                       _options_from_args(args), args.svg)
 
 
@@ -299,15 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("render", help="draw a pattern from word programs")
-    _add_pattern_args(p)
-    _add_render_args(p)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("dual", help="draw the reverse side of a pattern")
-    _add_pattern_args(p)
-    _add_render_args(p)
-    p.set_defaults(func=_cmd_dual)
+    for name, text in (("render", "draw a pattern from word programs"),
+                       ("dual", "draw the reverse side of a pattern")):
+        p = sub.add_parser(name, help=text)
+        _add_pattern_args(p)
+        _add_render_args(p)
+        p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("analyze", help="loop census, congruence checks, "
                                        "two-coloring")
@@ -344,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("persimmon", help="build a persimmon pattern")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--periods", type=int, default=2)
-    p.add_argument("--json", action="store_true")
-    _add_render_args(p)
+    # the JSON summary draws nothing, so it refuses --svg and --ascii
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    _add_render_args(p, output)
     p.set_defaults(func=_cmd_persimmon)
 
     p = sub.add_parser("verify-conjecture",

@@ -413,33 +413,32 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-# a loop's place in the ranking, (-area, -perimeter, canonical form), its
-# stats and its canonical hash
-_Entry = tuple[tuple[int, int, tuple[Point, ...]], LoopStats, str]
+# a loop's place in the ranking, (-area, -perimeter, canonical form), and
+# its report dict, one per step sequence (analyze_grid)
+_Entry = tuple[tuple[int, int, tuple[Point, ...]], dict]
 _Head = tuple[LatticeCycle, Polyomino, LoopStats]
 
 
 def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
     """The loop ranking of analyze_grid and largest_loop, the grid's open
     path count, and the head of the ranking as (cycle, fill, stats), None
-    when the grid has no loop.  The ranking holds each loop's sort key,
-    stats and canonical hash, by greatest area, then greatest perimeter,
-    then least canonical form, equal keys in extract_components order.
+    when the grid has no loop.  The ranking holds each loop's sort key and
+    report dict (stats, canonical hash and theorem checks), by greatest
+    area, then greatest perimeter, then least canonical form, equal keys
+    in extract_components order.
 
     The loops come from _window_loops as (least vertex, step bits), those
     past one strip of column periods as translates of the strip's.  Loops
     with equal step bits are translates, so only the first loop of each
     distinct step sequence is walked again from its start into a
-    LatticeCycle (_trail), filled and measured; every loop that repeats
-    the sequence shares its ranking entry, sort key included.  Loops with
-    equal canonical forms share the first one's hash.  Only the head's
-    cycle and fill are kept: the first loop in walk order with the least
-    key, which the stable sort puts first.  No open path is walked: they
-    number half the path ends.
+    LatticeCycle (_trail), filled, measured and hashed; every loop that
+    repeats the sequence shares its ranking entry, sort key and report
+    dict included.  Only the head's cycle and fill are kept: the first
+    loop in walk order with the least key, which the stable sort puts
+    first.  No open path is walked: they number half the path ends.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], grid.segment_count(), None
-    hashes: dict[tuple[Point, ...], str] = {}
     shapes: dict[bytes, _Entry] = {}
     ranked = []
     head = head_key = None
@@ -448,13 +447,11 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
         if entry is None:
             cycle = LatticeCycle(_trail(grid, start))
             poly = cycle_to_polyomino(cycle)
-            form = poly.canonical_form
-            digest = hashes.get(form)
-            if digest is None:
-                digest = hashes[form] = poly.canonical_hash()
             stats = loop_stats(poly, cycle)
-            key = (-stats.area, -stats.perimeter, form)
-            entry = shapes[steps] = key, stats, digest
+            key = (-stats.area, -stats.perimeter, poly.canonical_form)
+            entry = shapes[steps] = key, {
+                **stats._asdict(), "canonical_hash": poly.canonical_hash(),
+                "theorems": check_loop_theorems(stats)._asdict()}
             if head is None or key < head_key:
                 head, head_key = (cycle, poly, stats), key
         ranked.append(entry)
@@ -721,31 +718,22 @@ def analyze_grid(grid: StitchGrid) -> dict:
     canonical form, equal keys in extract_components order; largest_loop
     returns the head of this ranking (see _ranked).
 
-    The report is read-only: loops with equal stats and canonical hash are
-    one shared dict, theorems included, and the two-coloring's rows are at
-    most four shared lists (_color_lines).  Sharing stays within one
-    report, as every call builds new objects; copy.deepcopy gives a
-    mutable copy.
+    The report is read-only: loops with equal step bits, translates of
+    one another, are one shared dict, theorems included, built once by
+    _ranked, and the two-coloring's rows are at most four shared lists
+    (_color_lines).  Sharing stays within one report, as every call
+    builds new objects; copy.deepcopy gives a mutable copy.
     """
     ranked, open_paths, _ = _ranked(grid)
-    shared: dict[tuple[LoopStats, str], dict] = {}
-    loops_report = []
-    for _, stats, canonical_hash in ranked:
-        key = stats, canonical_hash
-        loop = shared.get(key)
-        if loop is None:
-            loop = shared[key] = {
-                **stats._asdict(), "canonical_hash": canonical_hash,
-                "theorems": check_loop_theorems(stats)._asdict()}
-        loops_report.append(loop)
-
+    loops_report = [loop for _, loop in ranked]
     return {
         "width": grid.width,
         "height": grid.height,
         "segment_count": grid.segment_count(),
         "loops": loops_report,
         "open_path_count": open_paths,
-        "theorems_all_hold": all(all(loop["theorems"].values())
-                                 for loop in shared.values()),
+        "theorems_all_hold": all(
+            all(loop["theorems"].values())
+            for loop in {id(loop): loop for loop in loops_report}.values()),
         "two_coloring": _color_lines(grid, by_column=False),
     }

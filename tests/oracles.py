@@ -1,7 +1,7 @@
 """Slow, independent reference implementations the library is checked
 against."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from hitomezashi.grid import PatternSpec, ProgramSegment, WordProgram
 from hitomezashi.loops import (LatticeCycle, LoopStats, _turn_word,
@@ -331,6 +331,47 @@ def full_torus_census(rows, cols):
                 ties.append((x0, y0))
         start = marks.find(0, start + 1)
     return best, ties
+
+
+def eighth_spectrum(bits):
+    """The torus cycles through E = {x <= y < P/2} of the pattern whose
+    phase bits repeat ``bits`` on both axes, P = len(bits) even: a Counter
+    of the bounded loops by (shoelace area, perimeter), and the number of
+    cycles that are unbounded paths of the plane.
+
+    Every vertex of E not yet met starts a walk, vertical step first, in
+    unwrapped coordinates, that marks the vertices of E it meets and ends
+    on a vertex congruent to its start mod P, after a horizontal step; the
+    cycle is a bounded loop when that vertex is the start itself.
+    """
+    p = len(bits)
+    half = p // 2
+    met = bytearray(half * half)  # vertex (x, y) of E is met[y * half + x]
+    sizes, unbounded = Counter(), 0
+    for y0 in range(half):
+        for x0 in range(y0 + 1):
+            if met[y0 * half + x0]:
+                continue
+            x, y, area, steps, vertical = x0, y0, 0, 0, True
+            while True:
+                if vertical:
+                    dy = 1 if (y + bits[x % p]) % 2 else -1
+                    y += dy
+                    area += x * dy
+                else:
+                    x += 1 if (x + bits[y % p]) % 2 else -1
+                steps += 1
+                vertical = not vertical
+                xm, ym = x % p, y % p
+                if vertical and xm == x0 and ym == y0:
+                    break
+                if xm <= ym < half:
+                    met[ym * half + xm] = 1
+            if (x, y) == (x0, y0):
+                sizes[abs(area), steps] += 1
+            else:
+                unbounded += 1
+    return sizes, unbounded
 
 
 def fill_stats(cycle, poly):

@@ -214,7 +214,7 @@ def test_analyze_json_peak_rss_at_2000_squared():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux only")
 def test_analyze_json_peak_rss_on_an_aperiodic_1000_squared_window():
-    # 70172 loops in 1318 distinct loop dicts: keeping a cycle and a fill
+    # 70172 loops in 1452 distinct loop dicts: keeping a cycle and a fill
     # per congruence class peaked at 313 MB, keeping the head's only at 129
     rng = random.Random(7)
     rows, cols = ("".join(str(rng.randrange(2)) for _ in range(1001))
@@ -362,6 +362,19 @@ def test_persimmon_json(capsys):
     assert data["word"] == "0110"
     assert data["spec"]["width"] == 8
     assert data["self_dual_shift"] == [2, 2]
+
+
+@pytest.mark.parametrize("drawing", [["--svg", "{tmp}/p.svg", "--cell-size",
+                                      "0"], ["--ascii"]])
+def test_persimmon_json_refuses_drawing_flags(tmp_path, capsys, drawing):
+    argv = [arg.format(tmp=tmp_path) for arg in drawing]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["persimmon", "--order", "2", "--json", *argv])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument --json" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_persimmon_ascii(capsys):

@@ -513,3 +513,10 @@ def test_analyze_grid_report_shape():
     assert len(report["two_coloring"]) == 12
     assert len(report["two_coloring"][0]) == 12
     assert len(report["loops"][0]["canonical_hash"]) == 16
+
+
+def test_translates_share_one_loop_dict():
+    # the window's ten loops are translates of one cross, one step sequence
+    loops = analyze_grid(grid_of("0110", "011", 12, 12))["loops"]
+    assert len(loops) == 10
+    assert all(loop is loops[0] for loop in loops)

@@ -4,18 +4,18 @@ one-walk loop measure against each loop's vertex tuple, the census walk
 of one column period against the walk of every column, the full-torus
 census against the census of a two-period window, the one-eighth torus
 census against the full torus, the turn-word congruence test, the loop
-report's one fill and measure per step sequence and one class
-representative per congruence class, the closed-form two-coloring, the
-per-axis self-duality search and its rotation search, the line-by-line
-ASCII render and the table-driven SVG render against the slow oracles in
-oracles.py; the `analyze --json` writer and the CLI's output against
-json.dumps, and that output's loops and open path count against the
-oracles."""
+report's one fill, measure, hash and shared dict per step sequence, the
+closed-form two-coloring, the per-axis self-duality search and its
+rotation search, the line-by-line ASCII render and the table-driven SVG
+render against the slow oracles in oracles.py; the `analyze --json`
+writer and the CLI's output against json.dumps, and that output's loops
+and open path count against the oracles."""
 
 import copy
 import io
 import json
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -304,6 +304,9 @@ BOTH_ORIENTATIONS = ("10010000:2,0:3,10:1,1101", "1001111:2,0101", 17, 10)
 # two non-congruent loop classes share every stat: perimeter 36, area 21,
 # height 5, width 9
 SHARED_STATS = ("0010010", "10111110010110111001110", 22, 6)
+# two of its three step sequences are congruent loops with equal stats:
+# equal JSON in two dicts
+MIRRORED_TWINS = ("010110001011000110110", "010000111010", 11, 20)
 
 
 @settings(max_examples=300, deadline=None)
@@ -424,10 +427,10 @@ def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
         patch.setattr("hitomezashi.loops.congruent_words", turn_word_route)
         report = analyze_grid(grid)
     classes = {entry["canonical_hash"] for entry in report["loops"]}
-    # one fill represents each class: the first fill of its canonical form
-    # is hashed, and no other
-    assert hashed == list(dict.fromkeys(filled))
-    assert len(hashed) == len(classes)
+    # each fill, one per step sequence, is hashed once, and the fills of
+    # one class give one hash
+    assert hashed == filled
+    assert len(set(hashed)) == len(classes)
     if grid == grid_of(*BOTH_ORIENTATIONS):
         # its 5x3 and 3x5 loops are two step sequences of one class
         assert len(filled) > len(classes)
@@ -476,12 +479,25 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
     # the first loop of each step sequence is filled and measured, and no
     # other
     assert filled == measured == sorted(first.values())
-    # two loops are one dict, theorems included, exactly when their JSON
-    # is equal
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+@example(grid_of("0110", "011", 12, 12))   # ten translates of one loop
+@example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of(*SHARED_STATS))
+@example(grid_of(*MIRRORED_TWINS))
+def test_analyze_grid_shares_one_dict_per_step_sequence(grid):
+    loops = analyze_grid(grid)["loops"]
+    steps = Counter(steps for _, steps in _window_loops(grid)) if loops else {}
+    # two loops are one dict, theorems included, exactly when their step
+    # bits are equal, so there are as many dicts as step sequences (the
+    # congruent twins of MIRRORED_TWINS are two); one dict has one JSON text
     texts = [json.dumps(entry) for entry in loops]
     for ids in ([id(entry) for entry in loops],
                 [id(entry["theorems"]) for entry in loops]):
-        assert len(set(ids)) == len(set(texts)) == len(set(zip(ids, texts)))
+        assert sorted(Counter(ids).values()) == sorted(steps.values())
+        assert len(set(ids)) == len(set(zip(ids, texts)))
 
 
 @settings(max_examples=300, deadline=None)

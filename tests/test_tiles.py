@@ -6,16 +6,16 @@ from hypothesis import example, given, strategies as st
 
 from hitomezashi import loops, tiles
 from hitomezashi.grid import build_grid
-from hitomezashi.loops import (LatticeCycle, Polyomino, check_loop_theorems,
-                               congruent_words, cycle_to_polyomino,
-                               largest_loop, loop_stats)
+from hitomezashi.loops import (LatticeCycle, Polyomino, _eighth_census,
+                               check_loop_theorems, congruent_words,
+                               cycle_to_polyomino, largest_loop, loop_stats)
 from hitomezashi.tiles import (_snowflake_quarter, conjecture_report,
                                persimmon_spec, persimmon_word, snowflake,
                                snowflake_boundary, snowflake_cycle,
                                trace_turtle, verify_conjecture)
 from hitomezashi.words import TurnWord, fib_turtle_word, pell
-from oracles import (fourfold_area, full_torus_largest, turn_word,
-                     vertex_cycle_stats, walk_loop)
+from oracles import (eighth_spectrum, fourfold_area, full_torus_largest,
+                     turn_word, vertex_cycle_stats, walk_loop)
 
 
 def test_four_right_turns_trace_the_unit_square():
@@ -145,6 +145,25 @@ def test_persimmon_spec_window():
 @pytest.mark.parametrize("order", range(1, 5))
 def test_largest_persimmon_loop_is_the_snowflake(order):
     assert verify_conjecture(order)
+
+
+@pytest.mark.parametrize("order", [
+    *range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                    for n in range(9, 12))])
+def test_persimmon_torus_loops_are_snowflakes_of_every_order(order):
+    # every loop through one eighth of the torus has the size of the
+    # order-k snowflake for some k <= n, T(1 + pell(0) + ... + pell(n-k-1))
+    # of them, T(m) = m(m+1)/2, and no cycle through it is unbounded
+    bits = persimmon_word(order).bits
+    sizes, unbounded = eighth_spectrum(bits)
+    expected = {}
+    for k in range(1, order + 1):
+        m = 1 + sum(pell(i) for i in range(order - k))
+        expected[pell(2 * k - 1), 4 * len(_snowflake_quarter(k))] = \
+            m * (m + 1) // 2
+    assert sizes == expected
+    assert unbounded == 0
+    assert _eighth_census(bits) == (max(sizes), [mock.ANY])
 
 
 def test_conjecture_report_contents():
