@@ -64,7 +64,8 @@ def _add_pattern_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_render_args(parser: argparse.ArgumentParser, output=None) -> None:
-    output = output or parser  # a group of exclusive flags, if given
+    # one output: --svg, --ascii and the given group's flags exclude each other
+    output = output or parser.add_mutually_exclusive_group()
     output.add_argument("--svg", metavar="PATH",
                         help="write an SVG file instead of ASCII art")
     output.add_argument("--ascii", action="store_true",
@@ -214,11 +215,11 @@ def _cmd_table1(args) -> int:
 def _cmd_snowflake(args) -> int:
     order = args.order
     _check_order(order, "--order")
+    options = RenderOptions(cell_size=args.cell_size)
     boundary = snowflake_boundary(order)
     cycle = trace_turtle(boundary)
     if args.svg:
-        _write_svg(args.svg, render_cycle_svg(
-            cycle, RenderOptions(cell_size=args.cell_size)))
+        _write_svg(args.svg, render_cycle_svg(cycle, options))
         return 0
     width, height = cycle.cell_box()
     area = cycle.shoelace_area()
@@ -245,6 +246,7 @@ def _cmd_snowflake(args) -> int:
 
 def _cmd_persimmon(args) -> int:
     _check_order(args.order, "--order")
+    options = _options_from_args(args)
     spec = persimmon_spec(args.order, args.periods)
     word = persimmon_word(args.order)
     shift = is_self_dual(word, word)
@@ -257,8 +259,6 @@ def _cmd_persimmon(args) -> int:
             "self_dual_shift": list(shift) if shift else None,
         }))
         return 0
-    # a bad render option fails before any of the report is printed
-    options = _options_from_args(args) if args.svg or args.ascii else None
     print(f"persimmon pattern order {args.order}")
     print(f"  encoding word (both directions): {word}  "
           f"(length {len(word)} = 2*pell({args.order}) = {2 * pell(args.order)})")
@@ -266,7 +266,7 @@ def _cmd_persimmon(args) -> int:
           f"({args.periods} periods per axis)")
     print(f"  self-dual shift: ({shift[0]}, {shift[1]})" if shift
           else "  self-dual shift: none")
-    if options is not None:
+    if args.svg or args.ascii:
         return _emit_grid(build_grid(spec), options, args.svg)
     return 0
 
@@ -330,9 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("snowflake", help="trace a snowflake tile")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--svg", metavar="PATH")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--svg", metavar="PATH")
+    output.add_argument("--json", action="store_true")
     p.add_argument("--cell-size", type=int, default=20)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_snowflake)
 
     p = sub.add_parser("persimmon", help="build a persimmon pattern")

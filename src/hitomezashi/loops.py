@@ -328,32 +328,11 @@ def _trail(grid: StitchGrid, start: Point) -> list[Point]:
         vertical = not vertical
 
 
-def _path_ends(grid: StitchGrid) -> list[Point]:
-    """The vertices of degree 1 on the window edge, in (x, y) order.  With
-    both families every interior vertex has degree 2, so these are the ends
-    of the open paths, two per path.
-
-    A line's stitch at a window edge vertex is missing when it leads out of
-    the window: left from x = 0 when the line's bit is 0, right from x = W
-    when W plus the bit is odd, and likewise down from y = 0 and up from
-    y = H.  An edge vertex off the corners always has its other stitch, so
-    it is an end when its edge stitch is missing; a corner is one when
-    exactly one of its two stitches is.
-    """
-    W, H = grid.width, grid.height
-    rows, cols = grid.row_bits, grid.col_bits
-    bottom = [(c + 1) & 1 for c in cols]
-    top = [(H + c) & 1 for c in cols]
-
-    def side(x: int, out: list[int]) -> list[Point]:
-        return ([(x, 0)] * (out[0] ^ bottom[x])
-                + [(x, y) for y in range(1, H) if out[y]]
-                + [(x, H)] * (out[H] ^ top[x]))
-
-    return (side(0, [(r + 1) & 1 for r in rows])
-            + [(x, y) for x in range(1, W)
-               for y, out in ((0, bottom[x]), (H, top[x])) if out]
-            + side(W, [(W + r) & 1 for r in rows]))
+def _degree(grid: StitchGrid, x: int, y: int) -> int:
+    """The stitches at vertex (x, y) of a grid with both families: one of
+    each family, unless it leads out of the window."""
+    return ((0 < x + ((x + grid.row_bits[y]) & 1) <= grid.width)
+            + (0 < y + ((y + grid.col_bits[x]) & 1) <= grid.height))
 
 
 def extract_components(
@@ -364,22 +343,24 @@ def extract_components(
 
     Cycles come out in order of their least vertex, each least vertex
     first, heading up, walked by _trail from the starts _window_loops
-    yields.  Paths run from their lesser end, in order of that end: each
-    path is walked once by _trail, along the one stitch of the first of
-    its ends in _path_ends' (x, y) order.  A grid with one family missing
-    has no loops, and each of its stitches is an open path.
+    yields.  Paths run from their lesser end, in order of that end: with
+    both families only a window edge vertex can have one stitch, and each
+    path is walked once by _trail from the first of its two such ends in
+    (x, y) order.  A grid with one family missing has no loops, and each
+    of its stitches is an open path.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], sorted(grid.segments())
+    W, H = grid.width, grid.height
     cycles = [LatticeCycle(_trail(grid, start))
               for start, _ in _window_loops(grid)]
     paths, far_ends = [], set()
-    for end in _path_ends(grid):
-        if end in far_ends:
-            continue
-        trail = _trail(grid, end)
-        far_ends.add(trail[-1])
-        paths.append(tuple(trail))
+    for x in range(W + 1):
+        for y in range(H + 1) if x in (0, W) else (0, H):
+            if (x, y) not in far_ends and _degree(grid, x, y) == 1:
+                trail = _trail(grid, (x, y))
+                far_ends.add(trail[-1])
+                paths.append(tuple(trail))
     return cycles, paths
 
 
@@ -435,7 +416,8 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
     repeats the sequence shares its ranking entry, sort key and report
     dict included.  Only the head's cycle and fill are kept: the first
     loop in walk order with the least key, which the stable sort puts
-    first.  No open path is walked: they number half the path ends.
+    first.  No open path is walked: they are counted from the window's
+    vertices, stitches and bare corners.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], grid.segment_count(), None
@@ -456,7 +438,12 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
                 head, head_key = (cycle, poly, stats), key
         ranked.append(entry)
     ranked.sort(key=itemgetter(0))
-    return ranked, len(_path_ends(grid)) // 2, head
+    # A vertex meets at most one stitch of each family, so every component
+    # is a loop, with as many vertices as stitches, an open path, with one
+    # more, or a bare vertex, which only a corner can be.
+    W, H = grid.width, grid.height
+    bare = sum(_degree(grid, x, y) == 0 for x in (0, W) for y in (0, H))
+    return ranked, (W + 1) * (H + 1) - bare - grid.segment_count(), head
 
 
 def largest_loop(grid: StitchGrid) -> Optional[_Head]:

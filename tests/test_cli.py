@@ -396,6 +396,44 @@ def test_persimmon_ascii_with_a_bad_option_prints_no_report(capsys, option):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--rows", "01", "--cols", "10", "--width", "3", "--height",
+     "3", "--svg", "{tmp}/x.svg", "--ascii"],
+    ["dual", "--rows", "01", "--cols", "10", "--width", "3", "--height",
+     "3", "--svg", "{tmp}/x.svg", "--ascii"],
+    ["snowflake", "--order", "2", "--svg", "{tmp}/x.svg", "--json"],
+], ids=["render", "dual", "snowflake"])
+def test_one_output_per_command(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["persimmon", "--order", "2", "--json", "--cell-size", "0"],
+    ["persimmon", "--order", "2", "--cell-size", "0"],
+    ["snowflake", "--order", "2", "--cell-size", "0"],
+    ["snowflake", "--order", "2", "--json", "--cell-size", "0"],
+], ids=["persimmon-json", "persimmon", "snowflake", "snowflake-json"])
+def test_bad_drawing_option_fails_without_a_drawing(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_fill_and_grid_flags_without_a_drawing_change_nothing(capsys, mode):
+    plain = run(capsys, "persimmon", "--order", "2", *mode)
+    assert plain[0] == 0
+    assert run(capsys, "persimmon", "--order", "2", *mode, "--fill",
+               "--show-grid") == plain
+
+
 def test_verify_conjecture(capsys):
     code, out, _ = run(capsys, "verify-conjecture", "--max-order", "2")
     assert code == 0

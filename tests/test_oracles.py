@@ -1,15 +1,15 @@
 """The program decoder, the grid-native loop kernel, the phase-bit vertex
-degree, path ends and packing test, the census walk's step bits and the
-one-walk loop measure against each loop's vertex tuple, the census walk
-of one column period against the walk of every column, the full-torus
-census against the census of a two-period window, the one-eighth torus
-census against the full torus, the turn-word congruence test, the loop
-report's one fill, measure, hash and shared dict per step sequence, the
-closed-form two-coloring, the per-axis self-duality search and its
-rotation search, the line-by-line ASCII render and the table-driven SVG
-render against the slow oracles in oracles.py; the `analyze --json`
-writer and the CLI's output against json.dumps, and that output's loops
-and open path count against the oracles."""
+degree and its two-family rule, the packing test, the census walk's step
+bits and the one-walk loop measure against each loop's vertex tuple, the
+census walk of one column period against the walk of every column, the
+full-torus census against the census of a two-period window, the
+one-eighth torus census against the full torus, the turn-word congruence
+test, the loop report's one fill, measure, hash and shared dict per step
+sequence, the closed-form two-coloring, the per-axis self-duality search
+and its rotation search, the line-by-line ASCII render and the
+table-driven SVG render against the slow oracles in oracles.py; the
+`analyze --json` writer and the CLI's output against json.dumps, and
+that output's loops and open path count against the oracles."""
 
 import copy
 import io
@@ -29,7 +29,7 @@ from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
 from hitomezashi.loops import (LatticeCycle, Polyomino, _color_lines,
-                               _eighth_census, _path_ends, _strip_width,
+                               _degree, _eighth_census, _strip_width,
                                _torus_largest, _window_loops,
                                analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
@@ -114,21 +114,18 @@ def test_components_match_segment_oracle(grid):
 @example(grid_of("0", "0", 3, 4))       # corners without a stitch
 def test_vertex_degree_matches_presence_queries(grid):
     W, H = grid.width, grid.height
+    both = grid.row_bits is not None and grid.col_bits is not None
     for x in range(W + 1):
         for y in range(H + 1):
-            assert parity_vertex_degree(grid, x, y) == \
-                presence_vertex_degree(grid, x, y)
+            degree = presence_vertex_degree(grid, x, y)
+            assert parity_vertex_degree(grid, x, y) == degree
+            # the rule that finds the path ends and the bare corners
+            assert not both or _degree(grid, x, y) == degree
     for x, y in ((-1, 0), (0, -1), (W + 1, H), (W, H + 1)):
         with pytest.raises(IndexError, match="out of bounds"):
             parity_vertex_degree(grid, x, y)
         with pytest.raises(IndexError, match="out of bounds"):
             presence_vertex_degree(grid, x, y)
-    # the path ends, which _path_ends reads off the edge lines' bits
-    if grid.row_bits is not None and grid.col_bits is not None:
-        assert _path_ends(grid) == [
-            (x, y) for x in range(W + 1) for y in range(H + 1)
-            if (x in (0, W) or y in (0, H))
-            and presence_vertex_degree(grid, x, y) == 1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,6 +376,8 @@ def test_strip_walk_matches_full_walk_on_large_windows(monkeypatch, rows, cols,
     grid = grid_of(rows, cols, width, height)
     assert _strip_width(grid.col_bits, width) == strip
     report = analyze_grid(grid)
+    # the counted open paths against the walked ones
+    assert report["open_path_count"] == len(extract_components(grid)[1])
     monkeypatch.setattr("hitomezashi.loops._window_loops", full_window_loops)
     assert analyze_grid(grid) == report
 
