@@ -29,9 +29,10 @@ MAX_ORDER = 9
 # Highest order verify-conjecture checks.  The loops are found from one
 # eighth of the P x P torus, P = 2*pell(n), without building the window of
 # 2P cells a side, so MAX_CELLS does not bound the order.  On a shared
-# 2-vCPU VM (2026-10) orders 1-11 took 11 s and 85 MiB, and orders 1-12
-# 49 s and 397 MiB, of which 384 MB are order 12's P*P/2 bytes of stitch
-# marks; order 13's would take 2.2 GB.
+# 2-vCPU VM (2026-10), in a child process, orders 1-11 took 6.2 s and
+# 38 MiB, and orders 1-12 26 s and 124 MiB, of which 96 MB are order 12's
+# marks, about P*P/8 bytes for the stitches a walk can start from; order
+# 13 alone took 129 s and 562 MiB.
 MAX_CONJECTURE_ORDER = 12
 
 

@@ -21,8 +21,9 @@ back on its start has traced a closed loop, and any other walk is a piece
 of a path that is not closed, and is skipped.  In a window the stitches
 past the ends of the column lines and the columns just outside it are
 marked, so a walk stops where its path leaves the window, and a loop is
-first met at its least vertex.  On the torus the marks wrap, and a walk
-along an infinite path stops displaced from its start by whole periods.
+first met at its least vertex.  On the torus every cycle through E (below)
+is a closed loop, so a walk stops only back on its start, and marks are
+kept only for the stitches a walk can start from (_eighth_census).
 
 A window whose column bits have an even period L < W is walked only from
 its starts in columns 0..L-1 (the strip rule).  A shift by L maps vertical
@@ -72,6 +73,28 @@ the three maps, so by the quarter turns about the centre c of its box,
 whose corners give both congruences; one of the two turns takes s N/4
 steps on, as the half turn about c fixes no vertex.  So the quarter rule
 vouches exactly when the box rule does.
+
+Two lemmas let the torus walks read unwrapped coordinates straight from
+tables two periods long.  Call the lines x = -1/2 (mod P/2) mirrors: x ->
+P-1-x shifted by whole periods reflects the plane in each of them, mapping
+the stitches onto themselves.  A mirror crossed by a component maps it
+onto itself, as it maps the crossing stitch onto itself; so do the lines
+y = -1/2 (mod P/2).
+- No cycle is unbounded.  Suppose a cycle moves by (aP, bP) with a != 0.
+  It then crosses every mirror x = -1/2 (mod P/2), and two mirrors P/2
+  apart make it invariant under (P, 0).  A path cannot be invariant under
+  two independent translations, each of which shifts it along itself, so
+  b = 0 and the path has bounded height.  Its diagonal swap is then a
+  vertical path of the pattern that must cross it, but distinct components
+  share no vertex.  The case a = 0 is the same with the axes swapped.
+- A loop through E lies in x, y in [-P/2, P).  A bounded loop cannot cross
+  two parallel mirrors, because it would then be invariant under a
+  translation; a vertex of E has 0 <= x, y < P/2, so the loop crosses at
+  most one of the mirrors at -1/2 and P/2 - 1/2 on each axis, and neither
+  of the ones beyond them.
+So a bounded loop holds no two stitches a whole number of periods apart,
+as its shift would share a stitch with it and be it: the walk from a
+stitch of E comes back to that stitch, and only there, mod P.
 """
 
 from __future__ import annotations
@@ -503,39 +526,54 @@ def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
 
 def _eighth_census(bits: Sequence[int],
                    ) -> tuple[tuple[int, int], list[Point]]:
-    """The greatest (shoelace area, perimeter) over the bounded loops
-    through E = {x <= y < P/2} of the pattern whose phase bits repeat the
-    even palindrome ``bits`` on both axes, P = len(bits), and the start of
-    each such torus loop that has it; ((0, 0), []) when no bounded loop
-    passes through E.
+    """The greatest (shoelace area, perimeter) over the loops through E =
+    {x <= y < P/2} of the pattern whose phase bits repeat the even
+    palindrome ``bits`` on both axes, P = len(bits), and the start of each
+    such torus loop that has it; ((0, 0), []) when no loop passes through E.
 
     The loops through E are found by the census rule (see the module
     docstring), in unwrapped coordinates, from the vertical stitches that
     touch E only.  A vertex of E meets the stitch above or below it, so in
     column x0 < P/2 the starts are the lower ends x0 - 1 <= y < P/2 of the
-    column's parity: one run of marks per column.
+    column's parity: one run of marks per column.  By the two lemmas of the
+    module docstring every such walk is a loop whose vertices lie in [-P/2,
+    P) on both axes, and it reaches its start's stitch again, mod P, only
+    on closing.  So every table is two periods long, indexed by the raw
+    coordinate (negative indices read the residue), a walk stops on its
+    start's mark index, and only marks.find reads the marks.
     """
     p = len(bits)
     half = p // 2
+    band = (half + 2) // 2  # the row slots that hold a start
+    stride = band + 1       # and one sink slot per column
     # Column x of the torus holds P / 2 vertical stitches, whose lower
     # ends y all have the parity q = 1 - bits[x]; stitch (x, y)-(x, y+1) is
-    # mark x * half + (y + q) % P // 2, which either end of it gives.
-    qs = [1 - c for c in bits]
-    marks = bytearray(p * half)
+    # mark cols[x] + slots[y + q], which either end of it gives.  Columns
+    # x >= P/2 (mod P) share one sink column, and the slots past the band
+    # one sink slot per column.
+    rows = [*bits] * 2
+    qs = [1 - c for c in rows]
+    cols = [min(x, half) * stride for x in range(p)] * 2
+    slots = [min(t // 2, band) for t in range(p)] * 2
+    marks = bytearray((half + 1) * stride)
     best, ties = (0, 0), []
     for x0 in range(half):
         q = qs[x0]
-        base = x0 * half
+        base = x0 * stride
         stop = base + (half + q + 1) // 2
         start = marks.find(0, base + (x0 + q) // 2, stop)
         while start >= 0:
-            x, y = x0, y0 = x0, 2 * (start - base) - q
-            area = steps = 0
+            y0 = 2 * (start - base) - q
+            # the first step is up the start's stitch
+            x, y, area, steps = x0, y0 + 1, x0, 2
             while True:
-                xm = x % p
-                t = y + qs[xm]
-                i = xm * half + t % p // 2
-                if marks[i]:
+                if (x + rows[y]) & 1:
+                    x += 1
+                else:
+                    x -= 1
+                t = y + qs[x]
+                i = cols[x] + slots[t]
+                if i == start:
                     break
                 marks[i] = 1
                 if t & 1:
@@ -544,17 +582,12 @@ def _eighth_census(bits: Sequence[int],
                 else:
                     y += 1
                     area += x
-                if (x + bits[y % p]) & 1:
-                    x += 1
-                else:
-                    x -= 1
                 steps += 2
-            if x == x0 and y == y0:
-                size = (abs(area), steps)
-                if size > best:
-                    best, ties = size, [(x0, y0)]
-                elif size == best:
-                    ties.append((x0, y0))
+            size = (abs(area), steps)
+            if size > best:
+                best, ties = size, [(x0, y0)]
+            elif size == best:
+                ties.append((x0, y0))
             start = marks.find(0, start + 1, stop)
     return best, ties
 
@@ -563,16 +596,19 @@ def _quarter_walk(bits: Sequence[int], start: Point, count: int,
                   ) -> tuple[bytearray, Point, tuple[int, int, int, int]]:
     """The step bits (see _window_loops) of the walk of ``count`` + 1
     steps, ``count`` odd, that leaves ``start`` heading up on the pattern
-    whose phase bits repeat ``bits`` on both axes, the vertex reached after
-    ``count`` steps, and the box (min x, min y, max x, max y) of the
-    vertices the walk passes."""
-    p = len(bits)
+    whose phase bits repeat the even palindrome ``bits`` on both axes, the
+    vertex reached after ``count`` steps, and the box (min x, min y, max x,
+    max y) of the vertices the walk passes.  The start is a vertex of a
+    loop through E = {x <= y < P/2}, whose vertices lie in [-P/2, P) on
+    both axes (see the module docstring), so the bits are read from a table
+    two periods long by the raw coordinate."""
+    bits = [*bits] * 2
     x, y = start
     min_x = max_x = x
     min_y = max_y = y
     steps = bytearray()
     for _ in range((count + 1) // 2):
-        up = (y + bits[x % p]) & 1
+        up = (y + bits[x]) & 1
         if up:
             y += 1
             if y > max_y:
@@ -581,7 +617,7 @@ def _quarter_walk(bits: Sequence[int], start: Point, count: int,
             y -= 1
             if y < min_y:
                 min_y = y
-        right = (x + bits[y % p]) & 1
+        right = (x + bits[y]) & 1
         if right:
             x += 1
             if x > max_x:

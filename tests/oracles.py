@@ -336,8 +336,9 @@ def full_torus_census(rows, cols):
 def eighth_spectrum(bits):
     """The torus cycles through E = {x <= y < P/2} of the pattern whose
     phase bits repeat ``bits`` on both axes, P = len(bits) even: a Counter
-    of the bounded loops by (shoelace area, perimeter), and the number of
-    cycles that are unbounded paths of the plane.
+    of the bounded loops by (shoelace area, perimeter), the number of
+    cycles that are unbounded paths of the plane, and the least and the
+    greatest coordinate, on either axis, of the vertices the walks reach.
 
     Every vertex of E not yet met starts a walk, vertical step first, in
     unwrapped coordinates, that marks the vertices of E it meets and ends
@@ -348,6 +349,7 @@ def eighth_spectrum(bits):
     half = p // 2
     met = bytearray(half * half)  # vertex (x, y) of E is met[y * half + x]
     sizes, unbounded = Counter(), 0
+    low, high = 0, half - 1  # the coordinates of E's vertices
     for y0 in range(half):
         for x0 in range(y0 + 1):
             if met[y0 * half + x0]:
@@ -358,8 +360,12 @@ def eighth_spectrum(bits):
                     dy = 1 if (y + bits[x % p]) % 2 else -1
                     y += dy
                     area += x * dy
+                    if not low <= y <= high:
+                        low, high = min(low, y), max(high, y)
                 else:
                     x += 1 if (x + bits[y % p]) % 2 else -1
+                    if not low <= x <= high:
+                        low, high = min(low, x), max(high, x)
                 steps += 1
                 vertical = not vertical
                 xm, ym = x % p, y % p
@@ -371,7 +377,7 @@ def eighth_spectrum(bits):
                 sizes[abs(area), steps] += 1
             else:
                 unbounded += 1
-    return sizes, unbounded
+    return sizes, unbounded, (low, high)
 
 
 def fill_stats(cycle, poly):

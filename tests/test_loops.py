@@ -14,7 +14,8 @@ from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                extract_components, largest_loop, loop_stats,
                                two_color)
 from hitomezashi.registry import lookup
-from hitomezashi.tiles import snowflake
+from hitomezashi.tiles import _snowflake_quarter, persimmon_word, snowflake
+from hitomezashi.words import pell
 from oracles import (horizontal_present, normalized, turn_word,
                      vertical_present)
 
@@ -206,6 +207,23 @@ def test_order_3_quarter_walk_ends_a_quarter_turn_on():
     assert box == (0, 4, 5, 9)
     assert loops._torus_largest(PERSIMMON_3) == (
         LoopStats(52, 29, 9, 9), loops._turn_word(steps))
+
+
+def test_eighth_census_marks_only_the_start_band():
+    # the marks cover the stitches a walk can start from, about P^2/8
+    # bytes; a mark for every stitch of the torus would take P^2/2
+    bits = persimmon_word(9).bits
+    p = len(bits)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        best, ties = loops._eighth_census(bits)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert best == (pell(17), 4 * len(_snowflake_quarter(9)))
+    assert len(ties) == 1
+    assert peak <= p * p // 4
 
 
 @pytest.mark.parametrize("width,height,vouched", [

@@ -3,13 +3,14 @@ degree and its two-family rule, the packing test, the census walk's step
 bits and the one-walk loop measure against each loop's vertex tuple, the
 census walk of one column period against the walk of every column, the
 full-torus census against the census of a two-period window, the
-one-eighth torus census against the full torus, the turn-word congruence
-test, the loop report's one fill, measure, hash and shared dict per step
-sequence, the closed-form two-coloring, the per-axis self-duality search
-and its rotation search, the line-by-line ASCII render and the
-table-driven SVG render against the slow oracles in oracles.py; the
-`analyze --json` writer and the CLI's output against json.dumps, and
-that output's loops and open path count against the oracles."""
+one-eighth torus census against the full torus and against a walk of every
+torus cycle through the eighth, the turn-word congruence test, the loop
+report's one fill, measure, hash and shared dict per step sequence, the
+closed-form two-coloring, the per-axis self-duality search and its
+rotation search, the line-by-line ASCII render and the table-driven SVG
+render against the slow oracles in oracles.py; the `analyze --json`
+writer and the CLI's output against json.dumps, and that output's loops
+and open path count against the oracles."""
 
 import copy
 import io
@@ -17,6 +18,7 @@ import json
 import random
 from collections import Counter
 from contextlib import redirect_stdout
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -40,7 +42,7 @@ from hitomezashi.words import BinaryWord
 from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
                      brute_is_self_dual, brute_largest_loop,
                      components_from_segments, cycle_from_steps,
-                     fill_all_analyze_grid,
+                     eighth_spectrum, fill_all_analyze_grid,
                      full_torus_census, full_torus_largest,
                      full_window_loops, parity_vertex_degree,
                      presence_vertex_degree, segment_render_svg, turn_word,
@@ -278,6 +280,31 @@ def test_eighth_of_the_torus_matches_the_full_torus(text):
     (_, perimeter), (start,) = _eighth_census(bits)
     assert got[1] * 4 == walk_loop(bits, bits, start, perimeter)[1]
     assert report["largest_loop"] == expected[0]._asdict()
+
+
+def check_census_against_spectrum(bits):
+    """The census's best and tie count against the oracle's walk of every
+    torus cycle through E, which also checks the two lemmas the census's
+    tables rely on: no cycle is unbounded, and every vertex lies in
+    [-P/2, P) on both axes."""
+    sizes, unbounded, (low, high) = eighth_spectrum(bits)
+    best, ties = _eighth_census(bits)
+    assert best == (max(sizes) if sizes else (0, 0))
+    assert len(ties) == sizes[best]
+    assert unbounded == 0
+    assert -len(bits) // 2 <= low and high < len(bits)
+
+
+def test_eighth_census_matches_the_spectrum_on_every_short_palindrome():
+    for n in range(1, 9):
+        for half in product((0, 1), repeat=n):
+            check_census_against_spectrum(half + half[::-1])
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=9, max_size=40))
+def test_eighth_census_matches_the_spectrum_on_long_palindromes(half):
+    check_census_against_spectrum((*half, *half[::-1]))
 
 
 @settings(max_examples=200, deadline=None)

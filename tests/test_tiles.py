@@ -153,9 +153,10 @@ def test_largest_persimmon_loop_is_the_snowflake(order):
 def test_persimmon_torus_loops_are_snowflakes_of_every_order(order):
     # every loop through one eighth of the torus has the size of the
     # order-k snowflake for some k <= n, T(1 + pell(0) + ... + pell(n-k-1))
-    # of them, T(m) = m(m+1)/2, and no cycle through it is unbounded
+    # of them, T(m) = m(m+1)/2, and no cycle through it is unbounded or
+    # leaves [-P/2, P) on either axis
     bits = persimmon_word(order).bits
-    sizes, unbounded = eighth_spectrum(bits)
+    sizes, unbounded, (low, high) = eighth_spectrum(bits)
     expected = {}
     for k in range(1, order + 1):
         m = 1 + sum(pell(i) for i in range(order - k))
@@ -163,6 +164,7 @@ def test_persimmon_torus_loops_are_snowflakes_of_every_order(order):
             m * (m + 1) // 2
     assert sizes == expected
     assert unbounded == 0
+    assert -len(bits) // 2 <= low and high < len(bits)
     assert _eighth_census(bits) == (max(sizes), [mock.ANY])
 
 
