@@ -143,8 +143,10 @@ def _report_json(report: dict) -> Iterator[str]:
     with str keys.  The indent encoder is pure Python, but analyze_grid's
     two long lists repeat themselves by identity (equal loops are one dict,
     the two-coloring's rows at most four lists), so each distinct object in
-    a top-level list is indent-encoded once, looked up by id(), and the
-    document is never held as one string."""
+    a top-level list is encoded once, looked up by id(), and the document
+    is never held as one string.  A non-empty list of plain ints, a
+    two-coloring row, goes through the C encoder, which json.dumps uses
+    only without indent, with the separators of the indented layout."""
     lists = [name for name, value in report.items()
              if isinstance(value, list)]
     text = json.dumps({**report, **dict.fromkeys(lists)}, indent=2)
@@ -156,8 +158,12 @@ def _report_json(report: dict) -> Iterator[str]:
         for i, item in enumerate(report[name]):
             block = blocks.get(id(item))
             if block is None:  # with the separator that precedes it
-                block = blocks[id(item)] = ",\n    " + json.dumps(
-                    item, indent=2).replace("\n", "\n    ")
+                if isinstance(item, list) and set(map(type, item)) == {int}:
+                    row = json.dumps(item, separators=(",\n      ", ": "))
+                    block = "[\n      " + row[1:-1] + "\n    ]"
+                else:
+                    block = json.dumps(item, indent=2).replace("\n", "\n    ")
+                block = blocks[id(item)] = ",\n    " + block
             yield block if i else "[" + block[1:]
         yield "\n  ]" if blocks else "[]"
     yield text + "\n"

@@ -54,6 +54,8 @@ class WordProgram:
             raise ValueError("at most one fill segment is allowed")
         if fills and fills[0] != len(segs) - 1:
             raise ValueError("the fill segment must come last")
+        if fills and len(segs[-1].word) == 0:
+            raise ValueError("empty fill word")
 
     @classmethod
     def fill(cls, word: BinaryWord | str) -> "WordProgram":
@@ -144,14 +146,10 @@ def expand_program(program: WordProgram, count: int) -> tuple[int, ...]:
 
     Fixed segments are consumed in order (a final overshoot is truncated);
     the fill segment repeats its word, truncated, to reach ``count``.
-    Raises ValueError("program underflow") when the program runs out early
-    and ValueError("empty fill word") for a zero-length fill word.
+    Raises ValueError("program underflow") when the program runs out early.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    for seg in program.segments:
-        if seg.is_fill and len(seg.word) == 0:
-            raise ValueError("empty fill word")
     out: list[int] = []
     for seg in program.segments:
         if seg.word.bits and len(out) < count:

@@ -2,12 +2,17 @@
 
 Present segments form a graph of maximum degree two, so every connected
 component is either a simple closed loop or an open path.  Closed loops mark
-out polyominoes; this module fills and measures them, classes them up to
-congruence by canonical form, checks the known loop congruences (area 1 mod
-4, perimeter 4 mod 8, odd bounding box) and two-colors the regions a grid
-cuts the window into.  The census walk of a window reads each loop's
-up/right step bits off the phase bits; loops with equal step bits are
-translates, so a window fills each distinct step sequence once (_ranked).
+out polyominoes; this module measures them, classes them up to congruence,
+checks the known loop congruences (area 1 mod 4, perimeter 4 mod 8, odd
+bounding box) and two-colors the regions a grid cuts the window into.  The
+census walk of a window reads each loop's up/right step bits off the phase
+bits; loops with equal step bits are translates, so a window measures and
+classes each distinct step sequence once, from its step bits alone: the
+perimeter, shoelace area and box by prefix sums, the class by the least
+rotation of its turn word (_ranked).  A loop's turn word fixes it up to
+rotation, reflection and translation, so it fixes the congruence class of
+its fill.  Only the head of the ranking is built as a LatticeCycle and
+filled (largest_loop); analyze_grid fills no loop.
 
 One census rule finds the loops of a window (_window_loops) and of the
 torus (_eighth_census).  Every line's stitching is fixed by its phase bit
@@ -104,7 +109,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
@@ -222,10 +227,6 @@ class Polyomino:
                     yield tuple(sorted((x - min_x, y - min_y)
                                        for x, y in pts))
         return min(images())
-
-    def canonical_hash(self) -> str:
-        digest = hashlib.sha256(repr(self.canonical_form).encode())
-        return digest.hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polyomino) and other.cells == self.cells
@@ -417,30 +418,28 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-# a loop's place in the ranking, (-area, -perimeter, canonical form), and
-# its report dict, one per step sequence (analyze_grid)
-_Entry = tuple[tuple[int, int, tuple[Point, ...]], dict]
-_Head = tuple[LatticeCycle, Polyomino, LoopStats]
+# a loop's place in the ranking, (-area, -perimeter, class word), and its
+# report dict, one per step sequence (analyze_grid)
+_Entry = tuple[tuple[int, int, str], dict]
 
 
-def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
+def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[Point]]:
     """The loop ranking of analyze_grid and largest_loop, the grid's open
-    path count, and the head of the ranking as (cycle, fill, stats), None
-    when the grid has no loop.  The ranking holds each loop's sort key and
-    report dict (stats, canonical hash and theorem checks), by greatest
-    area, then greatest perimeter, then least canonical form, equal keys
-    in extract_components order.
+    path count, and the start (least vertex) of the head of the ranking,
+    None when the grid has no loop.  The ranking holds each loop's sort key
+    and report dict (stats, class hash and theorem checks), by greatest
+    area, then greatest perimeter, then least class word (_class_word),
+    equal keys in extract_components order.
 
     The loops come from _window_loops as (least vertex, step bits), those
     past one strip of column periods as translates of the strip's.  Loops
-    with equal step bits are translates, so only the first loop of each
-    distinct step sequence is walked again from its start into a
-    LatticeCycle (_trail), filled, measured and hashed; every loop that
-    repeats the sequence shares its ranking entry, sort key and report
-    dict included.  Only the head's cycle and fill are kept: the first
-    loop in walk order with the least key, which the stable sort puts
-    first.  No open path is walked: they are counted from the window's
-    vertices, stitches and bare corners.
+    with equal step bits are translates, so each distinct step sequence is
+    measured (_step_stats) and classed (_class_word) once, from its bits;
+    every loop that repeats the sequence shares its ranking entry, sort key
+    and report dict included.  No loop is walked again, built or filled.
+    The head is the first loop in walk order with the least key, which the
+    stable sort puts first.  No open path is walked: they are counted from
+    the window's vertices, stitches and bare corners.
     """
     if grid.row_bits is None or grid.col_bits is None:
         return [], grid.segment_count(), None
@@ -450,15 +449,16 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
     for start, steps in _window_loops(grid):
         entry = shapes.get(steps)
         if entry is None:
-            cycle = LatticeCycle(_trail(grid, start))
-            poly = cycle_to_polyomino(cycle)
-            stats = loop_stats(poly, cycle)
-            key = (-stats.area, -stats.perimeter, poly.canonical_form)
+            stats = _step_stats(steps)
+            word = _class_word(steps)
+            key = (-stats.area, -stats.perimeter, word)
             entry = shapes[steps] = key, {
-                **stats._asdict(), "canonical_hash": poly.canonical_hash(),
+                **stats._asdict(),
+                "canonical_hash":
+                    hashlib.sha256(word.encode()).hexdigest()[:16],
                 "theorems": check_loop_theorems(stats)._asdict()}
             if head is None or key < head_key:
-                head, head_key = (cycle, poly, stats), key
+                head, head_key = start, key
         ranked.append(entry)
     ranked.sort(key=itemgetter(0))
     # A vertex meets at most one stitch of each family, so every component
@@ -469,15 +469,75 @@ def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[_Head]]:
     return ranked, (W + 1) * (H + 1) - bare - grid.segment_count(), head
 
 
-def largest_loop(grid: StitchGrid) -> Optional[_Head]:
+def _step_stats(steps: bytes) -> LoopStats:
+    """The stats of a closed loop from its step bits (see _window_loops):
+    the perimeter, the shoelace area, the sum of x dy over the vertical
+    steps as _eighth_census takes it, and the box, the vertex span on each
+    axis, which is the fill's cell span.  Coordinates are taken from the
+    start, so translates get the same stats."""
+    dys = [up + up - 1 for up in steps[0::2]]
+    # xs[i]: the x of vertical step i, after the horizontal steps before it
+    xs = list(accumulate((right + right - 1 for right in steps[1::2]),
+                         initial=0))
+    ys = list(accumulate(dys, initial=0))
+    return LoopStats(len(steps), abs(sum(map(mul, xs, dys))),
+                     max(ys) - min(ys), max(xs) - min(xs))
+
+
+def _class_word(steps: bytes) -> str:
+    """The congruence class of a closed loop from its step bits: the least
+    of the least rotations of its turn word (_turn_word, one letter per
+    vertex), of that word with L and R swapped, of its reverse, and of
+    both.  Two loops are congruent exactly when their turn words are equal
+    up to those changes (see congruent_words), so exactly when their class
+    words are equal."""
+    word = _turn_word(steps + steps[:1])
+    swapped = word.translate(_SWAP_TURNS)
+    return min(map(_least_rotation,
+                   (word, swapped, word[::-1], swapped[::-1])))
+
+
+def _least_rotation(word: str) -> str:
+    """The least rotation of a word in linear time, as Booth's algorithm
+    (K. S. Booth, Inf. Process. Lett. 1980) finds it, here by reading two
+    candidate starts i and j side by side from offset k.  Where they first
+    differ, at k, each start from the greater candidate up to k past it
+    reads a greater rotation than the start the same distance past the
+    other, so the greater candidate moves past them all."""
+    n = len(word)
+    doubled = word + word
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return doubled[i:i + n]
+
+
+def largest_loop(grid: StitchGrid,
+                 ) -> Optional[tuple[LatticeCycle, Polyomino, LoopStats]]:
     """The closed loop at the head of analyze_grid's ranking (greatest
-    area, then greatest perimeter, then least canonical form, the first in
+    area, then greatest perimeter, then least class word, the first in
     extract_components order on a tie) with its fill and stats, or None
     when the grid has no closed loop.  Every loop is walked once, by the
-    census walk; the first loop of each distinct step sequence is built,
-    filled and classed by canonical form, and only the running head's
-    cycle and fill are kept (see _ranked)."""
-    return _ranked(grid)[2]
+    census walk, and measured and classed from its step bits (see
+    _ranked); only the head is walked again into a LatticeCycle and
+    filled."""
+    start = _ranked(grid)[2]
+    if start is None:
+        return None
+    cycle = LatticeCycle(_trail(grid, start))
+    poly = cycle_to_polyomino(cycle)
+    return cycle, poly, loop_stats(poly, cycle)
 
 
 def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
@@ -738,8 +798,12 @@ def analyze_grid(grid: StitchGrid) -> dict:
     path count, and the two-coloring as a bottom-up cell matrix.
 
     Loops rank by greatest area, then greatest perimeter, then least
-    canonical form, equal keys in extract_components order; largest_loop
-    returns the head of this ranking (see _ranked).
+    class word, equal keys in extract_components order; largest_loop
+    returns the head of this ranking (see _ranked).  Each loop's stats and
+    class come from its step bits, so no loop is filled.  Its
+    canonical_hash is the first 16 hex digits of the sha256 of its class
+    word (_class_word), the least rotation of its turn word up to L/R swap
+    and reversal: equal exactly for congruent loops.
 
     The report is read-only: loops with equal step bits, translates of
     one another, are one shared dict, theorems included, built once by

@@ -1,6 +1,7 @@
 """Slow, independent reference implementations the library is checked
 against."""
 
+import hashlib
 from collections import Counter, defaultdict
 
 from hitomezashi.grid import PatternSpec, ProgramSegment, WordProgram
@@ -385,12 +386,28 @@ def fill_stats(cycle, poly):
     return LoopStats(cycle.perimeter, poly.area, poly.height, poly.width)
 
 
+def brute_class_word(cycle):
+    """The least of every rotation of the cycle's turn word, of that word
+    with L and R swapped, reversed, and both."""
+    word = turn_word(cycle)
+    swapped = word.translate(str.maketrans("LR", "RL"))
+    return min(variant[i:] + variant[:i]
+               for variant in (word, swapped, word[::-1], swapped[::-1])
+               for i in range(len(word)))
+
+
+def form_hash(poly):
+    """A hash of a polyomino's canonical form: equal exactly for congruent
+    fills."""
+    return hashlib.sha256(repr(poly.canonical_form).encode()).hexdigest()[:16]
+
+
 def ranked_loops(cycles):
-    """Every cycle filled and canonicalised, ranked by greatest area, then
-    greatest perimeter, then least canonical form (stable)."""
+    """Every cycle filled, ranked by greatest area, then greatest
+    perimeter, then least class word (stable)."""
     filled = [(cycle, cycle_to_polyomino(cycle)) for cycle in cycles]
     return sorted(filled, key=lambda item: (-item[1].area, -item[0].perimeter,
-                                            item[1].canonical_form))
+                                            brute_class_word(item[0])))
 
 
 def brute_largest_loop(cycles):
@@ -402,9 +419,9 @@ def brute_largest_loop(cycles):
 
 
 def fill_all_analyze_grid(grid):
-    """analyze_grid's report with every loop filled and canonicalised, its
-    area and box read off the fill, and the two-coloring from the region
-    BFS."""
+    """analyze_grid's report with every loop filled, its area and box read
+    off the fill, its canonical_hash that of the fill's canonical form
+    (form_hash), and the two-coloring from the region BFS."""
     cycles, paths = extract_components(grid)
     loops_report = []
     for cycle, poly in ranked_loops(cycles):
@@ -415,7 +432,7 @@ def fill_all_analyze_grid(grid):
             "area": stats.area,
             "height": stats.height,
             "width": stats.width,
-            "canonical_hash": poly.canonical_hash(),
+            "canonical_hash": form_hash(poly),
             "theorems": {
                 "area_1_mod_4": report.area_1_mod_4,
                 "perimeter_4_mod_8": report.perimeter_4_mod_8,
@@ -521,9 +538,6 @@ def brute_expand_program(program, count):
     repeat at a time and the fill word until ``count`` bits are out."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    for seg in program.segments:
-        if seg.is_fill and len(seg.word) == 0:
-            raise ValueError("empty fill word")
     out = []
     for seg in program.segments:
         if len(out) >= count:

@@ -4,14 +4,16 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from hitomezashi import cli, tiles
+from hitomezashi import cli, loops, tiles
 from hitomezashi.cli import main
-from hitomezashi.grid import build_grid
+from hitomezashi.grid import PatternSpec, WordProgram, build_grid
+from hitomezashi.loops import LatticeCycle, cycle_to_polyomino
 from hitomezashi.registry import export_catalog, lookup
 from hitomezashi.render import RenderOptions, render_ascii
 from hitomezashi.tiles import (persimmon_spec, snowflake, snowflake_boundary,
@@ -163,10 +165,11 @@ def test_analyze_json(capsys):
 
 
 # sha256 of the whole `analyze --json` stdout, taken while every loop was
-# still filled and canonicalised: the window where two non-congruent loops
-# tie at the top; a piecewise window with nine congruence classes, one of
-# them in both 5x3 and 3x5 boxes; and a two-word window with 5275 loops in
-# five classes
+# still filled and canonicalised, when a loop's canonical_hash was the
+# sha256 of its fill's canonical form and loops tied on (area, perimeter)
+# ranked by that form: the window where two non-congruent loops tie at the
+# top; a piecewise window with nine congruence classes, one of them in both
+# 5x3 and 3x5 boxes; and a two-word window with 5275 loops in five classes
 @pytest.mark.parametrize("rows,cols,width,height,digest", [
     ("11110:2,001:1,10", "10:2,11011", 15, 21,
      "c71b23338b4981a664db1344b367ce2da875c58ff1e52c6986d2c2981741abe7"),
@@ -177,11 +180,33 @@ def test_analyze_json(capsys):
 ])
 def test_analyze_json_bytes_are_unchanged(capsys, rows, cols, width, height,
                                           digest):
+    # The bytes are those digests' once every class hash is mapped back to
+    # its fill's canonical form, and each tie re-ranked by it: the class
+    # hashes and the order of tied classes are all that changed.
     code, out, _ = run(capsys, "analyze", "--rows", rows, "--cols", cols,
                        "--width", str(width), "--height", str(height),
                        "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    grid = build_grid(PatternSpec("cli", WordProgram.parse(rows),
+                                  WordProgram.parse(cols), width, height))
+    form_of = {}
+    for start, steps in loops._window_loops(grid):
+        poly = cycle_to_polyomino(LatticeCycle(loops._trail(grid, start)))
+        word = loops._class_word(steps)
+        class_hash = hashlib.sha256(word.encode()).hexdigest()[:16]
+        assert form_of.setdefault(class_hash, poly.canonical_form) \
+            == poly.canonical_form
+    report = json.loads(out)
+    for loop in report["loops"]:
+        loop["form"] = form_of[loop["canonical_hash"]]
+        loop["canonical_hash"] = hashlib.sha256(
+            repr(loop["form"]).encode()).hexdigest()[:16]
+    report["loops"].sort(key=lambda loop: (-loop["area"], -loop["perimeter"],
+                                           loop["form"]))
+    for loop in report["loops"]:
+        del loop["form"]
+    old = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(old.encode()).hexdigest() == digest
 
 
 # The child's own peak RSS: a fresh interpreter, so no earlier child of the
@@ -215,18 +240,42 @@ def test_analyze_json_peak_rss_at_2000_squared():
                     reason="ru_maxrss is in KiB on Linux only")
 def test_analyze_json_peak_rss_on_an_aperiodic_1000_squared_window():
     # 70172 loops in 1452 distinct loop dicts: keeping a cycle and a fill
-    # per congruence class peaked at 313 MB, keeping the head's only at 129
+    # per congruence class peaked at 313 MB, keeping the head's only at
+    # 129, filling no loop at 23
+    kib, _ = run_aperiodic_analyze_json(1000)
+    assert kib / 1024 < 200
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_analyze_json_cost_on_an_aperiodic_4000_squared_window():
+    # 1,134,845 loops in 15,816 distinct loop dicts, each measured and
+    # classed from its step bits: 8.9-9.6 s and 67 MiB on a shared 2-vCPU
+    # VM (2026-10)
+    kib, seconds = run_aperiodic_analyze_json(4000)
+    assert kib / 1024 < 150
+    assert seconds < 40
+
+
+def run_aperiodic_analyze_json(side):
+    """analyze --json in a child on a side x side window whose row and
+    column words are side + 1 random bits each (random.Random(7)): the
+    child's peak RSS in KiB and the run's wall time in seconds."""
     rng = random.Random(7)
-    rows, cols = ("".join(str(rng.randrange(2)) for _ in range(1001))
+    rows, cols = ("".join(str(rng.randrange(2)) for _ in range(side + 1))
                   for _ in range(2))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_SCRIPT, "analyze", "--rows", rows,
-         "--cols", cols, "--width", "1000", "--height", "1000", "--json"],
+         "--cols", cols, "--width", str(side), "--height", str(side),
+         "--json"],
         capture_output=True, text=True, env=child_env(), timeout=600)
+    seconds = time.perf_counter() - start
     assert proc.stderr == ""
     code, kib = proc.stdout.split()
     assert code == "0"
-    assert int(kib) / 1024 < 200
+    return int(kib), seconds
 
 
 def test_analyze_human(capsys):
@@ -470,6 +519,19 @@ def test_bad_repeat_count_is_usage_error(capsys):
               "--width", "4", "--height", "4"])
     assert excinfo.value.code == 2
     assert "bad repeat count 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    (",", "at most one fill segment"),   # two empty fill words
+    ("01:3,", "empty fill word"),        # one, after a fixed segment
+])
+def test_empty_fill_word_is_usage_error(capsys, rows, message):
+    # the program parser refuses both, before any grid is built
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--rows", rows, "--cols", "1",
+              "--width", "4", "--height", "4"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_usage_error(capsys):

@@ -69,9 +69,9 @@ def test_expand_needs_a_positive_count():
 
 
 def test_expand_empty_fill_word():
-    program = WordProgram((ProgramSegment(BinaryWord("")),))
+    # the program itself is refused, so expand_program never sees one
     with pytest.raises(ValueError, match="empty fill word"):
-        expand_program(program, 3)
+        WordProgram((ProgramSegment(BinaryWord("")),))
 
 
 def test_program_shape_validation():

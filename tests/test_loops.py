@@ -1,12 +1,12 @@
+import hashlib
 import random
 import tracemalloc
-import weakref
 
 import networkx as nx
 import pytest
 
 from hitomezashi import loops
-from hitomezashi.grid import PatternSpec, StitchGrid, WordProgram, build_grid
+from hitomezashi.grid import PatternSpec, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                _strip_width, analyze_grid,
                                centred_square_check, check_loop_theorems,
@@ -145,28 +145,6 @@ def test_triple_persimmon_stats():
 
 def test_largest_loop_absent():
     assert largest_loop(grid_of("10", "", 8, 8)) is None
-
-
-@pytest.mark.parametrize("rank", [analyze_grid, largest_loop])
-def test_ranking_keeps_only_the_heads_fill(monkeypatch, rank):
-    # The ranking keeps the running head's fill and drops every other one
-    # once the next is made, so at most two earlier fills are alive at each
-    # fill; one kept per congruence class left 7 alive on this window.
-    rng = random.Random(3)
-    grid = StitchGrid(60, 40, [rng.randrange(2) for _ in range(41)],
-                      [rng.randrange(2) for _ in range(61)])
-    fills, most = [], []
-
-    def fill(cycle):
-        most.append(sum(ref() is not None for ref in fills))
-        poly = cycle_to_polyomino(cycle)
-        fills.append(weakref.ref(poly))
-        return poly
-
-    monkeypatch.setattr(loops, "cycle_to_polyomino", fill)
-    rank(grid)
-    assert len(fills) > 3
-    assert max(most) <= 2
 
 
 # the order-3 persimmon word has period 10; its snowflake spans 9
@@ -531,6 +509,17 @@ def test_analyze_grid_report_shape():
     assert len(report["two_coloring"]) == 12
     assert len(report["two_coloring"][0]) == 12
     assert len(report["loops"][0]["canonical_hash"]) == 16
+
+
+def test_canonical_hash_is_the_class_words_sha256():
+    # the cross's class word: a left turn at each arm's two outer corners,
+    # then a right turn at the inner one; the unit square's, four left turns
+    def digest(word):
+        return hashlib.sha256(word.encode()).hexdigest()[:16]
+    cross = analyze_grid(grid_of("0110", "011", 12, 12))["loops"][0]
+    assert cross["canonical_hash"] == digest("LLR" * 4)
+    square = analyze_grid(grid_of("1", "1", 4, 4))["loops"][0]
+    assert square["canonical_hash"] == digest("LLLL")
 
 
 def test_translates_share_one_loop_dict():

@@ -5,7 +5,9 @@ census walk of one column period against the walk of every column, the
 full-torus census against the census of a two-period window, the
 one-eighth torus census against the full torus and against a walk of every
 torus cycle through the eighth, the turn-word congruence test, the loop
-report's one fill, measure, hash and shared dict per step sequence, the
+report's class words against canonical forms and its step-bit stats
+against fills, its one measure, class and shared dict per step sequence
+and no fill, the least rotation against every rotation, the
 closed-form two-coloring, the per-axis self-duality search and its
 rotation search, the line-by-line ASCII render and the table-driven SVG
 render against the slow oracles in oracles.py; the `analyze --json`
@@ -30,20 +32,20 @@ from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, Polyomino, _color_lines,
-                               _degree, _eighth_census, _strip_width,
-                               _torus_largest, _window_loops,
-                               analyze_grid, congruent_words,
+from hitomezashi.loops import (LatticeCycle, _class_word, _color_lines,
+                               _degree, _eighth_census, _least_rotation,
+                               _step_stats, _strip_width, _torus_largest,
+                               _window_loops, analyze_grid, congruent_words,
                                cycle_to_polyomino, extract_components,
                                largest_loop, loop_stats, two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
-from oracles import (bfs_two_color, brute_dual_shifts, brute_expand_program,
-                     brute_is_self_dual, brute_largest_loop,
-                     components_from_segments, cycle_from_steps,
-                     eighth_spectrum, fill_all_analyze_grid,
-                     full_torus_census, full_torus_largest,
+from oracles import (bfs_two_color, brute_class_word, brute_dual_shifts,
+                     brute_expand_program, brute_is_self_dual,
+                     brute_largest_loop, components_from_segments,
+                     cycle_from_steps, eighth_spectrum, fill_all_analyze_grid,
+                     fill_stats, full_torus_census, full_torus_largest,
                      full_window_loops, parity_vertex_degree,
                      presence_vertex_degree, segment_render_svg, turn_word,
                      vertex_cycle_stats, vertex_loop_is_fully_packed,
@@ -146,9 +148,10 @@ def test_is_fully_packed_matches_vertex_loop(grid):
         or min(grid.width, grid.height) < 2)
 
 
-# two loops tie at the top on area and perimeter and the first is not the
-# one of least canonical form
-TIED_TOP = ("11110:2,001:1,10", "10:2,11011", 15, 21)
+# two non-congruent loops tie at the top on area and perimeter, and the
+# first in walk order is not the one of least class word
+TIED_TOP = ("1101100:2,01111:3,01100100:1,111", "100101:2,0010101:3,011010",
+            30, 20)
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,6 +412,24 @@ def test_strip_walk_matches_full_walk_on_large_windows(monkeypatch, rows, cols,
     assert analyze_grid(grid) == report
 
 
+def one_to_one(pairs):
+    """Do the (a, b) pairs match each a with one b and each b with one a,
+    so that the a's and the b's part their items alike?"""
+    pairs = set(pairs)
+    return len(pairs) == len(dict(pairs)) == len(dict(map(reversed, pairs)))
+
+
+def assert_loops_match_oracle(loops, expected):
+    """analyze_grid's loop list against fill_all_analyze_grid's: equal in
+    order and in every stat and theorem flag, and with class hashes that
+    part the loops as the hashes of their fills' canonical forms do."""
+    def unhashed(entries):
+        return [{**entry, "canonical_hash": None} for entry in entries]
+    assert unhashed(loops) == unhashed(expected)
+    assert one_to_one((entry["canonical_hash"], other["canonical_hash"])
+                      for entry, other in zip(loops, expected))
+
+
 @settings(max_examples=300, deadline=None)
 @given(grids())
 @example(grid_of("", "", 5, 3))
@@ -421,45 +442,84 @@ def test_strip_walk_matches_full_walk_on_large_windows(monkeypatch, rows, cols,
 @example(grid_of(*BOTH_ORIENTATIONS))
 @example(grid_of(*SHARED_STATS))
 def test_analyze_grid_matches_fill_all_oracle(grid):
-    assert analyze_grid(grid) == fill_all_analyze_grid(grid)
+    report, expected = analyze_grid(grid), fill_all_analyze_grid(grid)
+    assert_loops_match_oracle(report.pop("loops"), expected.pop("loops"))
+    assert report == expected
+
+
+def random_window(seed, width, height):
+    """A window of random phase bits, the rows' drawn first."""
+    rng = random.Random(seed)
+    rows = [rng.randrange(2) for _ in range(height + 1)]
+    return StitchGrid(width, height, rows,
+                      [rng.randrange(2) for _ in range(width + 1)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(grids())
 @example(grid_of(*TIED_TOP))
 @example(grid_of(*SHARED_SIZE))
-@example(grid_of(*SHARED_AREA))
 @example(grid_of(*BOTH_ORIENTATIONS))
-def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
-    filled, hashed = [], []
-    digest = Polyomino.canonical_hash
+@example(grid_of("10", "", 8, 8))           # no loop
+@example(random_window(3, 60, 40))          # many step sequences
+def test_analyze_grid_fills_no_loop_and_largest_loop_only_the_head(grid):
+    fills = []
 
     def fill(cycle):
-        poly = cycle_to_polyomino(cycle)
-        filled.append(poly.canonical_form)
-        return poly
-
-    def canonical_hash(poly):
-        hashed.append(poly.canonical_form)
-        return digest(poly)
-
-    def turn_word_route(*args):
-        raise AssertionError("window loops are classed by canonical form")
+        fills.append(cycle.vertices)
+        return cycle_to_polyomino(cycle)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
-        patch.setattr("hitomezashi.loops.Polyomino.canonical_hash",
-                      canonical_hash)
-        patch.setattr("hitomezashi.loops.congruent_words", turn_word_route)
-        report = analyze_grid(grid)
-    classes = {entry["canonical_hash"] for entry in report["loops"]}
-    # each fill, one per step sequence, is hashed once, and the fills of
-    # one class give one hash
-    assert hashed == filled
-    assert len(set(hashed)) == len(classes)
-    if grid == grid_of(*BOTH_ORIENTATIONS):
-        # its 5x3 and 3x5 loops are two step sequences of one class
-        assert len(filled) > len(classes)
+        analyze_grid(grid)
+        assert fills == []
+        best = largest_loop(grid)
+    assert fills == ([] if best is None else [best[0].vertices])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of(*TIED_TOP))
+@example(grid_of(*SHARED_SIZE))
+@example(grid_of(*SHARED_AREA))
+@example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of(*SHARED_STATS))
+@example(grid_of(*MIRRORED_TWINS))
+def test_class_words_part_loops_as_canonical_forms_do(grid):
+    if grid.row_bits is None or grid.col_bits is None:
+        return
+    pairs = []
+    for start, steps in _window_loops(grid):
+        cycle = cycle_from_steps(start, steps)
+        word = _class_word(steps)
+        assert word == brute_class_word(cycle)
+        pairs.append((word, cycle_to_polyomino(cycle).canonical_form))
+    assert one_to_one(pairs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="LR", min_size=1, max_size=40))
+@example("LRLRLR")              # every other start is least
+@example("LLRLLRLLRLLR")        # the plus pentomino's
+@example("RRRRL")
+def test_least_rotation_is_the_least_of_every_rotation(word):
+    assert _least_rotation(word) == min(word[i:] + word[:i]
+                                        for i in range(len(word)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+@example(grid_of(*BOTH_ORIENTATIONS))
+@example(grid_of(*SHARED_STATS))
+@example(random_window(7, 40, 40))
+def test_step_stats_match_the_fill(grid):
+    if grid.row_bits is None or grid.col_bits is None:
+        return
+    for start, steps in _window_loops(grid):
+        cycle = cycle_from_steps(start, steps)
+        poly = cycle_to_polyomino(cycle)
+        assert _step_stats(steps) == loop_stats(poly, cycle) \
+            == fill_stats(cycle, poly)
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,42 +529,38 @@ def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
 @example(grid_of(*BOTH_ORIENTATIONS))
 @example(grid_of(*SHARED_STATS))
 def test_analyze_grid_measures_each_step_sequence_once(grid):
-    walked, filled, measured = [], [], []
+    walked, measured, classed = [], [], []
 
     def window_loops(grid):
         for start, steps in _window_loops(grid):
             walked.append(steps)
             yield start, steps
 
-    def fill(cycle):
-        filled.append(len(walked) - 1)
-        return cycle_to_polyomino(cycle)
-
-    def measure(poly, cycle):
+    def measure(steps):
         measured.append(len(walked) - 1)
-        return loop_stats(poly, cycle)
+        return _step_stats(steps)
 
-    def turn_word_route(*args):
-        raise AssertionError("window loops are measured from their fill")
+    def class_word(steps):
+        classed.append(len(walked) - 1)
+        return _class_word(steps)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("hitomezashi.loops._window_loops", window_loops)
-        patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
-        patch.setattr("hitomezashi.loops.loop_stats", measure)
-        patch.setattr("hitomezashi.loops._turn_word", turn_word_route)
+        patch.setattr("hitomezashi.loops._step_stats", measure)
+        patch.setattr("hitomezashi.loops._class_word", class_word)
         largest_loop(grid)
         walked.clear()
-        filled.clear()
         measured.clear()
+        classed.clear()
         report = analyze_grid(grid)
     loops = report["loops"]
     assert len(walked) == len(loops)
     first = {}
     for i, steps in enumerate(walked):
         first.setdefault(steps, i)
-    # the first loop of each step sequence is filled and measured, and no
+    # the first loop of each step sequence is measured and classed, and no
     # other
-    assert filled == measured == sorted(first.values())
+    assert measured == classed == sorted(first.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,6 +596,41 @@ def test_analyze_json_writer_matches_json_dumps(grid):
     for report in (report, copy.deepcopy(report)):
         assert ("".join(_report_json(report))
                 == json.dumps(report, indent=2) + "\n")
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-9, 99),
+                         st.text(alphabet="a\"\n", max_size=3))
+json_items = st.one_of(
+    json_scalars,
+    st.lists(st.integers(0, 1), max_size=5),      # a coloring row, or []
+    st.lists(st.booleans(), max_size=3),          # bools are not plain ints
+    st.lists(json_scalars, max_size=3),
+    st.dictionaries(st.text(alphabet="ab", max_size=2), json_scalars,
+                    max_size=2))
+
+
+@st.composite
+def json_reports(draw):
+    """Reports with str keys whose values are scalars or lists; a list's
+    items come from a small pool, so an item may be one object repeated,
+    as a report's shared rows and loop dicts are."""
+    report = {}
+    for key in draw(st.lists(st.text(alphabet="ab_", max_size=3),
+                             unique=True, max_size=4)):
+        if draw(st.booleans()):
+            report[key] = draw(json_scalars)
+            continue
+        pool = draw(st.lists(json_items, min_size=1, max_size=3))
+        report[key] = draw(st.lists(st.sampled_from(pool), max_size=6))
+    return report
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_reports())
+@example({"rows": [[0, 1], [True], [], [0, 1]]})
+@example({"rows": [[0, True]], "n": 0})
+def test_report_json_matches_json_dumps_on_any_report(report):
+    assert "".join(_report_json(report)) == json.dumps(report, indent=2) + "\n"
 
 
 def analyze_json(rows, cols, width, height):
@@ -579,7 +670,8 @@ def test_analyze_json_output_is_json_dumps(window):
 def test_analyze_json_census_matches_oracles(window):
     grid = grid_of(*window)
     report = json.loads(analyze_json(*window))
-    assert report["loops"] == fill_all_analyze_grid(grid)["loops"]
+    assert_loops_match_oracle(report["loops"],
+                              fill_all_analyze_grid(grid)["loops"])
     _, paths = components_from_segments(grid.segments())
     assert report["open_path_count"] == len(paths)
 
@@ -732,11 +824,12 @@ def test_dual_shifts_match_every_rotation(text, parity):
 @st.composite
 def word_programs(draw):
     """Fixed segments, some with empty words, then maybe a fill segment,
-    whose word may be empty; repeat counts stay small for the oracle."""
+    whose word is not empty (WordProgram refuses an empty one); repeat
+    counts stay small for the oracle."""
     fixed = draw(st.lists(st.tuples(st.text(alphabet="01", max_size=4),
                                     st.integers(1, 4)), max_size=4))
     segments = [ProgramSegment(BinaryWord(w), k) for w, k in fixed]
-    fill = draw(st.none() | st.text(alphabet="01", max_size=3))
+    fill = draw(st.none() | st.text(alphabet="01", min_size=1, max_size=3))
     if fill is not None:
         segments.append(ProgramSegment(BinaryWord(fill)))
     return WordProgram(tuple(segments))
@@ -750,7 +843,6 @@ def word_programs(draw):
 @example(WordProgram.parse("01:1,1"), 4)         # one repeat, then the fill
 @example(WordProgram.parse("01:5,10:2,1"), 4)    # segments after the count
 @example(WordProgram.parse("01:1,:4"), 3)        # underflow
-@example(WordProgram.parse("01:5,"), 3)          # empty fill after the count
 @example(WordProgram.parse("01"), 0)
 def test_expand_program_matches_repeat_by_repeat(program, count):
     try:
