@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from hitomezashi import loops
-from hitomezashi.grid import PatternSpec, WordProgram, build_grid
+from hitomezashi.grid import PatternSpec, StitchGrid, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                _strip_width, analyze_grid,
                                centred_square_check, check_loop_theorems,
@@ -145,6 +145,27 @@ def test_triple_persimmon_stats():
 
 def test_largest_loop_absent():
     assert largest_loop(grid_of("10", "", 8, 8)) is None
+
+
+@pytest.mark.parametrize("rank", [analyze_grid, largest_loop])
+def test_ranking_keeps_only_the_heads_fill(monkeypatch, rank):
+    # The ranking measures and classes every loop from its step bits and
+    # fills none of them: analyze_grid makes no fill, largest_loop only
+    # the head's, once the head is chosen.  Keeping one fill per
+    # congruence class left 7 alive on this window.
+    rng = random.Random(3)
+    grid = StitchGrid(60, 40, [rng.randrange(2) for _ in range(41)],
+                      [rng.randrange(2) for _ in range(61)])
+    head = largest_loop(grid)[0].vertices
+    fills = []
+
+    def fill(cycle):
+        fills.append(cycle.vertices)
+        return cycle_to_polyomino(cycle)
+
+    monkeypatch.setattr(loops, "cycle_to_polyomino", fill)
+    rank(grid)
+    assert fills == ([head] if rank is largest_loop else [])
 
 
 # the order-3 persimmon word has period 10; its snowflake spans 9

@@ -462,7 +462,8 @@ def random_window(seed, width, height):
 @example(grid_of(*BOTH_ORIENTATIONS))
 @example(grid_of("10", "", 8, 8))           # no loop
 @example(random_window(3, 60, 40))          # many step sequences
-def test_analyze_grid_fills_no_loop_and_largest_loop_only_the_head(grid):
+def test_analyze_grid_fills_one_loop_per_congruence_class(grid):
+    # at most one: analyze_grid fills no loop, largest_loop only the head
     fills = []
 
     def fill(cycle):
@@ -471,10 +472,15 @@ def test_analyze_grid_fills_no_loop_and_largest_loop_only_the_head(grid):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("hitomezashi.loops.cycle_to_polyomino", fill)
-        analyze_grid(grid)
+        report = analyze_grid(grid)
         assert fills == []
         best = largest_loop(grid)
     assert fills == ([] if best is None else [best[0].vertices])
+    # one class hash per congruence class of the fills
+    classes = {entry["canonical_hash"] for entry in report["loops"]}
+    forms = {entry["canonical_hash"]
+             for entry in fill_all_analyze_grid(grid)["loops"]}
+    assert len(classes) == len(forms)
 
 
 @settings(max_examples=300, deadline=None)
