@@ -101,8 +101,8 @@ class WordProgram:
 # Largest window a spec may ask for.  It admits windows that some commands
 # cannot serve in memory: at 2000**2 cells a child process peaked at 766 MiB
 # for `render --svg --fill` (measured 2026-10, for a 474 MiB document),
-# linear in the cells (ROADMAP item 6), and at 27 MiB for `analyze --json`
-# on two short words.  The conjecture check builds no window.
+# linear in the cells (ROADMAP, "Bounded memory"), and at 27 MiB for
+# `analyze --json` on two short words.  The conjecture check builds no window.
 MAX_CELLS = 10 ** 8
 
 

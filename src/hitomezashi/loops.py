@@ -9,7 +9,7 @@ census walk of a window reads each loop's up/right step bits off the phase
 bits; loops with equal step bits are translates, so a window measures and
 classes each distinct step sequence once, from its step bits alone: the
 perimeter, shoelace area and box by prefix sums, the class by the least
-rotation of its turn word (_ranked).  A loop's turn word fixes it up to
+rotation of its turn word (_loops).  A loop's turn word fixes it up to
 rotation, reflection and translation, so it fixes the congruence class of
 its fill.  Only the head of the ranking is built as a LatticeCycle and
 filled (largest_loop); analyze_grid fills no loop.
@@ -263,7 +263,7 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     module docstring).  A loop leaves its least vertex heading up, and its
     steps alternate vertical and horizontal, one byte each: 1 for a step up
     or right, 0 for one down or left.  Loops with equal step bits are
-    translates, with equal fills up to translation (see _ranked).  Only
+    translates, with equal fills up to translation (see _loops).  Only
     columns 0..L-1 are walked, L from _strip_width, and each of their loops
     is yielded as it closes; a column x >= L yields the loops of column
     x mod L that fit (the strip rule)."""
@@ -418,55 +418,39 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-# a loop's place in the ranking, (-area, -perimeter, class word), and its
-# report dict, one per step sequence (analyze_grid)
+# a loop's sort key, (-area, -perimeter, class word), and its report dict
 _Entry = tuple[tuple[int, int, str], dict]
 
 
-def _ranked(grid: StitchGrid) -> tuple[list[_Entry], int, Optional[Point]]:
-    """The loop ranking of analyze_grid and largest_loop, the grid's open
-    path count, and the start (least vertex) of the head of the ranking,
-    None when the grid has no loop.  The ranking holds each loop's sort key
-    and report dict (stats, class hash and theorem checks), by greatest
-    area, then greatest perimeter, then least class word (_class_word),
-    equal keys in extract_components order.
+def _loops(grid: StitchGrid) -> Iterator[tuple[Point, _Entry]]:
+    """The least vertex and ranking entry of each closed loop of a grid, in
+    walk order; none when a family is missing.  The entry is the loop's
+    sort key and its report dict (stats, class hash and theorem checks):
+    analyze_grid ranks by the key, least first, so by greatest area, then
+    greatest perimeter, then least class word (_class_word), and
+    largest_loop takes the first loop with the least key.
 
     The loops come from _window_loops as (least vertex, step bits), those
     past one strip of column periods as translates of the strip's.  Loops
     with equal step bits are translates, so each distinct step sequence is
     measured (_step_stats) and classed (_class_word) once, from its bits;
-    every loop that repeats the sequence shares its ranking entry, sort key
-    and report dict included.  No loop is walked again, built or filled.
-    The head is the first loop in walk order with the least key, which the
-    stable sort puts first.  No open path is walked: they are counted from
-    the window's vertices, stitches and bare corners.
+    every loop that repeats the sequence shares its entry, sort key and
+    report dict included.  No loop is walked again, built or filled.
     """
     if grid.row_bits is None or grid.col_bits is None:
-        return [], grid.segment_count(), None
+        return
     shapes: dict[bytes, _Entry] = {}
-    ranked = []
-    head = head_key = None
     for start, steps in _window_loops(grid):
         entry = shapes.get(steps)
         if entry is None:
             stats = _step_stats(steps)
             word = _class_word(steps)
-            key = (-stats.area, -stats.perimeter, word)
-            entry = shapes[steps] = key, {
+            entry = shapes[steps] = (-stats.area, -stats.perimeter, word), {
                 **stats._asdict(),
                 "canonical_hash":
                     hashlib.sha256(word.encode()).hexdigest()[:16],
                 "theorems": check_loop_theorems(stats)._asdict()}
-            if head is None or key < head_key:
-                head, head_key = start, key
-        ranked.append(entry)
-    ranked.sort(key=itemgetter(0))
-    # A vertex meets at most one stitch of each family, so every component
-    # is a loop, with as many vertices as stitches, an open path, with one
-    # more, or a bare vertex, which only a corner can be.
-    W, H = grid.width, grid.height
-    bare = sum(_degree(grid, x, y) == 0 for x in (0, W) for y in (0, H))
-    return ranked, (W + 1) * (H + 1) - bare - grid.segment_count(), head
+        yield start, entry
 
 
 def _step_stats(steps: bytes) -> LoopStats:
@@ -529,13 +513,12 @@ def largest_loop(grid: StitchGrid,
     area, then greatest perimeter, then least class word, the first in
     extract_components order on a tie) with its fill and stats, or None
     when the grid has no closed loop.  Every loop is walked once, by the
-    census walk, and measured and classed from its step bits (see
-    _ranked); only the head is walked again into a LatticeCycle and
-    filled."""
-    start = _ranked(grid)[2]
-    if start is None:
+    census walk, and measured and classed from its step bits (see _loops);
+    only the head is walked again into a LatticeCycle and filled."""
+    head = min(_loops(grid), key=lambda loop: loop[1][0], default=None)
+    if head is None:
         return None
-    cycle = LatticeCycle(_trail(grid, start))
+    cycle = LatticeCycle(_trail(grid, head[0]))
     poly = cycle_to_polyomino(cycle)
     return cycle, poly, loop_stats(poly, cycle)
 
@@ -797,26 +780,37 @@ def analyze_grid(grid: StitchGrid) -> dict:
     """Structured loop report: per-loop stats with theorem checks, the open
     path count, and the two-coloring as a bottom-up cell matrix.
 
-    Loops rank by greatest area, then greatest perimeter, then least
-    class word, equal keys in extract_components order; largest_loop
-    returns the head of this ranking (see _ranked).  Each loop's stats and
-    class come from its step bits, so no loop is filled.  Its
-    canonical_hash is the first 16 hex digits of the sha256 of its class
-    word (_class_word), the least rotation of its turn word up to L/R swap
-    and reversal: equal exactly for congruent loops.
+    Loops rank by their sort key from _loops, equal keys in
+    extract_components order; largest_loop returns the head of this
+    ranking.  Each loop's stats and class come from its step bits, so no
+    loop is filled.  Its canonical_hash is the first 16 hex digits of the
+    sha256 of its class word (_class_word), the least rotation of its turn
+    word up to L/R swap and reversal: equal exactly for congruent loops.
+    No open path is walked: they are counted from the window's vertices,
+    stitches and bare corners.
 
     The report is read-only: loops with equal step bits, translates of
     one another, are one shared dict, theorems included, built once by
-    _ranked, and the two-coloring's rows are at most four shared lists
+    _loops, and the two-coloring's rows are at most four shared lists
     (_color_lines).  Sharing stays within one report, as every call
     builds new objects; copy.deepcopy gives a mutable copy.
     """
-    ranked, open_paths, _ = _ranked(grid)
-    loops_report = [loop for _, loop in ranked]
+    loops_report = [loop for _, loop in sorted(
+        map(itemgetter(1), _loops(grid)), key=itemgetter(0))]
+    W, H = grid.width, grid.height
+    segments = grid.segment_count()
+    if grid.row_bits is None or grid.col_bits is None:
+        open_paths = segments
+    else:
+        # A vertex meets at most one stitch of each family, so every
+        # component is a loop, with as many vertices as stitches, an open
+        # path, with one more, or a bare vertex, which only a corner can be.
+        bare = sum(_degree(grid, x, y) == 0 for x in (0, W) for y in (0, H))
+        open_paths = (W + 1) * (H + 1) - bare - segments
     return {
-        "width": grid.width,
-        "height": grid.height,
-        "segment_count": grid.segment_count(),
+        "width": W,
+        "height": H,
+        "segment_count": segments,
         "loops": loops_report,
         "open_path_count": open_paths,
         "theorems_all_hold": all(

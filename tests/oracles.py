@@ -381,6 +381,52 @@ def eighth_spectrum(bits):
     return sizes, unbounded, (low, high)
 
 
+# unit steps by their sign, shared so that a walk's list of steps holds one
+# reference per step
+_VERTICAL = {1: (0, 1), -1: (0, -1)}
+_HORIZONTAL = {1: (1, 0), -1: (-1, 0)}
+
+
+def eighth_words(bits):
+    """The bounded torus loops through E = {x <= y < P/2} of the pattern
+    whose phase bits repeat ``bits`` on both axes, P = len(bits) even,
+    walked as eighth_spectrum walks them: a dict from (shoelace area,
+    perimeter) to the set of the distinct turn words of their walks.  A
+    word has one letter per vertex from the end of the walk's first step
+    on, L where the cross product of the steps into and out of the vertex
+    is positive, R where it is negative.  Unbounded cycles are left out."""
+    p = len(bits)
+    half = p // 2
+    met = bytearray(half * half)  # vertex (x, y) of E is met[y * half + x]
+    words = defaultdict(set)
+    for y0 in range(half):
+        for x0 in range(y0 + 1):
+            if met[y0 * half + x0]:
+                continue
+            x, y, area, steps = x0, y0, 0, []
+            while True:
+                dy = 1 if (y + bits[x % p]) % 2 else -1
+                y += dy
+                area += x * dy
+                xm, ym = x % p, y % p
+                if xm <= ym < half:
+                    met[ym * half + xm] = 1
+                dx = 1 if (x + bits[y % p]) % 2 else -1
+                x += dx
+                steps += _VERTICAL[dy], _HORIZONTAL[dx]
+                xm = x % p
+                if xm == x0 and ym == y0:
+                    break
+                if xm <= ym < half:
+                    met[ym * half + xm] = 1
+            if (x, y) == (x0, y0):
+                words[abs(area), len(steps)].add("".join(
+                    "L" if ax * by > ay * bx else "R"
+                    for (ax, ay), (bx, by) in zip(steps,
+                                                  steps[1:] + steps[:1])))
+    return words
+
+
 def fill_stats(cycle, poly):
     """A loop's stats with its area and box read off its fill."""
     return LoopStats(cycle.perimeter, poly.area, poly.height, poly.width)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -6,9 +7,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hitomezashi import cli, loops, tiles
 from hitomezashi.cli import main
@@ -661,6 +664,66 @@ def test_verify_conjecture_prints_each_order_once_checked(capsys,
     assert code == 0
     assert seen == ["order 1: largest persimmon loop is the snowflake: true\n"]
     assert out == "order 2: largest persimmon loop is the snowflake: false\n"
+
+
+# Hostile command lines.  A window is either a few tens of cells a side or
+# over MAX_CELLS, never admitted and large; so is a persimmon window, as
+# every order the CLI admits here is at most 3 and a period count is small
+# or a million.
+PROGRAMS = st.one_of(st.sampled_from(
+    ["", "1", "0110", "01:3,1", ":1000000000", "01:1000000000",
+     ":1000000000,1", "1:0", "01:-1"]), st.text("01:,", max_size=8))
+WINDOWS = st.one_of(
+    st.tuples(st.integers(-3, 30), st.integers(-3, 30)),
+    st.sampled_from([(100000, 100001), (1, 10 ** 9), (-1, 10 ** 9)]))
+ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "13", "1200", "x"])
+DRAWING = st.lists(st.sampled_from([
+    ["--ascii"], ["--fill"], ["--show-grid"], ["--cell-size", "0"],
+    ["--cell-size", "-1"], ["--stroke-width", "nan"]]), max_size=3)
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from([
+        "render", "dual", "analyze", "self-dual", "registry", "table1",
+        "snowflake", "persimmon", "verify-conjecture", "bogus"]))
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+    drawing = sum(draw(DRAWING), [])
+    rows_cols = ["--rows", draw(PROGRAMS), "--cols", draw(PROGRAMS)]
+    width, height = draw(WINDOWS)
+    window = ["--width", str(width), "--height", str(height)]
+    order = draw(ORDERS)
+    argv = {
+        "render": [*rows_cols, *window, *drawing],
+        "dual": [*rows_cols, *window, *drawing],
+        "analyze": [*rows_cols, *window, *json_flag],
+        "self-dual": [*rows_cols, *json_flag],
+        "registry": [draw(st.one_of(
+            st.sampled_from(["kuchizashi", "KUCHIZASHI"]),
+            st.text(max_size=12))), *json_flag],
+        "table1": json_flag,
+        "snowflake": ["--order", order, *json_flag],
+        "persimmon": ["--order", order, "--periods", draw(st.sampled_from(
+            ["-1", "0", "1", "2", "1000000"])), *(json_flag or drawing)],
+        "verify-conjecture": ["--max-order", order, *json_flag],
+    }.get(command, [])
+    return [command, *argv]
+
+
+@settings(deadline=None)
+@given(hostile_argv())
+def test_hostile_command_lines_exit_cleanly(argv):
+    # a bad input is a usage error (2) or a domain error (1), never an
+    # exception: main catches only ValueError, KeyError and OSError
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error: ")
 
 
 def refuse_to_build(spec):

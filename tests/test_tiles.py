@@ -14,8 +14,9 @@ from hitomezashi.tiles import (_snowflake_quarter, conjecture_report,
                                snowflake_boundary, snowflake_cycle,
                                trace_turtle, verify_conjecture)
 from hitomezashi.words import TurnWord, fib_turtle_word, pell
-from oracles import (eighth_spectrum, fourfold_area, full_torus_largest,
-                     turn_word, vertex_cycle_stats, walk_loop)
+from oracles import (eighth_spectrum, eighth_words, fourfold_area,
+                     full_torus_largest, turn_word, vertex_cycle_stats,
+                     walk_loop)
 
 
 def test_four_right_turns_trace_the_unit_square():
@@ -166,6 +167,21 @@ def test_persimmon_torus_loops_are_snowflakes_of_every_order(order):
     assert unbounded == 0
     assert -len(bits) // 2 <= low and high < len(bits)
     assert _eighth_census(bits) == (max(sizes), [mock.ANY])
+
+
+@pytest.mark.parametrize("order", [
+    *range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                    for n in range(9, 12))])
+def test_persimmon_torus_loops_are_congruent_to_snowflakes(order):
+    # not only the largest: every loop through one eighth of the torus
+    # bounds the order-k snowflake whose size it has
+    words = eighth_words(persimmon_word(order).bits)
+    boundaries = {(pell(2 * k - 1), 4 * len(_snowflake_quarter(k))):
+                  str(snowflake_boundary(k)) for k in range(1, order + 1)}
+    assert words.keys() == boundaries.keys()
+    for size, found in words.items():
+        for word in found:
+            assert congruent_words(word, boundaries[size]), size
 
 
 def test_conjecture_report_contents():
