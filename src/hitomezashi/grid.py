@@ -168,7 +168,8 @@ class StitchGrid:
     ``row_bits`` holds H+1 bits for the horizontal lines y = 0..H read
     bottom-up; ``col_bits`` holds W+1 bits for the vertical lines x = 0..W
     read left-to-right.  ``None`` on either side means that family of lines
-    is not stitched at all.
+    is not stitched at all.  A phase bit is the integer 0 or 1 (else
+    ValueError; True and False serve), stored as an int.
     """
 
     width: int
@@ -179,14 +180,18 @@ class StitchGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must be at least 1x1 cells")
-        if self.row_bits is not None:
-            object.__setattr__(self, "row_bits", tuple(self.row_bits))
-            if len(self.row_bits) != self.height + 1:
-                raise ValueError("row_bits must hold height+1 bits")
-        if self.col_bits is not None:
-            object.__setattr__(self, "col_bits", tuple(self.col_bits))
-            if len(self.col_bits) != self.width + 1:
-                raise ValueError("col_bits must hold width+1 bits")
+        for name, side in (("row_bits", "height"), ("col_bits", "width")):
+            bits = getattr(self, name)
+            if bits is not None:
+                try:
+                    bits = bytes(tuple(bits))
+                except (TypeError, ValueError):  # not integers in 0..255
+                    bits = b"\2"  # which the check below refuses
+                if bits.translate(None, b"\0\1"):
+                    raise ValueError("phase bits must be 0 or 1")
+                if len(bits) != getattr(self, side) + 1:
+                    raise ValueError(f"{name} must hold {side}+1 bits")
+                object.__setattr__(self, name, tuple(bits))
 
     def segments(self) -> Iterator[Segment]:
         """All present segments, horizontals first, in reading order."""

@@ -105,7 +105,6 @@ stitch of E comes back to that stitch, and only there, mod P.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, product
@@ -166,8 +165,9 @@ def congruent_words(a: str, b: str) -> bool:
     A rotated or translated cycle keeps its word up to a cyclic shift, a
     reflected one swaps L and R, and the reverse traversal reverses the word
     and swaps L and R; so b must occur in a + a as itself, swapped, reversed
-    or both.
+    or both.  The words are read as str(a) and str(b), so TurnWords serve.
     """
+    a, b = str(a), str(b)
     if len(a) != len(b):
         return False
     doubled = a + a
@@ -389,18 +389,14 @@ def extract_components(
 
 
 def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
-    """Cells enclosed by a simple cycle (even-odd rule scanline fill)."""
-    vertical_edges: dict[int, list[int]] = defaultdict(list)  # row -> x's
-    for (x1, y1), (x2, y2) in cycle.edges():
-        if x1 == x2:
-            vertical_edges[min(y1, y2)].append(x1)
-    cells = set()
-    for y, xs in vertical_edges.items():
-        xs.sort()
-        for i in range(0, len(xs), 2):
-            for x in range(xs[i], xs[i + 1]):
-                cells.add((x, y))
-    return Polyomino(cells)
+    """Cells enclosed by a simple cycle (even-odd rule scanline fill): its
+    vertical edges, sorted as (row, x) pairs, pair off consecutively, as
+    each row of a simple cycle crosses an even number of them."""
+    edges = sorted((min(y1, y2), x1)
+                   for (x1, y1), (x2, y2) in cycle.edges() if x1 == x2)
+    return Polyomino((x, y) for (y, left), (_, right)
+                     in zip(edges[::2], edges[1::2])
+                     for x in range(left, right))
 
 
 def loop_stats(polyomino: Polyomino, cycle: LatticeCycle) -> LoopStats:
@@ -745,25 +741,23 @@ def two_color(grid: StitchGrid) -> ColumnColoring:
     wide across the lines, where each stitch cuts the strip.  It is the
     only coloring render_svg fills.
     """
-    return ColumnColoring(_color_lines(grid, by_column=True), grid.width,
-                          grid.height)
+    return ColumnColoring(_color_columns(grid), grid.width, grid.height)
 
 
-def _color_lines(grid: StitchGrid, by_column: bool) -> list[list[int]]:
-    """two_color's colors as one list per column, bottom up, or per row,
-    left to right, from its prefix parities: for (along, across) = (ry, cx)
-    or (cx, ry), position j of line i holds along[j] ^ across[i] ^
-    (i & j & 1), the last term only with both families present, so each
-    line is one of four shared lists."""
+def _color_columns(grid: StitchGrid) -> list[list[int]]:
+    """two_color's colors as one list per column, bottom up, from its
+    prefix parities: cell (x, y) holds ry[y] ^ cx[x] ^ (x & y & 1), the
+    last term only with both families present, so each column is one of
+    four shared lists.  The rule is symmetric in the axes, so the columns
+    of the transposed grid are the rows."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     both = rows is not None and cols is not None
     ry = _prefix_parity(rows, H) if rows and (both or W == 1) else [0] * H
     cx = _prefix_parity(cols, W) if cols and (both or H == 1) else [0] * W
-    along, across = (ry, cx) if by_column else (cx, ry)
-    odd = [c ^ (j & 1) for j, c in enumerate(along)]
-    lines = (along, [c ^ 1 for c in along], odd, [c ^ 1 for c in odd])
-    return [lines[c | (i & both) << 1] for i, c in enumerate(across)]
+    odd = [c ^ (y & 1) for y, c in enumerate(ry)]
+    columns = (ry, [c ^ 1 for c in ry], odd, [c ^ 1 for c in odd])
+    return [columns[c | (x & both) << 1] for x, c in enumerate(cx)]
 
 
 def _prefix_parity(bits: Sequence[int], n: int) -> list[int]:
@@ -791,9 +785,10 @@ def analyze_grid(grid: StitchGrid) -> dict:
 
     The report is read-only: loops with equal step bits, translates of
     one another, are one shared dict, theorems included, built once by
-    _loops, and the two-coloring's rows are at most four shared lists
-    (_color_lines).  Sharing stays within one report, as every call
-    builds new objects; copy.deepcopy gives a mutable copy.
+    _loops, and the two-coloring's rows are at most four shared lists,
+    the columns of the transposed grid (_color_columns).  Sharing stays
+    within one report, as every call builds new objects; copy.deepcopy
+    gives a mutable copy.
     """
     loops_report = [loop for _, loop in sorted(
         map(itemgetter(1), _loops(grid)), key=itemgetter(0))]
@@ -816,5 +811,6 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "theorems_all_hold": all(
             all(loop["theorems"].values())
             for loop in {id(loop): loop for loop in loops_report}.values()),
-        "two_coloring": _color_lines(grid, by_column=False),
+        "two_coloring": _color_columns(
+            StitchGrid(H, W, grid.col_bits, grid.row_bits)),
     }

@@ -178,14 +178,8 @@ def render_cycle_svg(
     min_x = min(x for x, _ in cycle.vertices)
     max_y = max(y for _, y in cycle.vertices)
     width, height = (d * s for d in cycle.cell_box())
-
-    def X(x: int) -> str:
-        return _fmt((x - min_x) * s)
-
-    def Y(y: int) -> str:
-        return _fmt((max_y - y) * s)
-
-    points = " ".join(f"{X(x)},{Y(y)}" for x, y in cycle.vertices)
+    points = " ".join(f"{_fmt((x - min_x) * s)},{_fmt((max_y - y) * s)}"
+                      for x, y in cycle.vertices)
     return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

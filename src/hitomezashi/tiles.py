@@ -33,29 +33,26 @@ from .loops import (LatticeCycle, Polyomino, _torus_largest, congruent_words,
                     largest_loop)  # largest_loop is re-exported
 from .words import TurnWord, fib_turtle_word, pell_word
 
-# heading turns: L is a counterclockwise quarter turn, R clockwise
-_LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
-_RIGHT = {v: k for k, v in _LEFT.items()}
-
 
 def trace_turtle(word: TurnWord) -> LatticeCycle:
     """Trace a turn word from the origin heading +x: each letter draws one
-    unit segment, then turns.
+    unit segment, then turns the heading (dx, dy) a quarter counterclockwise
+    to (-dy, dx) for L, or clockwise to (dy, -dx) for R.
 
-    The path must return to the origin (ValueError "open boundary") without
-    revisiting any vertex (ValueError "self-intersecting boundary").
+    The path must close at the origin heading +x (ValueError "open
+    boundary"), revisiting no vertex (ValueError "self-intersecting boundary").
     """
     if len(word) == 0:
         raise ValueError("empty boundary word")
     x = y = 0
-    heading = (1, 0)
+    dx, dy = 1, 0
     points = [(0, 0)]
     for letter in str(word):
-        x += heading[0]
-        y += heading[1]
+        x += dx
+        y += dy
         points.append((x, y))
-        heading = _LEFT[heading] if letter == "L" else _RIGHT[heading]
-    if points.pop() != (0, 0):
+        dx, dy = (-dy, dx) if letter == "L" else (dy, -dx)
+    if points.pop() != (0, 0) or (dx, dy) != (1, 0):
         raise ValueError("open boundary")
     return LatticeCycle(points)
 

@@ -427,6 +427,21 @@ def eighth_words(bits):
     return words
 
 
+def ray_cast_fill(cycle):
+    """The cells inside a simple cycle, cell by cell: a cell of the
+    cycle's box is inside when a ray from its centre to the left crosses
+    an odd number of the cycle's vertical edges, those of its row at or
+    left of the cell's x."""
+    rows = defaultdict(list)  # row -> x of each vertical edge in it
+    for (x1, y1), (x2, y2) in cycle.edges():
+        if x1 == x2:
+            rows[min(y1, y2)].append(x1)
+    xs, ys = zip(*cycle.vertices)
+    return {(x, y) for x in range(min(xs), max(xs))
+            for y in range(min(ys), max(ys))
+            if sum(edge <= x for edge in rows[y]) % 2}
+
+
 def fill_stats(cycle, poly):
     """A loop's stats with its area and box read off its fill."""
     return LoopStats(cycle.perimeter, poly.area, poly.height, poly.width)

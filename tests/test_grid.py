@@ -149,6 +149,20 @@ def test_grid_shape_validation():
         StitchGrid(2, 3, col_bits=(0, 1, 0, 1))
 
 
+@pytest.mark.parametrize("bad", [2, -1, 300, 0.5, 1.0, "1"])
+def test_phase_bits_other_than_0_or_1_rejected(bad):
+    with pytest.raises(ValueError, match="phase bits must be 0 or 1"):
+        StitchGrid(3, 3, (0, 1, 0, 1), (0, 1, bad, 1))
+    with pytest.raises(ValueError, match="phase bits must be 0 or 1"):
+        StitchGrid(3, 3, (0, 1, bad, 1), (0, 1, 0, 1))
+
+
+def test_phase_bits_are_stored_as_ints():
+    grid = StitchGrid(2, 1, [True, False], iter((1, 0, 1)))
+    assert grid.row_bits == (1, 0) and grid.col_bits == (1, 0, 1)
+    assert all(type(b) is int for b in grid.row_bits + grid.col_bits)
+
+
 def test_missing_line_family_has_no_stitches():
     grid = build_grid(spec("", "10", 6, 6))
     assert grid.row_bits is None

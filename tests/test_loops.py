@@ -14,10 +14,11 @@ from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                extract_components, largest_loop, loop_stats,
                                two_color)
 from hitomezashi.registry import lookup
-from hitomezashi.tiles import _snowflake_quarter, persimmon_word, snowflake
+from hitomezashi.tiles import (_snowflake_quarter, persimmon_word, snowflake,
+                              snowflake_cycle)
 from hitomezashi.words import pell
-from oracles import (horizontal_present, normalized, turn_word,
-                     vertical_present)
+from oracles import (horizontal_present, normalized, ray_cast_fill,
+                     turn_word, vertical_present)
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -375,6 +376,12 @@ def test_tetromino_boundaries_enclose_their_cells():
                                                      (1, 1)}
     assert cycle_to_polyomino(T_TETROMINO).cells == {(1, 0), (0, 1), (1, 1),
                                                      (2, 1)}
+
+
+@pytest.mark.parametrize("cycle", [S_TETROMINO, Z_TETROMINO, T_TETROMINO]
+                         + [snowflake_cycle(order) for order in range(1, 7)])
+def test_tile_fills_match_ray_cast_oracle(cycle):
+    assert cycle_to_polyomino(cycle).cells == ray_cast_fill(cycle)
 
 
 def test_turn_word_letters():

@@ -7,10 +7,11 @@ one-eighth torus census against the full torus and against a walk of every
 torus cycle through the eighth, the turn-word congruence test, the loop
 report's class words against canonical forms and its step-bit stats
 against fills, its one measure, class and shared dict per step sequence
-and no fill, the least rotation against every rotation, the
-closed-form two-coloring, the per-axis self-duality search and its
-rotation search, the line-by-line ASCII render and the table-driven SVG
-render against the slow oracles in oracles.py; the `analyze --json`
+and no fill, the least rotation against every rotation, the scanline
+fill against a ray cast per cell, the closed-form two-coloring, the
+per-axis self-duality search and its rotation search, the line-by-line
+ASCII render and the table-driven SVG render against the slow oracles in
+oracles.py; the `analyze --json`
 writer and the CLI's output against json.dumps, and that output's loops
 and open path count against the oracles."""
 
@@ -32,7 +33,7 @@ from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _class_word, _color_lines,
+from hitomezashi.loops import (LatticeCycle, _class_word, _color_columns,
                                _degree, _eighth_census, _least_rotation,
                                _step_stats, _strip_width, _torus_largest,
                                _window_loops, analyze_grid, congruent_words,
@@ -47,9 +48,10 @@ from oracles import (bfs_two_color, brute_class_word, brute_dual_shifts,
                      cycle_from_steps, eighth_spectrum, fill_all_analyze_grid,
                      fill_stats, full_torus_census, full_torus_largest,
                      full_window_loops, parity_vertex_degree,
-                     presence_vertex_degree, segment_render_svg, turn_word,
-                     vertex_cycle_stats, vertex_loop_is_fully_packed,
-                     vertex_render_ascii, walk_loop)
+                     presence_vertex_degree, ray_cast_fill,
+                     segment_render_svg, turn_word, vertex_cycle_stats,
+                     vertex_loop_is_fully_packed, vertex_render_ascii,
+                     walk_loop)
 
 words = st.text(alphabet="01", min_size=1, max_size=8)
 odd_words = st.text(alphabet="01", min_size=1, max_size=7).filter(
@@ -107,6 +109,14 @@ def assert_matches_oracle(grid):
 @example(grid_of("0", "0", 1, 2))       # a walk off the side must stop there
 def test_components_match_segment_oracle(grid):
     assert_matches_oracle(grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids())
+@example(grid_of("0110", "011", 12, 12))
+def test_scanline_fill_matches_ray_cast_oracle(grid):
+    for cycle in extract_components(grid)[0]:
+        assert cycle_to_polyomino(cycle).cells == ray_cast_fill(cycle)
 
 
 @settings(max_examples=300, deadline=None)
@@ -752,9 +762,10 @@ def test_two_color_matches_bfs_oracle(grid):
 @example(grid_of("011", "0110", 1, 6))
 @example(grid_of("011", "0110", 6, 1))
 def test_color_lines_by_row_are_the_columns_transposed(grid):
-    rows = _color_lines(grid, by_column=False)
-    assert rows == [list(row)
-                    for row in zip(*_color_lines(grid, by_column=True))]
+    # the rows are the columns of the grid with its phase bits transposed
+    rows = _color_columns(StitchGrid(grid.height, grid.width, grid.col_bits,
+                                     grid.row_bits))
+    assert rows == [list(row) for row in zip(*_color_columns(grid))]
     assert len(rows) == grid.height
     assert len({id(row) for row in rows}) <= 4
 
@@ -766,7 +777,7 @@ def test_color_lines_by_row_are_the_columns_transposed(grid):
 def test_analyze_grid_coloring_rows_are_shared_within_one_report(grid):
     report, other = analyze_grid(grid), analyze_grid(grid)
     rows = report["two_coloring"]
-    assert rows == _color_lines(grid, by_column=False)
+    assert rows == [list(row) for row in zip(*two_color(grid).columns)]
     assert len({id(row) for row in rows}) <= 4
     # every call builds its own rows and loops
     before = copy.deepcopy(other)

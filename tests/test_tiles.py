@@ -32,8 +32,10 @@ def test_rll_repeated_four_times_is_a_twelve_edge_loop():
 
 
 def test_open_trace_rejected():
-    with pytest.raises(ValueError, match="open boundary"):
-        trace_turtle(TurnWord("RRR"))
+    # LLLR and RRRL end at the origin heading -x, not the +x they began on
+    for word in ("RRR", "LLLR", "RRRL"):
+        with pytest.raises(ValueError, match="open boundary"):
+            trace_turtle(TurnWord(word))
 
 
 def test_self_crossing_trace_rejected():
@@ -308,6 +310,17 @@ def test_fourth_powers_are_congruent_exactly_when_their_roots_are(pair):
         assert congruent_words(a * 4, b * 4) == congruent_words(a, b)
     else:
         assert not congruent_words(a * 4, b * 4)
+
+
+# a TurnWord has no S; deleting it from both words keeps how they relate
+@given(word_pairs().map(lambda pair: tuple(w.replace("S", "") for w in pair)))
+@example(("RLL", "LLR"))
+def test_congruent_words_reads_turn_words_as_their_letters(pair):
+    a, b = pair
+    expected = congruent_words(a, b)
+    for x, y in ((TurnWord(a), b), (a, TurnWord(b)),
+                 (TurnWord(a), TurnWord(b))):
+        assert congruent_words(x, y) == expected
 
 
 @pytest.mark.slow
