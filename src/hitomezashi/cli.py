@@ -179,7 +179,7 @@ def _cmd_self_dual(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    if args.key:
+    if args.key is not None:
         entry = registry.lookup(args.key)
         if args.json:
             print(json.dumps(entry.to_dict(), indent=2, ensure_ascii=False))

@@ -9,7 +9,7 @@ census walk of a window reads each loop's up/right step bits off the phase
 bits; loops with equal step bits are translates, so a window measures and
 classes each distinct step sequence once, from its step bits alone: the
 perimeter, shoelace area and box by prefix sums, the class by the least
-rotation of its turn word (_loops).  A loop's turn word fixes it up to
+rotation of its turn word (_entry).  A loop's turn word fixes it up to
 rotation, reflection and translation, so it fixes the congruence class of
 its fill.  Only the head of the ranking is built as a LatticeCycle and
 filled (largest_loop); analyze_grid fills no loop.
@@ -108,10 +108,19 @@ import hashlib
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, product
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
+
+
+def _lattice_points(points: Iterable[Point]) -> Iterator[Point]:
+    """The points, refused unless every coordinate is an int or a bool."""
+    for x, y in points:
+        try:
+            yield index(x), index(y)
+        except TypeError:
+            raise ValueError("coordinates must be integers") from None
 
 
 class LatticeCycle:
@@ -124,7 +133,7 @@ class LatticeCycle:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Sequence[Point]):
-        verts = tuple((int(x), int(y)) for x, y in vertices)
+        verts = tuple(_lattice_points(vertices))
         if len(verts) < 4 or len(verts) % 2 != 0:
             raise ValueError("a lattice cycle needs an even number of edges, at least 4")
         if len(set(verts)) != len(verts):
@@ -180,7 +189,7 @@ class Polyomino:
     bottom-left corner."""
 
     def __init__(self, cells: Iterable[Point]):
-        cells = frozenset((int(x), int(y)) for x, y in cells)
+        cells = frozenset(_lattice_points(cells))
         if not cells:
             raise ValueError("a polyomino needs at least one cell")
         seen = {min(cells)}
@@ -257,16 +266,22 @@ class TheoremReport(NamedTuple):
         return self.area_1_mod_4 and self.perimeter_4_mod_8 and self.box_dimensions_odd
 
 
-def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
-    """The least vertex and step bits of each closed loop of a grid with
-    both families, in order of that vertex, by the census rule (see the
-    module docstring).  A loop leaves its least vertex heading up, and its
-    steps alternate vertical and horizontal, one byte each: 1 for a step up
-    or right, 0 for one down or left.  Loops with equal step bits are
-    translates, with equal fills up to translation (see _loops).  Only
-    columns 0..L-1 are walked, L from _strip_width, and each of their loops
-    is yielded as it closes; a column x >= L yields the loops of column
-    x mod L that fit (the strip rule)."""
+# a loop's sort key, (-area, -perimeter, class word), and its report dict
+_Entry = tuple[tuple[int, int, str], dict]
+
+
+def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes, _Entry]]:
+    """The least vertex, step bits and ranking entry (_entry) of each
+    closed loop of a grid, in order of that vertex, by the census rule (see
+    the module docstring); none when a family is missing.  A loop leaves
+    its least vertex, on its leftmost column, heading up, and its steps
+    alternate vertical and horizontal, one byte each: 1 for a step up or
+    right, 0 for one down or left.  Loops with equal step bits are
+    translates and share one entry, built as the first of them closes.
+    Only columns 0..L-1 are walked, L from _strip_width; a column x >= L
+    yields the loops of column x mod L whose width fits (the strip rule)."""
+    if grid.row_bits is None or grid.col_bits is None:
+        return
     W, H = grid.width, grid.height
     rows = grid.row_bits
     # Stitch (x, y)-(x, y+1) is marks[x * VS + y + 1].  The stitches past
@@ -279,9 +294,9 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
     marks[::VS] = marks[H + 1::VS] = b"\1" * (W + 2)
     marks[-VS:] = b"\1" * VS
     strip = _strip_width(grid.col_bits, W)
-    # (y0, steps, width) by column, kept only for the translates
+    # (y0, steps, entry) by column, kept only for the translates
     found = [[] for _ in range(strip)] if strip < W else None
-    shapes = {}  # step bits -> (those bits, shared, and the loop's width)
+    shapes: dict[bytes, _Entry] = {}
     for x0 in range(strip):
         for y0 in range((cols[x0] + 1) & 1, H, 2):
             if marks[x0 * VS + y0 + 1]:
@@ -300,19 +315,16 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes]]:
                 steps.append(right)
             if x == x0 and y == y0:
                 steps = bytes(steps)
+                entry = shapes.get(steps)
+                if entry is None:
+                    entry = shapes[steps] = _entry(steps)
                 if found is not None:
-                    shape = shapes.get(steps)
-                    if shape is None:
-                        # the least vertex is on the loop's leftmost column
-                        shape = shapes[steps] = (steps, max(accumulate(
-                            right + right - 1 for right in steps[1::2])))
-                    steps = shape[0]
-                    found[x0].append((y0, *shape))
-                yield (x0, y0), steps
+                    found[x0].append((y0, steps, entry))
+                yield (x0, y0), steps, entry
     for x in range(strip, W):
-        for y0, steps, width in found[x % strip]:
-            if x + width <= W:
-                yield (x, y0), steps
+        for y0, steps, entry in found[x % strip]:
+            if x + entry[1]["width"] <= W:
+                yield (x, y0), steps, entry
 
 
 def _strip_width(cols: Sequence[int], width: int) -> int:
@@ -377,7 +389,7 @@ def extract_components(
         return [], sorted(grid.segments())
     W, H = grid.width, grid.height
     cycles = [LatticeCycle(_trail(grid, start))
-              for start, _ in _window_loops(grid)]
+              for start, _, _ in _window_loops(grid)]
     paths, far_ends = [], set()
     for x in range(W + 1):
         for y in range(H + 1) if x in (0, W) else (0, H):
@@ -414,39 +426,18 @@ def check_loop_theorems(stats: LoopStats) -> TheoremReport:
     )
 
 
-# a loop's sort key, (-area, -perimeter, class word), and its report dict
-_Entry = tuple[tuple[int, int, str], dict]
-
-
-def _loops(grid: StitchGrid) -> Iterator[tuple[Point, _Entry]]:
-    """The least vertex and ranking entry of each closed loop of a grid, in
-    walk order; none when a family is missing.  The entry is the loop's
-    sort key and its report dict (stats, class hash and theorem checks):
-    analyze_grid ranks by the key, least first, so by greatest area, then
-    greatest perimeter, then least class word (_class_word), and
-    largest_loop takes the first loop with the least key.
-
-    The loops come from _window_loops as (least vertex, step bits), those
-    past one strip of column periods as translates of the strip's.  Loops
-    with equal step bits are translates, so each distinct step sequence is
-    measured (_step_stats) and classed (_class_word) once, from its bits;
-    every loop that repeats the sequence shares its entry, sort key and
-    report dict included.  No loop is walked again, built or filled.
-    """
-    if grid.row_bits is None or grid.col_bits is None:
-        return
-    shapes: dict[bytes, _Entry] = {}
-    for start, steps in _window_loops(grid):
-        entry = shapes.get(steps)
-        if entry is None:
-            stats = _step_stats(steps)
-            word = _class_word(steps)
-            entry = shapes[steps] = (-stats.area, -stats.perimeter, word), {
-                **stats._asdict(),
-                "canonical_hash":
-                    hashlib.sha256(word.encode()).hexdigest()[:16],
-                "theorems": check_loop_theorems(stats)._asdict()}
-        yield start, entry
+def _entry(steps: bytes) -> _Entry:
+    """The sort key and report dict (stats, class hash and theorem checks)
+    of a closed loop, measured (_step_stats) and classed (_class_word) from
+    its step bits alone.  analyze_grid ranks by the key, least first: by
+    greatest area, then greatest perimeter, then least class word;
+    largest_loop takes the first loop with the least key."""
+    stats = _step_stats(steps)
+    word = _class_word(steps)
+    return (-stats.area, -stats.perimeter, word), {
+        **stats._asdict(),
+        "canonical_hash": hashlib.sha256(word.encode()).hexdigest()[:16],
+        "theorems": check_loop_theorems(stats)._asdict()}
 
 
 def _step_stats(steps: bytes) -> LoopStats:
@@ -509,9 +500,9 @@ def largest_loop(grid: StitchGrid,
     area, then greatest perimeter, then least class word, the first in
     extract_components order on a tie) with its fill and stats, or None
     when the grid has no closed loop.  Every loop is walked once, by the
-    census walk, and measured and classed from its step bits (see _loops);
+    census walk, and measured and classed from its step bits (_entry);
     only the head is walked again into a LatticeCycle and filled."""
-    head = min(_loops(grid), key=lambda loop: loop[1][0], default=None)
+    head = min(_window_loops(grid), key=lambda loop: loop[2][0], default=None)
     if head is None:
         return None
     cycle = LatticeCycle(_trail(grid, head[0]))
@@ -774,7 +765,7 @@ def analyze_grid(grid: StitchGrid) -> dict:
     """Structured loop report: per-loop stats with theorem checks, the open
     path count, and the two-coloring as a bottom-up cell matrix.
 
-    Loops rank by their sort key from _loops, equal keys in
+    Loops rank by their sort key from _entry, equal keys in
     extract_components order; largest_loop returns the head of this
     ranking.  Each loop's stats and class come from its step bits, so no
     loop is filled.  Its canonical_hash is the first 16 hex digits of the
@@ -785,13 +776,13 @@ def analyze_grid(grid: StitchGrid) -> dict:
 
     The report is read-only: loops with equal step bits, translates of
     one another, are one shared dict, theorems included, built once by
-    _loops, and the two-coloring's rows are at most four shared lists,
+    _window_loops, and the two-coloring's rows are at most four shared lists,
     the columns of the transposed grid (_color_columns).  Sharing stays
     within one report, as every call builds new objects; copy.deepcopy
     gives a mutable copy.
     """
     loops_report = [loop for _, loop in sorted(
-        map(itemgetter(1), _loops(grid)), key=itemgetter(0))]
+        map(itemgetter(2), _window_loops(grid)), key=itemgetter(0))]
     W, H = grid.width, grid.height
     segments = grid.segment_count()
     if grid.row_bits is None or grid.col_bits is None:

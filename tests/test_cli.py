@@ -193,7 +193,7 @@ def test_analyze_json_bytes_are_unchanged(capsys, rows, cols, width, height,
     grid = build_grid(PatternSpec("cli", WordProgram.parse(rows),
                                   WordProgram.parse(cols), width, height))
     form_of = {}
-    for start, steps in loops._window_loops(grid):
+    for start, steps, _ in loops._window_loops(grid):
         poly = cycle_to_polyomino(LatticeCycle(loops._trail(grid, start)))
         word = loops._class_word(steps)
         class_hash = hashlib.sha256(word.encode()).hexdigest()[:16]
@@ -354,9 +354,10 @@ def test_registry_catalog_json(capsys):
 
 
 def test_registry_unknown_key_is_domain_error(capsys):
-    code, _, err = run(capsys, "registry", "nope")
-    assert code == 1
-    assert "pattern not found" in err
+    for key in ("nope", ""):
+        code, _, err = run(capsys, "registry", key)
+        assert code == 1
+        assert err == f"error: pattern not found: {key}\n"
 
 
 def test_snowflake_json(capsys):

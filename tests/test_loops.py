@@ -113,6 +113,22 @@ def test_polyomino_validation():
         Polyomino([])
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.9, 1.0, "1"])
+def test_non_integer_coordinates_are_refused(bad):
+    # int() would truncate the floats and parse the string
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        LatticeCycle([(0, 0), (1, 0), (1, 1), (bad, 1)])
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        Polyomino([(0, 0), (0, bad)])
+
+
+def test_bool_coordinates_are_stored_as_ints():
+    cycle = LatticeCycle([(False, 0), (True, 0), (1, True), (0, 1)])
+    assert cycle.vertices == UNIT_SQUARE.vertices
+    assert {type(c) for vertex in cycle.vertices for c in vertex} == {int}
+    assert Polyomino([(True, 0)]).cells == {(1, 0)}
+
+
 def test_unit_square_fill():
     poly = cycle_to_polyomino(UNIT_SQUARE)
     assert poly.cells == frozenset({(0, 0)})

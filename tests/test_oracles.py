@@ -34,11 +34,12 @@ from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
 from hitomezashi.loops import (LatticeCycle, _class_word, _color_columns,
-                               _degree, _eighth_census, _least_rotation,
-                               _step_stats, _strip_width, _torus_largest,
-                               _window_loops, analyze_grid, congruent_words,
-                               cycle_to_polyomino, extract_components,
-                               largest_loop, loop_stats, two_color)
+                               _degree, _eighth_census, _entry,
+                               _least_rotation, _step_stats, _strip_width,
+                               _torus_largest, _window_loops, analyze_grid,
+                               congruent_words, cycle_to_polyomino,
+                               extract_components, largest_loop, loop_stats,
+                               two_color)
 from hitomezashi.render import RenderOptions, render_ascii, render_svg
 from hitomezashi.tiles import conjecture_report, persimmon_spec
 from hitomezashi.words import BinaryWord
@@ -361,7 +362,7 @@ def test_loop_walk_matches_vertex_oracle(grid):
         assert cycles == []
         return
     assert [cycle_from_steps(start, steps).vertices
-            for start, steps in _window_loops(grid)] == \
+            for start, steps, _ in _window_loops(grid)] == \
         [cycle.vertices for cycle in cycles]
     for cycle in cycles:
         assert_loop_walk_matches(grid.row_bits, grid.col_bits, cycle)
@@ -398,9 +399,20 @@ def strip_grids(draw):
 @example(grid_of("0110", "011", 90, 12))         # wide periodic window
 def test_strip_walk_matches_full_walk(grid):
     if grid.row_bits is None or grid.col_bits is None:
-        assert extract_components(grid)[0] == []
+        assert list(_window_loops(grid)) == extract_components(grid)[0] == []
         return
-    assert list(_window_loops(grid)) == list(full_window_loops(grid))
+    loops = list(_window_loops(grid))
+    assert [loop[:2] for loop in loops] == list(full_window_loops(grid))
+    # every entry is its step bits', and a translate past the strip shares
+    # its strip loop's
+    strip = _strip_width(grid.col_bits, grid.width)
+    entries = {}
+    for (x, y), steps, entry in loops:
+        assert entry == _entry(steps)
+        if x < strip:
+            entries[x, y] = entry
+        else:
+            assert entry is entries[x % strip, y]
 
 
 APERIODIC_BITS = "".join(random.Random(7).choices("01", k=2001))
@@ -418,7 +430,9 @@ def test_strip_walk_matches_full_walk_on_large_windows(monkeypatch, rows, cols,
     report = analyze_grid(grid)
     # the counted open paths against the walked ones
     assert report["open_path_count"] == len(extract_components(grid)[1])
-    monkeypatch.setattr("hitomezashi.loops._window_loops", full_window_loops)
+    monkeypatch.setattr("hitomezashi.loops._window_loops", lambda grid: (
+        (start, steps, _entry(steps))
+        for start, steps in full_window_loops(grid)))
     assert analyze_grid(grid) == report
 
 
@@ -505,7 +519,7 @@ def test_class_words_part_loops_as_canonical_forms_do(grid):
     if grid.row_bits is None or grid.col_bits is None:
         return
     pairs = []
-    for start, steps in _window_loops(grid):
+    for start, steps, _ in _window_loops(grid):
         cycle = cycle_from_steps(start, steps)
         word = _class_word(steps)
         assert word == brute_class_word(cycle)
@@ -531,7 +545,7 @@ def test_least_rotation_is_the_least_of_every_rotation(word):
 def test_step_stats_match_the_fill(grid):
     if grid.row_bits is None or grid.col_bits is None:
         return
-    for start, steps in _window_loops(grid):
+    for start, steps, _ in _window_loops(grid):
         cycle = cycle_from_steps(start, steps)
         poly = cycle_to_polyomino(cycle)
         assert _step_stats(steps) == loop_stats(poly, cycle) \
@@ -548,16 +562,16 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
     walked, measured, classed = [], [], []
 
     def window_loops(grid):
-        for start, steps in _window_loops(grid):
+        for start, steps, entry in _window_loops(grid):
             walked.append(steps)
-            yield start, steps
+            yield start, steps, entry
 
     def measure(steps):
-        measured.append(len(walked) - 1)
+        measured.append(len(walked))
         return _step_stats(steps)
 
     def class_word(steps):
-        classed.append(len(walked) - 1)
+        classed.append(len(walked))
         return _class_word(steps)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -587,7 +601,8 @@ def test_analyze_grid_measures_each_step_sequence_once(grid):
 @example(grid_of(*MIRRORED_TWINS))
 def test_analyze_grid_shares_one_dict_per_step_sequence(grid):
     loops = analyze_grid(grid)["loops"]
-    steps = Counter(steps for _, steps in _window_loops(grid)) if loops else {}
+    steps = Counter(steps for _, steps, _ in _window_loops(grid)) \
+        if loops else {}
     # two loops are one dict, theorems included, exactly when their step
     # bits are equal, so there are as many dicts as step sequences (the
     # congruent twins of MIRRORED_TWINS are two); one dict has one JSON text
