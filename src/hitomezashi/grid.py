@@ -10,12 +10,21 @@ for vertical segments.  The origin sits at the bottom-left corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Optional
 
 from .words import BinaryWord
 
 Point = tuple[int, int]
 Segment = tuple[Point, Point]
+
+
+def _integers(what: str, *values) -> tuple[int, ...]:
+    """The values by operator.index: ints and bools pass, else ValueError."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,8 @@ class ProgramSegment:
     repeats: Optional[int] = None
 
     def __post_init__(self):
-        if self.repeats is not None and self.repeats < 1:
+        if (self.repeats is not None
+                and min(_integers("repeat counts", self.repeats)) < 1):
             raise ValueError("segment repeat count must be >= 1")
 
     @property
@@ -118,7 +128,7 @@ class PatternSpec:
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+        if min(_integers("window sizes", self.width, self.height)) < 1:
             raise ValueError("window must be at least 1x1 cells")
         if self.width * self.height > MAX_CELLS:
             raise ValueError(f"window of {self.width}x{self.height} cells "
@@ -178,7 +188,7 @@ class StitchGrid:
     col_bits: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+        if min(_integers("grid sizes", self.width, self.height)) < 1:
             raise ValueError("grid must be at least 1x1 cells")
         for name, side in (("row_bits", "height"), ("col_bits", "width")):
             bits = getattr(self, name)

@@ -542,11 +542,9 @@ def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
     steps, (x, y), (min_x, min_y, max_x, max_y) = _quarter_walk(
         bits, (x0, y0), perimeter // 4)
     # twice the centre of the quarter turn that takes the start to the end,
-    # clockwise when the next step runs right
-    if steps[-1]:
-        cx, cy = x + y + x0 - y0, y - x + x0 + y0
-    else:
-        cx, cy = x - y + x0 + y0, x + y - x0 + y0
+    # clockwise (turn 1) when the next step runs right
+    turn = steps[-1] * 2 - 1
+    cx, cy = x + x0 + turn * (y - y0), y + y0 - turn * (x - x0)
     side = max(2 * max_x - cx, cx - 2 * min_x, 2 * max_y - cy, cy - 2 * min_y)
     # 2c_x = -1 (mod P) follows from 2c_y = -1 and c_x = c_y
     if (cy + 1) % p or (cx - cy) % (2 * p) or side > p:
@@ -730,17 +728,9 @@ def two_color(grid: StitchGrid) -> ColumnColoring:
     ry[y] ^ cx[x] ^ (x & y & 1) for the prefix parities ry, cx of the phase
     bits.  With one family the window is one region unless it is one cell
     wide across the lines, where each stitch cuts the strip.  It is the
-    only coloring render_svg fills.
+    only coloring render_svg fills.  The rule is symmetric in the axes, so
+    the columns of the transposed grid are the rows.
     """
-    return ColumnColoring(_color_columns(grid), grid.width, grid.height)
-
-
-def _color_columns(grid: StitchGrid) -> list[list[int]]:
-    """two_color's colors as one list per column, bottom up, from its
-    prefix parities: cell (x, y) holds ry[y] ^ cx[x] ^ (x & y & 1), the
-    last term only with both families present, so each column is one of
-    four shared lists.  The rule is symmetric in the axes, so the columns
-    of the transposed grid are the rows."""
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     both = rows is not None and cols is not None
@@ -748,7 +738,8 @@ def _color_columns(grid: StitchGrid) -> list[list[int]]:
     cx = _prefix_parity(cols, W) if cols and (both or H == 1) else [0] * W
     odd = [c ^ (y & 1) for y, c in enumerate(ry)]
     columns = (ry, [c ^ 1 for c in ry], odd, [c ^ 1 for c in odd])
-    return [columns[c | (x & both) << 1] for x, c in enumerate(cx)]
+    return ColumnColoring([columns[c | (x & both) << 1]
+                           for x, c in enumerate(cx)], W, H)
 
 
 def _prefix_parity(bits: Sequence[int], n: int) -> list[int]:
@@ -776,8 +767,8 @@ def analyze_grid(grid: StitchGrid) -> dict:
 
     The report is read-only: loops with equal step bits, translates of
     one another, are one shared dict, theorems included, built once by
-    _window_loops, and the two-coloring's rows are at most four shared lists,
-    the columns of the transposed grid (_color_columns).  Sharing stays
+    _window_loops, and the two-coloring's rows are at most four shared
+    lists, two_color's columns of the transposed grid.  Sharing stays
     within one report, as every call builds new objects; copy.deepcopy
     gives a mutable copy.
     """
@@ -802,6 +793,6 @@ def analyze_grid(grid: StitchGrid) -> dict:
         "theorems_all_hold": all(
             all(loop["theorems"].values())
             for loop in {id(loop): loop for loop in loops_report}.values()),
-        "two_coloring": _color_columns(
-            StitchGrid(H, W, grid.col_bits, grid.row_bits)),
+        "two_coloring": two_color(
+            StitchGrid(H, W, grid.col_bits, grid.row_bits)).columns,
     }

@@ -27,7 +27,7 @@ is simple, and its area read off the trace.
 
 from __future__ import annotations
 
-from .grid import PatternSpec, WordProgram
+from .grid import PatternSpec, WordProgram, _integers
 from .loops import (LatticeCycle, Polyomino, _torus_largest, congruent_words,
                     cycle_to_polyomino,
                     largest_loop)  # largest_loop is re-exported
@@ -93,7 +93,7 @@ def persimmon_word(order: int):
 def persimmon_spec(order: int, periods: int = 2) -> PatternSpec:
     """Pattern spec for the order-n persimmon on a square window of
     ``periods`` word periods per axis."""
-    if periods < 1:
+    if min(_integers("periods", periods)) < 1:
         raise ValueError("periods must be >= 1")
     word = persimmon_word(order)
     size = periods * len(word)

@@ -5,7 +5,7 @@ from hitomezashi.grid import (MAX_CELLS, PatternSpec, ProgramSegment,
                               StitchGrid, WordProgram, build_grid,
                               expand_program, is_self_dual)
 from hitomezashi.registry import list_all
-from hitomezashi.tiles import persimmon_word
+from hitomezashi.tiles import persimmon_spec, persimmon_word
 from hitomezashi.words import BinaryWord, pell
 from oracles import (horizontal_present, parity_vertex_degree,
                      spec_from_dict, vertex_loop_is_fully_packed,
@@ -155,6 +155,30 @@ def test_phase_bits_other_than_0_or_1_rejected(bad):
         StitchGrid(3, 3, (0, 1, 0, 1), (0, 1, bad, 1))
     with pytest.raises(ValueError, match="phase bits must be 0 or 1"):
         StitchGrid(3, 3, (0, 1, bad, 1), (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3"])
+def test_non_integer_sizes_and_counts_are_refused(bad):
+    # 2.0 would pass a < 1 check and fix a grid's bit count; "3" would
+    # fail one with TypeError
+    with pytest.raises(ValueError, match="grid sizes must be integers"):
+        StitchGrid(bad, 2)
+    with pytest.raises(ValueError, match="grid sizes must be integers"):
+        StitchGrid(2, bad, (0, 1, 0))
+    with pytest.raises(ValueError, match="window sizes must be integers"):
+        spec("01", "1", bad, 3)
+    with pytest.raises(ValueError, match="window sizes must be integers"):
+        spec("01", "1", 3, bad)
+    with pytest.raises(ValueError, match="periods must be integers"):
+        persimmon_spec(2, bad)
+    with pytest.raises(ValueError, match="repeat counts must be integers"):
+        ProgramSegment(BinaryWord("01"), bad)
+
+
+def test_bool_sizes_and_counts_pass():
+    assert StitchGrid(True, 2).segment_count() == 0
+    assert spec("1", "1", 2, True).height == 1
+    assert ProgramSegment(BinaryWord("01"), True).repeats == 1
 
 
 def test_phase_bits_are_stored_as_ints():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hitomezashi import loops
 from hitomezashi.grid import PatternSpec, StitchGrid, WordProgram, build_grid
@@ -127,6 +128,47 @@ def test_bool_coordinates_are_stored_as_ints():
     assert cycle.vertices == UNIT_SQUARE.vertices
     assert {type(c) for vertex in cycle.vertices for c in vertex} == {int}
     assert Polyomino([(True, 0)]).cells == {(1, 0)}
+
+
+@st.composite
+def window_cycles(draw):
+    """A closed loop of a small window, rotated to start anywhere."""
+    words = st.text(alphabet="01", min_size=1, max_size=6)
+    grid = grid_of(draw(words), draw(words), draw(st.integers(4, 16)),
+                   draw(st.integers(4, 16)))
+    cycles = extract_components(grid)[0]
+    assume(cycles)
+    vertices = draw(st.sampled_from(cycles)).vertices
+    k = draw(st.integers(0, len(vertices) - 1))
+    return LatticeCycle(vertices[k:] + vertices[:k])
+
+
+@st.composite
+def walk_cells(draw):
+    """The cells of a lattice walk, so an edge-connected list with
+    repeats."""
+    x, y = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    cells = [(x, y)]
+    for dx, dy in draw(st.lists(st.sampled_from(
+            [(1, 0), (-1, 0), (0, 1), (0, -1)]), max_size=20)):
+        x, y = x + dx, y + dy
+        cells.append((x, y))
+    return cells
+
+
+@settings(max_examples=50, deadline=None)
+@given(window_cycles())
+def test_cycle_repr_evaluates_to_its_vertices(cycle):
+    again = eval(repr(cycle), {"LatticeCycle": LatticeCycle})
+    assert again.vertices == cycle.vertices
+
+
+@given(walk_cells())
+def test_equal_polyominoes_hash_equal_and_repr_back(cells):
+    poly, reordered = Polyomino(cells), Polyomino(reversed(cells))
+    assert poly == reordered and hash(poly) == hash(reordered)
+    assert len({poly, reordered}) == 1
+    assert eval(repr(poly), {"Polyomino": Polyomino}) == poly
 
 
 def test_unit_square_fill():

@@ -33,8 +33,8 @@ from hitomezashi.cli import _report_json, main
 from hitomezashi.grid import (PatternSpec, ProgramSegment, StitchGrid,
                             WordProgram, _dual_shifts, build_grid,
                             expand_program, is_self_dual)
-from hitomezashi.loops import (LatticeCycle, _class_word, _color_columns,
-                               _degree, _eighth_census, _entry,
+from hitomezashi.loops import (LatticeCycle, _class_word, _degree,
+                               _eighth_census, _entry,
                                _least_rotation, _step_stats, _strip_width,
                                _torus_largest, _window_loops, analyze_grid,
                                congruent_words, cycle_to_polyomino,
@@ -778,9 +778,9 @@ def test_two_color_matches_bfs_oracle(grid):
 @example(grid_of("011", "0110", 6, 1))
 def test_color_lines_by_row_are_the_columns_transposed(grid):
     # the rows are the columns of the grid with its phase bits transposed
-    rows = _color_columns(StitchGrid(grid.height, grid.width, grid.col_bits,
-                                     grid.row_bits))
-    assert rows == [list(row) for row in zip(*_color_columns(grid))]
+    rows = two_color(StitchGrid(grid.height, grid.width, grid.col_bits,
+                                grid.row_bits)).columns
+    assert rows == [list(row) for row in zip(*two_color(grid).columns)]
     assert len(rows) == grid.height
     assert len({id(row) for row in rows}) <= 4
 
@@ -802,6 +802,27 @@ def test_analyze_grid_coloring_rows_are_shared_within_one_report(grid):
         loop["area"] = -1
         loop["theorems"]["area_1_mod_4"] = None
     assert other == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(grids())
+@example(grid_of("", "0110", 7, 1))     # rows missing, H = 1
+@example(grid_of("011", "0110", 6, 3))
+def test_analyze_grid_colors_once_through_two_color(grid):
+    # one two_color call per report, on the transposed grid, whose columns
+    # object is the report's rows
+    calls = []
+
+    def spy(arg):
+        calls.append((arg, two_color(arg)))
+        return calls[-1][1]
+
+    with mock.patch("hitomezashi.loops.two_color", spy):
+        report = analyze_grid(grid)
+    (arg, coloring), = calls
+    assert arg == StitchGrid(grid.height, grid.width, grid.col_bits,
+                             grid.row_bits)
+    assert report["two_coloring"] is coloring.columns
 
 
 def test_one_wide_strip_alternates_at_every_stitch():

@@ -65,6 +65,24 @@ def test_turn_word_involutions(word):
     assert word.reverse().complement() == word.complement().reverse()
 
 
+@pytest.mark.parametrize("word_type, alphabet",
+                         [(BinaryWord, "01"), (TurnWord, "LR")])
+@given(data=st.data())
+def test_words_read_hash_and_index_as_their_letters(word_type, alphabet,
+                                                     data):
+    text = data.draw(st.text(alphabet=alphabet, max_size=16))
+    word = word_type(text)
+    from_letters = word_type(iter(text))
+    assert from_letters == word and hash(from_letters) == hash(word)
+    assert len({word, from_letters, word_type(list(text))}) == 1
+    assert list(word) == list(text)
+    assert [word[i] for i in range(-len(text), len(text))] == \
+        [text[i] for i in range(-len(text), len(text))]
+    bounds = st.integers(-20, 20)
+    start, stop = data.draw(bounds), data.draw(bounds)
+    assert word[start:stop] == text[start:stop]
+
+
 def test_fibonacci_seeding():
     assert [fibonacci(n) for n in range(11)] == \
         [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
