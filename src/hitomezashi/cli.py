@@ -372,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader closed stdout; send what is still buffered to devnull
         # so that the interpreter's final flush cannot raise again.

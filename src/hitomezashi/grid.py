@@ -10,21 +10,20 @@ for vertical segments.  The origin sits at the bottom-left corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Iterator, Optional
 
-from .words import BinaryWord
+from .words import BinaryWord, _count
 
 Point = tuple[int, int]
 Segment = tuple[Point, Point]
 
 
-def _integers(what: str, *values) -> tuple[int, ...]:
-    """The values by operator.index: ints and bools pass, else ValueError."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers") from None
+def _sizes(box, what: str) -> None:
+    """Store box's width and height as ints of at least 1x1 cells."""
+    for s in ("width", "height"):
+        object.__setattr__(box, s, _count(f"{what} {s}", getattr(box, s), None))
+    if min(box.width, box.height) < 1:
+        raise ValueError(f"{what} must be at least 1x1 cells")
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,9 @@ class ProgramSegment:
     repeats: Optional[int] = None
 
     def __post_init__(self):
-        if (self.repeats is not None
-                and min(_integers("repeat counts", self.repeats)) < 1):
-            raise ValueError("segment repeat count must be >= 1")
+        if self.repeats is not None:
+            object.__setattr__(self, "repeats", _count("segment repeat count",
+                                                       self.repeats))
 
     @property
     def is_fill(self) -> bool:
@@ -128,8 +127,7 @@ class PatternSpec:
     height: int
 
     def __post_init__(self):
-        if min(_integers("window sizes", self.width, self.height)) < 1:
-            raise ValueError("window must be at least 1x1 cells")
+        _sizes(self, "window")
         if self.width * self.height > MAX_CELLS:
             raise ValueError(f"window of {self.width}x{self.height} cells "
                              f"exceeds {MAX_CELLS} cells")
@@ -158,8 +156,7 @@ def expand_program(program: WordProgram, count: int) -> tuple[int, ...]:
     the fill segment repeats its word, truncated, to reach ``count``.
     Raises ValueError("program underflow") when the program runs out early.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count)
     out: list[int] = []
     for seg in program.segments:
         if seg.word.bits and len(out) < count:
@@ -188,8 +185,7 @@ class StitchGrid:
     col_bits: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if min(_integers("grid sizes", self.width, self.height)) < 1:
-            raise ValueError("grid must be at least 1x1 cells")
+        _sizes(self, "grid")
         for name, side in (("row_bits", "height"), ("col_bits", "width")):
             bits = getattr(self, name)
             if bits is not None:

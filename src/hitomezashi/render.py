@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 from .grid import StitchGrid
 from .loops import ColumnColoring, LatticeCycle
+from .words import _count
 
 
 @dataclass(frozen=True)
@@ -23,8 +25,10 @@ class RenderOptions:
     fill_two_coloring: bool = False
 
     def __post_init__(self):
-        if self.cell_size < 1:
-            raise ValueError("cell_size must be >= 1")
+        object.__setattr__(self, "cell_size",
+                           _count("cell_size", self.cell_size))
+        if not isinstance(self.stroke_width, Real):
+            raise ValueError("stroke_width must be a number")
         if self.stroke_width <= 0:
             raise ValueError("stroke_width must be positive")
         if not math.isfinite(self.stroke_width):

@@ -27,11 +27,11 @@ is simple, and its area read off the trace.
 
 from __future__ import annotations
 
-from .grid import PatternSpec, WordProgram, _integers
+from .grid import PatternSpec, WordProgram
 from .loops import (LatticeCycle, Polyomino, _torus_largest, congruent_words,
                     cycle_to_polyomino,
                     largest_loop)  # largest_loop is re-exported
-from .words import TurnWord, fib_turtle_word, pell_word
+from .words import TurnWord, _count, fib_turtle_word, pell_word
 
 
 def trace_turtle(word: TurnWord) -> LatticeCycle:
@@ -60,9 +60,7 @@ def trace_turtle(word: TurnWord) -> LatticeCycle:
 def _snowflake_quarter(order: int) -> TurnWord:
     """The turn word of index 3(n-1)+1: a quarter of the order-n snowflake's
     boundary."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return fib_turtle_word(3 * (order - 1) + 1)
+    return fib_turtle_word(3 * (_count("order", order) - 1) + 1)
 
 
 def snowflake_boundary(order: int) -> TurnWord:
@@ -84,17 +82,14 @@ def snowflake(order: int) -> Polyomino:
 def persimmon_word(order: int):
     """Line encoding of the order-n persimmon pattern: pell_word(n) followed
     by its reversal; length 2*pell(n)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    word = pell_word(order)
+    word = pell_word(_count("order", order))
     return word + word.reverse()
 
 
 def persimmon_spec(order: int, periods: int = 2) -> PatternSpec:
     """Pattern spec for the order-n persimmon on a square window of
     ``periods`` word periods per axis."""
-    if min(_integers("periods", periods)) < 1:
-        raise ValueError("periods must be >= 1")
+    periods, order = _count("periods", periods), _count("order", order)
     word = persimmon_word(order)
     size = periods * len(word)
     program = WordProgram.fill(word)

@@ -10,7 +10,20 @@ empty string).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator
+
+
+def _count(what: str, value, least: int | None = 1) -> int:
+    """A size, count, index, order or period read by operator.index (bools
+    serve as ints), else ValueError; so too below least, unless it is None."""
+    try:
+        count = index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+    if least is not None and count < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return count
 
 
 class _Word:
@@ -61,9 +74,7 @@ class _Word:
 
     def repeat(self, k: int) -> "_Word":
         """The k-fold concatenation of this word, k >= 1."""
-        if k < 1:
-            raise ValueError("repeat count must be >= 1")
-        return type(self)(self._letters * k)
+        return type(self)(self._letters * _count("repeat count", k))
 
     def complement(self) -> "_Word":
         """Swap the two letters throughout (an involution)."""
@@ -103,25 +114,21 @@ class TurnWord(_Word):
 
 def fibonacci(n: int) -> int:
     """Fibonacci number with the 1, 1, 2, 3, 5, ... seeding (F(0) = F(1) = 1)."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
     a = b = 1
-    for _ in range(n):
+    for _ in range(_count("index", n, 0)):
         a, b = b, a + b
     return a
 
 
 def pell(n: int) -> int:
     """Pell number: P(0) = 0, P(1) = 1, P(n) = 2 P(n-1) + P(n-2)."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
     a, b = 0, 1
-    for _ in range(n):
+    for _ in range(_count("index", n, 0)):
         a, b = b, 2 * b + a
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # pell_word(2) must not answer 2.0
 def pell_word(n: int) -> BinaryWord:
     """Pell word: the empty word, then 1, then
     complement(u(n-1)) + complement(reverse(u(n-2))) + u(n-1).
@@ -129,17 +136,14 @@ def pell_word(n: int) -> BinaryWord:
     The length of pell_word(n) is pell(n); odd-index words are palindromes
     and even-index words are antipalindromes.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 0:
-        return BinaryWord()
-    if n == 1:
-        return BinaryWord("1")
+    n = _count("index", n, 0)
+    if n < 2:
+        return BinaryWord("1" * n)
     prev, prev2 = pell_word(n - 1), pell_word(n - 2)
     return prev.complement() + prev2.reverse().complement() + prev
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fib_turtle_word(n: int) -> TurnWord:
     """Turn word with Fibonacci-style recursion: starting from the empty word
     and R, each step appends the previous word and either the one before it
@@ -147,12 +151,9 @@ def fib_turtle_word(n: int) -> TurnWord:
 
     Word lengths follow the 0, 1, 1, 2, 3, 5, ... recursion.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 0:
-        return TurnWord()
-    if n == 1:
-        return TurnWord("R")
+    n = _count("index", n, 0)
+    if n < 2:
+        return TurnWord("R" * n)
     prev, prev2 = fib_turtle_word(n - 1), fib_turtle_word(n - 2)
     if n % 3 == 2:
         return prev + prev2

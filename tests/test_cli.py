@@ -565,6 +565,25 @@ def test_unwritable_output_path_is_domain_error(tmp_path, capsys, argv):
     assert argv[-1] in err and "Traceback" not in err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds the heap on Linux only")
+def test_out_of_memory_is_a_domain_error(tmp_path):
+    # the child's address space is capped at 400 MiB; the filled SVG of a
+    # 2000^2 window needs more, which used to end in a MemoryError traceback
+    import resource
+    cap = 400 * 2 ** 20
+    target = tmp_path / "big.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hitomezashi.cli", "render", "--rows", "0110",
+         "--cols", "011", "--width", "2000", "--height", "2000", "--fill",
+         "--svg", str(target)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: out of memory\n"
+    assert not target.exists()
+
+
 def test_empty_fixed_word_with_a_huge_count_returns_at_once():
     for rows, code, err in ((":1000000000", 1, b"error: program underflow\n"),
                             (":1000000000,1", 0, b"")):

@@ -5,8 +5,10 @@ from hitomezashi.grid import (MAX_CELLS, PatternSpec, ProgramSegment,
                               StitchGrid, WordProgram, build_grid,
                               expand_program, is_self_dual)
 from hitomezashi.registry import list_all
-from hitomezashi.tiles import persimmon_spec, persimmon_word
-from hitomezashi.words import BinaryWord, pell
+from hitomezashi.render import RenderOptions
+from hitomezashi.tiles import persimmon_spec, persimmon_word, snowflake_boundary
+from hitomezashi.words import (BinaryWord, fib_turtle_word, fibonacci, pell,
+                               pell_word)
 from oracles import (horizontal_present, parity_vertex_degree,
                      spec_from_dict, vertex_loop_is_fully_packed,
                      vertical_present)
@@ -157,28 +159,58 @@ def test_phase_bits_other_than_0_or_1_rejected(bad):
         StitchGrid(3, 3, (0, 1, bad, 1), (0, 1, 0, 1))
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "3"])
+# every place that reads a size, count, index, order or period, and the
+# name its ValueError gives the argument
+COUNTED = [
+    (lambda n: BinaryWord("01").repeat(n), "repeat count"),
+    (fibonacci, "index"),
+    (pell, "index"),
+    (pell_word, "index"),
+    (fib_turtle_word, "index"),
+    (lambda n: ProgramSegment(BinaryWord("01"), n), "segment repeat count"),
+    (lambda n: spec("01", "1", n, 3), "window width"),
+    (lambda n: spec("01", "1", 3, n), "window height"),
+    (lambda n: expand_program(prog("01"), n), "count"),
+    (lambda n: StitchGrid(n, 2, (0, 1, 0)), "grid width"),
+    (lambda n: StitchGrid(2, n, None, (0, 1, 0)), "grid height"),
+    (snowflake_boundary, "order"),
+    (persimmon_word, "order"),
+    (lambda n: persimmon_spec(n, 2), "order"),
+    (lambda n: persimmon_spec(2, n), "periods"),
+    (lambda n: RenderOptions(cell_size=n), "cell_size"),
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None])
 def test_non_integer_sizes_and_counts_are_refused(bad):
-    # 2.0 would pass a < 1 check and fix a grid's bit count; "3" would
-    # fail one with TypeError
-    with pytest.raises(ValueError, match="grid sizes must be integers"):
-        StitchGrid(bad, 2)
-    with pytest.raises(ValueError, match="grid sizes must be integers"):
-        StitchGrid(2, bad, (0, 1, 0))
-    with pytest.raises(ValueError, match="window sizes must be integers"):
-        spec("01", "1", bad, 3)
-    with pytest.raises(ValueError, match="window sizes must be integers"):
-        spec("01", "1", 3, bad)
-    with pytest.raises(ValueError, match="periods must be integers"):
-        persimmon_spec(2, bad)
-    with pytest.raises(ValueError, match="repeat counts must be integers"):
-        ProgramSegment(BinaryWord("01"), bad)
+    # 2.0 would pass a < 1 check and could size a grid's bits; "3" and None
+    # would fail one with TypeError, and 2.5 sent the recursive words into
+    # a negative index
+    for call, what in COUNTED:
+        if bad is None and what == "segment repeat count":
+            assert call(bad).is_fill  # None marks the fill segment
+            continue
+        with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
+            call(bad)
 
 
 def test_bool_sizes_and_counts_pass():
+    for call, _ in COUNTED:
+        call(True)
     assert StitchGrid(True, 2).segment_count() == 0
     assert spec("1", "1", 2, True).height == 1
     assert ProgramSegment(BinaryWord("01"), True).repeats == 1
+    # and are stored as ints
+    grid = StitchGrid(True, True, (0, 1), (1, 0))
+    window = spec("1", "1", True, True)
+    counts = [ProgramSegment(BinaryWord("01"), True).repeats, grid.width,
+              grid.height, window.width, window.height,
+              RenderOptions(cell_size=True).cell_size]
+    assert counts == [1] * 6 and all(type(n) is int for n in counts)
+    assert persimmon_spec(True, True).name == "pell-persimmon-1"
+    segment = WordProgram((ProgramSegment(BinaryWord("01"), True),))
+    assert segment.to_text() == "01:1"
+    assert WordProgram.parse(segment.to_text()) == segment
 
 
 def test_phase_bits_are_stored_as_ints():

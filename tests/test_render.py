@@ -112,6 +112,8 @@ def test_options_validation():
     # the highlight is drawn at twice the stroke width
     with pytest.raises(ValueError, match="stroke_width is too large"):
         RenderOptions(stroke_width=1e308)
+    with pytest.raises(ValueError, match="stroke_width must be a number"):
+        RenderOptions(stroke_width="2")
 
 
 def test_highlight_of_a_stroke_width_near_the_limit():
