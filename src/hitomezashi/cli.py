@@ -102,7 +102,7 @@ def _write_svg(path: str, text: str) -> None:
 
 
 def _emit_grid(grid, options: RenderOptions, svg: Optional[str]) -> int:
-    if svg:
+    if svg is not None:
         coloring = two_color(grid) if options.fill_two_coloring else None
         _write_svg(svg, render_svg(grid, options, coloring=coloring))
     else:
@@ -225,7 +225,7 @@ def _cmd_snowflake(args) -> int:
     options = RenderOptions(cell_size=args.cell_size)
     boundary = snowflake_boundary(order)
     cycle = trace_turtle(boundary)
-    if args.svg:
+    if args.svg is not None:
         _write_svg(args.svg, render_cycle_svg(cycle, options))
         return 0
     width, height = cycle.cell_box()
@@ -273,7 +273,7 @@ def _cmd_persimmon(args) -> int:
           f"({args.periods} periods per axis)")
     print(f"  self-dual shift: ({shift[0]}, {shift[1]})" if shift
           else "  self-dual shift: none")
-    if args.svg or args.ascii:
+    if args.svg is not None or args.ascii:
         return _emit_grid(build_grid(spec), options, args.svg)
     return 0
 

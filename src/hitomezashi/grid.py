@@ -214,9 +214,9 @@ class StitchGrid:
 
     def segment_count(self) -> int:
         """Present segments: a line of n unit steps and phase bit b has
-        (n + b % 2) // 2 of them."""
-        return (sum((self.width + b % 2) // 2 for b in self.row_bits or ())
-                + sum((self.height + b % 2) // 2 for b in self.col_bits or ()))
+        (n + b) // 2 of them."""
+        return (sum((self.width + b) // 2 for b in self.row_bits or ())
+                + sum((self.height + b) // 2 for b in self.col_bits or ()))
 
     def dual(self) -> "StitchGrid":
         """The pattern on the reverse of the fabric: all phase bits flipped."""

@@ -108,7 +108,7 @@ import hashlib
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import accumulate, product
-from operator import index, itemgetter, mul
+from operator import index, itemgetter, mul, xor
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import Point, Segment, StitchGrid
@@ -298,7 +298,7 @@ def _window_loops(grid: StitchGrid) -> Iterator[tuple[Point, bytes, _Entry]]:
     found = [[] for _ in range(strip)] if strip < W else None
     shapes: dict[bytes, _Entry] = {}
     for x0 in range(strip):
-        for y0 in range((cols[x0] + 1) & 1, H, 2):
+        for y0 in range(1 - cols[x0], H, 2):
             if marks[x0 * VS + y0 + 1]:
                 continue
             x, y, steps = x0, y0, bytearray()
@@ -734,17 +734,14 @@ def two_color(grid: StitchGrid) -> ColumnColoring:
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
     both = rows is not None and cols is not None
-    ry = _prefix_parity(rows, H) if rows and (both or W == 1) else [0] * H
-    cx = _prefix_parity(cols, W) if cols and (both or H == 1) else [0] * W
+    ry = (list(accumulate(rows[1:H], xor, initial=0))
+          if rows and (both or W == 1) else [0] * H)
+    cx = (list(accumulate(cols[1:W], xor, initial=0))
+          if cols and (both or H == 1) else [0] * W)
     odd = [c ^ (y & 1) for y, c in enumerate(ry)]
     columns = (ry, [c ^ 1 for c in ry], odd, [c ^ 1 for c in odd])
     return ColumnColoring([columns[c | (x & both) << 1]
                            for x, c in enumerate(cx)], W, H)
-
-
-def _prefix_parity(bits: Sequence[int], n: int) -> list[int]:
-    """Parity of bits[1..i] for i = 0..n-1."""
-    return list(accumulate(bits[1:n], lambda p, b: (p ^ b) & 1, initial=0))
 
 
 def centred_square_check(areas: Sequence[int]) -> bool:

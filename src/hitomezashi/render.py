@@ -52,8 +52,7 @@ def render_ascii(grid: StitchGrid, options: RenderOptions = DEFAULT_OPTIONS) -> 
     show_grid, unoccupied lattice-line columns carry ``+`` marks.
 
     A text line depends only on the parity of y (the top line has no pipes)
-    and on the parity of its row's phase bit, so each distinct line is built
-    once.
+    and on its row's phase bit, so each distinct line is built once.
     """
     W, H = grid.width, grid.height
     rows, cols = grid.row_bits, grid.col_bits
@@ -62,7 +61,7 @@ def render_ascii(grid: StitchGrid, options: RenderOptions = DEFAULT_OPTIONS) -> 
     lines = []
     for y in range(H, -1, -1):
         key = (y & 1 if y < H and cols is not None else None,
-               rows[y] & 1 if rows is not None else None)
+               rows[y] if rows is not None else None)
         if key not in built:
             pipe, bit = key
             line = [blank] * (2 * W + 1)
@@ -149,7 +148,7 @@ def render_svg(
         f'stroke-linecap="square">\n'
     )
     # A line with phase bit b is stitched on the steps k -> k + 1 for k in
-    # range(1 - (b & 1), n, 2): one template per parity serves every line.
+    # range(1 - b, n, 2): one template per parity serves every line.
     for bits, along, across, element in (
             (grid.row_bits, xs, ys, _ROW_STITCH),
             (grid.col_bits, ys, xs, _COL_STITCH)):
@@ -157,7 +156,7 @@ def render_svg(
             templates = ["".join(element.format(a, b) for a, b in
                                  zip(along[p::2], along[p + 1::2]))
                          .split("\0") for p in (1, 0)]
-            parts += [coord.join(templates[b & 1])
+            parts += [coord.join(templates[b])
                       for coord, b in zip(across, bits)]
     parts.append("  </g>\n")
 

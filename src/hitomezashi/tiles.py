@@ -136,7 +136,7 @@ def conjecture_report(order: int) -> dict:
     quarter = _snowflake_quarter(order)
     match = congruent_words(turns, str(quarter))
     return {
-        "order": order,
+        "order": _count("order", order),
         "window": [2 * len(word)] * 2,
         "largest_loop": stats._asdict(),
         "snowflake": {

@@ -364,6 +364,7 @@ def test_snowflake_json(capsys):
     code, out, _ = run(capsys, "snowflake", "--order", "2", "--json")
     assert code == 0
     data = json.loads(out)
+    assert type(data["order"]) is int
     assert data["area"] == 5
     assert data["perimeter"] == 12
     assert data["boundary"] == "RLLRLLRLLRLL"
@@ -412,6 +413,7 @@ def test_persimmon_json(capsys):
     code, out, _ = run(capsys, "persimmon", "--order", "2", "--json")
     assert code == 0
     data = json.loads(out)
+    assert type(data["order"]) is int
     assert data["word"] == "0110"
     assert data["spec"]["width"] == 8
     assert data["self_dual_shift"] == [2, 2]
@@ -502,6 +504,7 @@ def test_verify_conjecture_json(capsys):
     assert code == 0
     reports = json.loads(out)
     assert [r["match"] for r in reports] == [True, True, True]
+    assert all(type(r["order"]) is int for r in reports)
     assert reports[2] == {
         "order": 3,
         "window": [20, 20],
@@ -563,6 +566,21 @@ def test_unwritable_output_path_is_domain_error(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert argv[-1] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["render", "--rows", "1", "--cols", "1", "--width", "2", "--height", "2"],
+    ["dual", "--rows", "1", "--cols", "1", "--width", "2", "--height", "2"],
+    ["snowflake", "--order", "2"],
+    ["persimmon", "--order", "2"],
+])
+def test_empty_output_path_is_domain_error(capsys, command):
+    code, out, err = run(capsys, *command, "--svg", "")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if command[0] != "persimmon":  # which prints its summary first
+        assert out == ""
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

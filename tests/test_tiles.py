@@ -194,6 +194,11 @@ def test_conjecture_report_contents():
     assert report["largest_loop"]["perimeter"] == 12
 
 
+def test_conjecture_report_reports_the_order_as_an_int():
+    order = conjecture_report(True)["order"]
+    assert type(order) is int and order == 1
+
+
 def test_boundary_that_does_not_match_is_checked_to_be_simple(monkeypatch):
     # four copies of LLL go round the unit square three times
     monkeypatch.setattr(tiles, "_snowflake_quarter",
