@@ -87,8 +87,14 @@ class WordProgram:
             word_text, sep, count = token.partition(":")
             word = BinaryWord(word_text)
             if sep:
+                # ASCII decimal digits only, as int() would also take
+                # "3_0", " 3", "+3" and non-ASCII digits; a leading "-"
+                # reaches ProgramSegment's ">= 1" check
+                digits = count.removeprefix("-")
                 try:
-                    repeats = int(count)
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError
+                    repeats = int(count)  # too many digits: ValueError
                 except ValueError:
                     raise ValueError(f"bad repeat count {count!r}") from None
                 segments.append(ProgramSegment(word, repeats))

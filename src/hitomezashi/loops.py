@@ -107,7 +107,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, chain, product, repeat
 from operator import index, itemgetter, mul, xor
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -552,6 +552,9 @@ def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
     return LoopStats(perimeter, area, side, side), _turn_word(steps)
 
 
+_FLIP_BITS = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def _eighth_census(bits: Sequence[int],
                    ) -> tuple[tuple[int, int], list[Point]]:
     """The greatest (shoelace area, perimeter) over the loops through E =
@@ -580,9 +583,11 @@ def _eighth_census(bits: Sequence[int],
     # x >= P/2 (mod P) share one sink column, and the slots past the band
     # one sink slot per column.
     rows = [*bits] * 2
-    qs = [1 - c for c in rows]
-    cols = [min(x, half) * stride for x in range(p)] * 2
-    slots = [min(t // 2, band) for t in range(p)] * 2
+    qs = [*bytes(rows).translate(_FLIP_BITS)]
+    cols = [*range(0, half * stride, stride),
+            *repeat(half * stride, p - half)] * 2
+    slots = [*chain.from_iterable(zip(range(band), range(band))),
+             *repeat(band, p - 2 * band)] * 2
     marks = bytearray((half + 1) * stride)
     best, ties = (0, 0), []
     for x0 in range(half):

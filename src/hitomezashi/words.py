@@ -91,6 +91,9 @@ class _Word:
         return self.reverse() == self.complement()
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 class BinaryWord(_Word):
     """A finite word over ``{0,1}``."""
 
@@ -101,7 +104,7 @@ class BinaryWord(_Word):
     @property
     def bits(self) -> tuple[int, ...]:
         """The letters as integers, reading order preserved."""
-        return tuple(int(c) for c in self._letters)
+        return tuple(self._letters.encode().translate(_BITS))
 
 
 class TurnWord(_Word):
@@ -128,7 +131,6 @@ def pell(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None, typed=True)  # pell_word(2) must not answer 2.0
 def pell_word(n: int) -> BinaryWord:
     """Pell word: the empty word, then 1, then
     complement(u(n-1)) + complement(reverse(u(n-2))) + u(n-1).
@@ -136,14 +138,18 @@ def pell_word(n: int) -> BinaryWord:
     The length of pell_word(n) is pell(n); odd-index words are palindromes
     and even-index words are antipalindromes.
     """
-    n = _count("index", n, 0)
+    # the index is read before the cache hashes it
+    return _pell_word(_count("index", n, 0))
+
+
+@lru_cache(maxsize=None)
+def _pell_word(n: int) -> BinaryWord:
     if n < 2:
         return BinaryWord("1" * n)
-    prev, prev2 = pell_word(n - 1), pell_word(n - 2)
+    prev, prev2 = _pell_word(n - 1), _pell_word(n - 2)
     return prev.complement() + prev2.reverse().complement() + prev
 
 
-@lru_cache(maxsize=None, typed=True)
 def fib_turtle_word(n: int) -> TurnWord:
     """Turn word with Fibonacci-style recursion: starting from the empty word
     and R, each step appends the previous word and either the one before it
@@ -151,10 +157,14 @@ def fib_turtle_word(n: int) -> TurnWord:
 
     Word lengths follow the 0, 1, 1, 2, 3, 5, ... recursion.
     """
-    n = _count("index", n, 0)
+    return _fib_turtle_word(_count("index", n, 0))
+
+
+@lru_cache(maxsize=None)
+def _fib_turtle_word(n: int) -> TurnWord:
     if n < 2:
         return TurnWord("R" * n)
-    prev, prev2 = fib_turtle_word(n - 1), fib_turtle_word(n - 2)
+    prev, prev2 = _fib_turtle_word(n - 1), _fib_turtle_word(n - 2)
     if n % 3 == 2:
         return prev + prev2
     return prev + prev2.complement()

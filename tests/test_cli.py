@@ -528,6 +528,28 @@ def test_bad_repeat_count_is_usage_error(capsys):
     assert "bad repeat count 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [
+    "3_0", " 3", "3 ", "+3", "\u0663", "", "-", "--1", "0x3",
+    pytest.param("9" * 5000, id="5000-digits")])
+def test_repeat_count_is_ascii_decimal_digits(capsys, count):
+    # int() takes the first five ("\u0663" is an Arabic-Indic 3) and
+    # refuses the rest, the last for its length
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--rows", f"01:{count}", "--cols", "1",
+              "--width", "4", "--height", "4"])
+    assert excinfo.value.code == 2
+    assert f"bad repeat count {count!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "0", "-0"])
+def test_repeat_count_below_one_is_usage_error(capsys, count):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--rows", f"01:{count}", "--cols", "1",
+              "--width", "4", "--height", "4"])
+    assert excinfo.value.code == 2
+    assert "segment repeat count must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows, message", [
     (",", "at most one fill segment"),   # two empty fill words
     ("01:3,", "empty fill word"),        # one, after a fixed segment

@@ -181,11 +181,11 @@ COUNTED = [
 ]
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None, [2]])
 def test_non_integer_sizes_and_counts_are_refused(bad):
     # 2.0 would pass a < 1 check and could size a grid's bits; "3" and None
-    # would fail one with TypeError, and 2.5 sent the recursive words into
-    # a negative index
+    # would fail one with TypeError, 2.5 sent the recursive words into a
+    # negative index, and [2] failed in their cache before the index was read
     for call, what in COUNTED:
         if bad is None and what == "segment repeat count":
             assert call(bad).is_fill  # None marks the fill segment

@@ -83,6 +83,13 @@ def test_words_read_hash_and_index_as_their_letters(word_type, alphabet,
     assert word[start:stop] == text[start:stop]
 
 
+@given(st.text("01"))
+def test_bits_are_the_letters_as_ints(text):
+    bits = BinaryWord(text).bits
+    assert bits == tuple(int(c) for c in text)
+    assert all(type(b) is int for b in bits)
+
+
 def test_fibonacci_seeding():
     assert [fibonacci(n) for n in range(11)] == \
         [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
