@@ -5,10 +5,10 @@ and region two-coloring."""
 import random
 import sys
 
-from hitomezashi import (PatternSpec, WordProgram, build_grid,
-                         centred_square_check, check_loop_theorems,
-                         cycle_to_polyomino, extract_components, largest_loop,
-                         loop_stats, lookup, table1, two_color)
+from hitomezashi import (LoopStats, PatternSpec, WordProgram, build_grid,
+                         check_loop_theorems, cycle_to_polyomino,
+                         extract_components, largest_loop, lookup, table1,
+                         two_color)
 
 
 def word_grid(rows, cols, width, height):
@@ -24,7 +24,8 @@ print()
 
 areas = [s.area for name, s in table1() if "igeta" not in name]
 print(f"mouth/cross/persimmon areas {areas} are the centred square numbers")
-print("  2k(k+1)+1:", centred_square_check(sorted(areas)))
+print("  2k(k+1)+1:", all(area == 2 * k * (k + 1) + 1
+                          for k, area in enumerate(sorted(areas))))
 print()
 
 grid = build_grid(lookup("jujizashi").spec())
@@ -43,8 +44,9 @@ for _ in range(25):
     cols = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
     g = word_grid(rows, cols, rng.randint(10, 40), rng.randint(10, 40))
     for cycle in extract_components(g)[0]:
-        stats = loop_stats(cycle_to_polyomino(cycle), cycle)
-        if not check_loop_theorems(stats).all_hold:
+        poly = cycle_to_polyomino(cycle)
+        stats = LoopStats(cycle.perimeter, poly.area, poly.height, poly.width)
+        if not all(check_loop_theorems(stats).values()):
             sys.exit(f"loop congruence violated: {(rows, cols, stats)}")
         checked += 1
 print(f"  verified on {checked} loops from 25 random word pairs")

@@ -5,10 +5,9 @@ from .words import (BinaryWord, TurnWord, fibonacci, pell, pell_word,
                     fib_turtle_word)
 from .grid import (ProgramSegment, WordProgram, PatternSpec, StitchGrid,
                    expand_program, build_grid, is_self_dual)
-from .loops import (LatticeCycle, Polyomino, LoopStats, TheoremReport,
-                    extract_components, cycle_to_polyomino, loop_stats,
-                    check_loop_theorems, largest_loop, two_color,
-                    centred_square_check, analyze_grid)
+from .loops import (LatticeCycle, Polyomino, LoopStats, extract_components,
+                    cycle_to_polyomino, check_loop_theorems, largest_loop,
+                    two_color, analyze_grid)
 from .tiles import (trace_turtle, snowflake, snowflake_boundary,
                     snowflake_cycle, persimmon_word, persimmon_spec,
                     verify_conjecture, conjecture_report)
@@ -23,10 +22,9 @@ __all__ = [
     "fib_turtle_word",
     "ProgramSegment", "WordProgram", "PatternSpec", "StitchGrid",
     "expand_program", "build_grid", "is_self_dual",
-    "LatticeCycle", "Polyomino", "LoopStats", "TheoremReport",
+    "LatticeCycle", "Polyomino", "LoopStats",
     "extract_components", "cycle_to_polyomino",
-    "loop_stats", "check_loop_theorems", "largest_loop", "two_color",
-    "centred_square_check", "analyze_grid",
+    "check_loop_theorems", "largest_loop", "two_color", "analyze_grid",
     "trace_turtle", "snowflake", "snowflake_boundary", "snowflake_cycle",
     "persimmon_word", "persimmon_spec", "verify_conjecture",
     "conjecture_report",

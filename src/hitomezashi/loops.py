@@ -254,18 +254,6 @@ class LoopStats(NamedTuple):
     width: int
 
 
-class TheoremReport(NamedTuple):
-    """Instance checks of the three loop congruences."""
-
-    area_1_mod_4: bool
-    perimeter_4_mod_8: bool
-    box_dimensions_odd: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.area_1_mod_4 and self.perimeter_4_mod_8 and self.box_dimensions_odd
-
-
 # a loop's sort key, (-area, -perimeter, class word), and its report dict
 _Entry = tuple[tuple[int, int, str], dict]
 
@@ -411,19 +399,12 @@ def cycle_to_polyomino(cycle: LatticeCycle) -> Polyomino:
                      for x in range(left, right))
 
 
-def loop_stats(polyomino: Polyomino, cycle: LatticeCycle) -> LoopStats:
-    """The stats of a cycle and its fill; the box is the cycle's vertex
-    span, which is its fill's cell span."""
-    width, height = cycle.cell_box()
-    return LoopStats(cycle.perimeter, polyomino.area, height, width)
-
-
-def check_loop_theorems(stats: LoopStats) -> TheoremReport:
-    return TheoremReport(
-        area_1_mod_4=stats.area % 4 == 1,
-        perimeter_4_mod_8=stats.perimeter % 8 == 4,
-        box_dimensions_odd=stats.width % 2 == 1 and stats.height % 2 == 1,
-    )
+def check_loop_theorems(stats: LoopStats) -> dict[str, bool]:
+    """Instance checks of the three loop congruences, by name."""
+    return {"area_1_mod_4": stats.area % 4 == 1,
+            "perimeter_4_mod_8": stats.perimeter % 8 == 4,
+            "box_dimensions_odd": stats.width % 2 == 1
+                                  and stats.height % 2 == 1}
 
 
 def _entry(steps: bytes) -> _Entry:
@@ -437,7 +418,7 @@ def _entry(steps: bytes) -> _Entry:
     return (-stats.area, -stats.perimeter, word), {
         **stats._asdict(),
         "canonical_hash": hashlib.sha256(word.encode()).hexdigest()[:16],
-        "theorems": check_loop_theorems(stats)._asdict()}
+        "theorems": check_loop_theorems(stats)}
 
 
 def _step_stats(steps: bytes) -> LoopStats:
@@ -501,13 +482,13 @@ def largest_loop(grid: StitchGrid,
     extract_components order on a tie) with its fill and stats, or None
     when the grid has no closed loop.  Every loop is walked once, by the
     census walk, and measured and classed from its step bits (_entry);
-    only the head is walked again into a LatticeCycle and filled."""
+    only the head is walked again into a LatticeCycle and filled.  Its
+    stats are those analyze_grid reports for it (_step_stats)."""
     head = min(_window_loops(grid), key=lambda loop: loop[2][0], default=None)
     if head is None:
         return None
     cycle = LatticeCycle(_trail(grid, head[0]))
-    poly = cycle_to_polyomino(cycle)
-    return cycle, poly, loop_stats(poly, cycle)
+    return cycle, cycle_to_polyomino(cycle), _step_stats(head[1])
 
 
 def _torus_largest(word: Sequence[int]) -> Optional[tuple[LoopStats, str]]:
@@ -747,11 +728,6 @@ def two_color(grid: StitchGrid) -> ColumnColoring:
     columns = (ry, [c ^ 1 for c in ry], odd, [c ^ 1 for c in odd])
     return ColumnColoring([columns[c | (x & both) << 1]
                            for x, c in enumerate(cx)], W, H)
-
-
-def centred_square_check(areas: Sequence[int]) -> bool:
-    """True when areas[k] = 2k(k+1)+1 for consecutive k starting at 0."""
-    return all(area == 2 * k * (k + 1) + 1 for k, area in enumerate(areas))
 
 
 def analyze_grid(grid: StitchGrid) -> dict:

@@ -6,8 +6,7 @@ from collections import Counter, defaultdict
 
 from hitomezashi.grid import PatternSpec, ProgramSegment, WordProgram
 from hitomezashi.loops import (LatticeCycle, LoopStats, _turn_word,
-                               check_loop_theorems, cycle_to_polyomino,
-                               extract_components)
+                               cycle_to_polyomino, extract_components)
 from hitomezashi.render import DEFAULT_OPTIONS, PALETTE, _fmt
 from hitomezashi.words import BinaryWord
 
@@ -447,6 +446,11 @@ def fill_stats(cycle, poly):
     return LoopStats(cycle.perimeter, poly.area, poly.height, poly.width)
 
 
+def centred_square_check(areas):
+    """True when areas[k] = 2k(k+1)+1 for consecutive k starting at 0."""
+    return all(area == 2 * k * (k + 1) + 1 for k, area in enumerate(areas))
+
+
 def brute_class_word(cycle):
     """The least of every rotation of the cycle's turn word, of that word
     with L and R swapped, reversed, and both."""
@@ -482,12 +486,12 @@ def brute_largest_loop(cycles):
 def fill_all_analyze_grid(grid):
     """analyze_grid's report with every loop filled, its area and box read
     off the fill, its canonical_hash that of the fill's canonical form
-    (form_hash), and the two-coloring from the region BFS."""
+    (form_hash), its congruence checks taken from those, and the
+    two-coloring from the region BFS."""
     cycles, paths = extract_components(grid)
     loops_report = []
     for cycle, poly in ranked_loops(cycles):
         stats = fill_stats(cycle, poly)
-        report = check_loop_theorems(stats)
         loops_report.append({
             "perimeter": stats.perimeter,
             "area": stats.area,
@@ -495,9 +499,10 @@ def fill_all_analyze_grid(grid):
             "width": stats.width,
             "canonical_hash": form_hash(poly),
             "theorems": {
-                "area_1_mod_4": report.area_1_mod_4,
-                "perimeter_4_mod_8": report.perimeter_4_mod_8,
-                "box_dimensions_odd": report.box_dimensions_odd,
+                "area_1_mod_4": stats.area % 4 == 1,
+                "perimeter_4_mod_8": stats.perimeter % 8 == 4,
+                "box_dimensions_odd": (stats.width % 2 == 1
+                                       and stats.height % 2 == 1),
             },
         })
 

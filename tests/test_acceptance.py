@@ -11,12 +11,13 @@ from contextlib import contextmanager
 
 from hitomezashi.grid import (PatternSpec, WordProgram, build_grid,
                               is_self_dual)
-from hitomezashi.loops import (centred_square_check, cycle_to_polyomino,
-                               extract_components, loop_stats, two_color)
+from hitomezashi.loops import (cycle_to_polyomino, extract_components,
+                               two_color)
 from hitomezashi.registry import list_all, table1
 from hitomezashi.tiles import (persimmon_word, snowflake, snowflake_cycle,
                                verify_conjecture)
 from hitomezashi.words import BinaryWord, fibonacci, pell, pell_word
+from oracles import centred_square_check, fill_stats
 
 
 @contextmanager
@@ -85,7 +86,7 @@ def test_criterion_4_loop_congruences_at_scale():
             cycles, _ = extract_components(grid)
             for cycle in cycles:
                 loops_seen += 1
-                stats = loop_stats(cycle_to_polyomino(cycle), cycle)
+                stats = fill_stats(cycle, cycle_to_polyomino(cycle))
                 assert stats.area % 4 == 1
                 assert stats.perimeter % 8 == 4
                 assert stats.width % 2 == 1 and stats.height % 2 == 1

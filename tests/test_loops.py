@@ -10,16 +10,15 @@ from hitomezashi import loops
 from hitomezashi.grid import PatternSpec, StitchGrid, WordProgram, build_grid
 from hitomezashi.loops import (LatticeCycle, LoopStats, Polyomino,
                                _strip_width, analyze_grid,
-                               centred_square_check, check_loop_theorems,
-                               congruent_words, cycle_to_polyomino,
-                               extract_components, largest_loop, loop_stats,
-                               two_color)
+                               check_loop_theorems, congruent_words,
+                               cycle_to_polyomino, extract_components,
+                               largest_loop, two_color)
 from hitomezashi.registry import lookup
 from hitomezashi.tiles import (_snowflake_quarter, persimmon_word, snowflake,
                               snowflake_cycle)
 from hitomezashi.words import pell
-from oracles import (horizontal_present, normalized, ray_cast_fill,
-                     turn_word, vertical_present)
+from oracles import (centred_square_check, fill_stats, horizontal_present,
+                     normalized, ray_cast_fill, turn_word, vertical_present)
 
 UNIT_SQUARE = LatticeCycle([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -174,7 +173,7 @@ def test_equal_polyominoes_hash_equal_and_repr_back(cells):
 def test_unit_square_fill():
     poly = cycle_to_polyomino(UNIT_SQUARE)
     assert poly.cells == frozenset({(0, 0)})
-    assert loop_stats(poly, UNIT_SQUARE) == LoopStats(4, 1, 1, 1)
+    assert fill_stats(UNIT_SQUARE, poly) == LoopStats(4, 1, 1, 1)
 
 
 def test_cross_loop_fills_to_plus_pentomino():
@@ -483,12 +482,14 @@ def test_congruent_words_up_to_rotation_reversal_and_swap():
 # --- congruence checks ---
 
 def test_theorem_report_examples():
-    assert check_loop_theorems(LoopStats(12, 5, 3, 3)).all_hold
-    assert check_loop_theorems(LoopStats(4, 1, 1, 1)).all_hold
+    holds = dict.fromkeys(
+        ["area_1_mod_4", "perimeter_4_mod_8", "box_dimensions_odd"], True)
+    assert check_loop_theorems(LoopStats(12, 5, 3, 3)) == holds
+    assert check_loop_theorems(LoopStats(4, 1, 1, 1)) == holds
     report = check_loop_theorems(LoopStats(8, 2, 1, 2))
-    assert not report.area_1_mod_4
-    assert not report.perimeter_4_mod_8
-    assert not report.box_dimensions_odd
+    assert list(report.items()) == [(name, False) for name in holds]
+    assert check_loop_theorems(LoopStats(12, 5, 3, 2)) == {
+        **holds, "box_dimensions_odd": False}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -496,8 +497,8 @@ def test_loop_congruences_on_random_grids(seed):
     grid = random_grid(random.Random(300 + seed), max_side=30)
     cycles, _ = extract_components(grid)
     for cycle in cycles:
-        stats = loop_stats(cycle_to_polyomino(cycle), cycle)
-        assert check_loop_theorems(stats).all_hold
+        stats = fill_stats(cycle, cycle_to_polyomino(cycle))
+        assert all(check_loop_theorems(stats).values())
 
 
 @pytest.mark.slow

@@ -1,11 +1,15 @@
 """README examples against the command line and library that they
 describe."""
 
+import pkgutil
 import re
+import shlex
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+import hitomezashi
 from hitomezashi import cli
 from hitomezashi.cli import main
 
@@ -57,3 +61,35 @@ def test_library_example_prints_what_its_comments_say(capsys):
     for line, comment in zip(printed, comments):
         assert comment == line or comment.startswith(line + ","), \
             (line, comment)
+
+
+def test_command_line_examples_exit_cleanly(tmp_path, monkeypatch, capsys):
+    block = re.search(r"^## Command line\n.*?```sh\n(.*?)```", README,
+                      re.S | re.M)
+    assert block is not None
+    lines = block.group(1).replace("\\\n", "").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert commands and all(argv[0] == "hitomezashi" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "kuchi.svg", "snow3.svg"]
+
+
+def test_removed_names_are_gone():
+    section = re.search(r"^Names removed from the library.*?\n\n(.*?)\n\n",
+                        README, re.S | re.M)
+    assert section is not None
+    names = re.findall(r"^- `(\w+(?:\.\w+)?)", section.group(1), re.M)
+    assert len(names) == len(re.findall(r"^- ", section.group(1), re.M))
+    modules = [hitomezashi, *(
+        import_module(f"hitomezashi.{info.name}")
+        for info in pkgutil.iter_modules(hitomezashi.__path__))]
+    for name in names:
+        owner, _, attribute = name.rpartition(".")
+        if owner:
+            assert not hasattr(getattr(hitomezashi, owner), attribute), name
+        else:
+            assert not any(hasattr(module, name) for module in modules), name
